@@ -2,6 +2,7 @@
 named extremal families, isomorphism-free generators, and verification
 suites for the lower bounds those families attain."""
 
+from ._version import __version__
 from .graphs import (
     MAX_ORDER,
     Classification,
@@ -30,9 +31,7 @@ from .mds import (
     MdsProfile,
     Status,
     addable,
-    count_mds_bruteforce,
     enumerate_mds,
-    enumerate_mds_naive,
     is_dissociation,
     is_maximal_dissociation,
     mds_profile,
@@ -55,9 +54,6 @@ from .canon import (
     generate_caterpillars,
     generate_trees,
     generate_unicyclic,
-    is_isomorphic_bruteforce,
     tree_code,
     unicyclic_code,
 )
-
-__version__ = "0.1.0"

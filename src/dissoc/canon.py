@@ -24,7 +24,6 @@ from .graphs import (
 
 DEFAULT_TREE_CAP = 14
 DEFAULT_UNICYCLIC_CAP = 13
-BRUTEFORCE_ISO_CAP = 10
 
 
 class CanonicalCode(NamedTuple):
@@ -251,59 +250,9 @@ def generate_unicyclic(n: int, cap: int | None = None) -> Iterator[Graph]:
     yield from out
 
 
-def _degree_signature(g: Graph) -> tuple:
-    per_vertex = sorted(
-        (g.adj[v].bit_count(), tuple(sorted(g.adj[u].bit_count() for u in iter_bits(g.adj[v]))))
-        for v in range(g.n)
-    )
-    return (g.n, g.edge_count, tuple(per_vertex))
-
-
-def is_isomorphic_bruteforce(g: Graph, h: Graph) -> bool:
-    """Backtracking isomorphism test, intended as a small-order oracle."""
-    if g.n > BRUTEFORCE_ISO_CAP or h.n > BRUTEFORCE_ISO_CAP:
-        raise ValueError(f"brute-force isomorphism capped at order {BRUTEFORCE_ISO_CAP}")
-    if g.n != h.n or g.edge_count != h.edge_count:
-        return False
-    if _degree_signature(g) != _degree_signature(h):
-        return False
-    n = g.n
-    deg_g = [g.adj[v].bit_count() for v in range(n)]
-    deg_h = [h.adj[v].bit_count() for v in range(n)]
-    # BFS order from a max-degree vertex keeps mapped neighborhoods connected
-    start = max(range(n), key=lambda v: deg_g[v])
-    order: list[int] = []
-    seen = 1 << start
-    queue = [start]
-    while queue:
-        v = queue.pop(0)
-        order.append(v)
-        for u in iter_bits(g.adj[v]):
-            if not seen >> u & 1:
-                seen |= 1 << u
-                queue.append(u)
-    for v in range(n):  # disconnected remainder, if any
-        if not seen >> v & 1:
-            order.append(v)
-            seen |= 1 << v
-    image = [-1] * n
-
-    def backtrack(i: int, used: int, assigned: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        mapped_nbrs = 0
-        for w in iter_bits(g.adj[v] & assigned):
-            mapped_nbrs |= 1 << image[w]
-        for u in range(n):
-            if used >> u & 1 or deg_h[u] != deg_g[v]:
-                continue
-            if h.adj[u] & used != mapped_nbrs:
-                continue
-            image[v] = u
-            if backtrack(i + 1, used | 1 << u, assigned | 1 << v):
-                return True
-        image[v] = -1
-        return False
-
-    return backtrack(0, 0, 0)
+# class name -> generator, shared by the ``gen`` command and the suite runner
+GENERATORS = {
+    "tree": generate_trees,
+    "caterpillar": generate_caterpillars,
+    "unicyclic": generate_unicyclic,
+}

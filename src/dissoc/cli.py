@@ -13,73 +13,21 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from ._version import __version__
-from .canon import (
-    DEFAULT_TREE_CAP,
-    DEFAULT_UNICYCLIC_CAP,
-    generate_caterpillars,
-    generate_trees,
-    generate_unicyclic,
-)
+from .canon import DEFAULT_TREE_CAP, DEFAULT_UNICYCLIC_CAP, GENERATORS
 from .families import parse_family
 from .graphs import Graph, bit_list, graph6_decode, graph6_encode
 from .mds import Status, enumerate_mds, phi, phi_refined
-from .suites import DEFAULT_ORDERS, SUITE_NAMES, run_suite
+from .suites import SUITES, run_suite
 
 ENV_CACHE_DIR = "DISSOC_CACHE_DIR"
 ENV_JOBS = "DISSOC_JOBS"
 
-_GENERATORS = {
-    "tree": generate_trees,
-    "caterpillar": generate_caterpillars,
-    "unicyclic": generate_unicyclic,
-}
-
-
-@dataclass
-class RunConfig:
-    """Resolved configuration for a verify run."""
-
-    suites: list[str]
-    orders: tuple[int, int] | None
-    jobs: int
-    fmt: str
-    output: str | None
-    cache_dir: str | None
-    tree_cap: int
-    unicyclic_cap: int
-    k_max: int
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        jobs = args.jobs
-        if jobs < 1:
-            raise ValueError(f"--jobs must be >= 1, got {jobs}")
-        orders = _parse_orders(args.orders) if args.orders else None
-        return cls(
-            suites=list(SUITE_NAMES) if args.suite == "all" else [args.suite],
-            orders=orders,
-            jobs=jobs,
-            fmt=args.format,
-            output=args.output,
-            cache_dir=args.cache_dir,
-            tree_cap=args.tree_cap,
-            unicyclic_cap=args.unicyclic_cap,
-            k_max=args.k_max,
-        )
-
 
 def _parse_orders(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo_i, hi_i = int(lo), int(hi)
-    else:
-        lo_i = hi_i = int(text)
-    if lo_i > hi_i:
-        raise ValueError(f"empty order range {text!r}")
-    return lo_i, hi_i
+    lo, dots, hi = text.partition("..")
+    return int(lo), int(hi if dots else lo)
 
 
 def _parse_constraint(text: str) -> tuple[int, Status]:
@@ -104,7 +52,11 @@ def _load_graph(args) -> Graph:
 
 
 class CorpusCache:
-    """graph6 corpus files keyed by (class, order, generator version)."""
+    """graph6 corpus files keyed by (class, order, generator version).
+
+    Serves ``run_suite`` as a corpus mapping: ``get((kind, n))`` loads and
+    ``cache[kind, n] = graphs`` stores.
+    """
 
     def __init__(self, directory: str):
         self.directory = directory
@@ -140,13 +92,11 @@ class CorpusCache:
             os.close(fd)
             os.unlink(lock)
 
-    def get(self, kind: str, n: int, cap: int) -> list[Graph]:
-        cached = self.load(kind, n)
-        if cached is not None:
-            return cached
-        graphs = list(_GENERATORS[kind](n, cap=cap))
-        self.store(kind, n, graphs)
-        return graphs
+    def get(self, key: tuple[str, int]) -> list[Graph] | None:
+        return self.load(*key)
+
+    def __setitem__(self, key: tuple[str, int], graphs: list[Graph]) -> None:
+        self.store(*key, graphs)
 
 
 def format_corpus(kind: str, n: int, graphs: list[Graph]) -> str:
@@ -179,7 +129,7 @@ def cmd_gen(args) -> int:
     kind = args.klass
     n = args.order
     cap = args.tree_cap if kind in ("tree", "caterpillar") else args.unicyclic_cap
-    graphs = list(_GENERATORS[kind](n, cap=cap))
+    graphs = list(GENERATORS[kind](n, cap=cap))
     text = format_corpus(kind, n, graphs)
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
@@ -219,39 +169,24 @@ def _reports_to_text(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
+_FORMATS = {"json": _reports_to_json, "csv": _reports_to_csv, "text": _reports_to_text}
+
+
 def cmd_verify(args) -> int:
-    cfg = RunConfig.from_args(args)
-    cache = CorpusCache(cfg.cache_dir) if cfg.cache_dir else None
-    corpora = None
-    if cache is not None:
-        corpora = {}
-        for name in cfg.suites:
-            lo_d, hi_d = DEFAULT_ORDERS[name]
-            lo, hi = cfg.orders if cfg.orders else (lo_d, hi_d)
-            lo = max(lo, lo_d)
-            if name in ("main", "identities"):
-                for n in range(lo, hi + 1):
-                    if 3 <= n <= cfg.unicyclic_cap:
-                        corpora[("unicyclic", n)] = cache.get("unicyclic", n, cfg.unicyclic_cap)
-            elif name == "trees":
-                for n in range(lo, hi + 1):
-                    if n <= cfg.tree_cap:
-                        corpora[("tree", n)] = cache.get("tree", n, cfg.tree_cap)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    orders = _parse_orders(args.orders) if args.orders else None
+    corpora = CorpusCache(args.cache_dir) if args.cache_dir else None
     reports = []
-    for name in cfg.suites:
-        reports.extend(
-            run_suite(name, orders=cfg.orders, jobs=cfg.jobs, k_max=cfg.k_max, corpora=corpora)
+    for name in list(SUITES) if args.suite == "all" else [args.suite]:
+        reports += run_suite(
+            name, orders, args.jobs, corpora, tree_cap=args.tree_cap, unicyclic_cap=args.unicyclic_cap
         )
-    if cfg.fmt == "json":
-        text = _reports_to_json(reports)
-    elif cfg.fmt == "csv":
-        text = _reports_to_csv(reports)
-    else:
-        text = _reports_to_text(reports)
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+    text = _FORMATS[args.format](reports)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"report written to {cfg.output}", file=sys.stderr)
+        print(f"report written to {args.output}", file=sys.stderr)
     else:
         sys.stdout.write(text)
     return 0 if all(r.passed for r in reports) else 1
@@ -285,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mds.set_defaults(func=cmd_mds)
 
     p_gen = sub.add_parser("gen", help="write a graph6 corpus of one order")
-    p_gen.add_argument("--class", dest="klass", required=True, choices=sorted(_GENERATORS))
+    p_gen.add_argument("--class", dest="klass", required=True, choices=sorted(GENERATORS))
     p_gen.add_argument("--order", type=int, required=True)
     p_gen.add_argument("--output", help="output path (default stdout)")
     p_gen.add_argument("--tree-cap", type=int, default=DEFAULT_TREE_CAP)
@@ -293,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_gen)
 
     p_ver = sub.add_parser("verify", help="run verification suites")
-    p_ver.add_argument("--suite", required=True, choices=sorted(SUITE_NAMES) + ["all"])
+    p_ver.add_argument("--suite", required=True, choices=sorted(SUITES) + ["all"])
     p_ver.add_argument("--orders", help="order or range, e.g. 7 or 3..12")
     p_ver.add_argument(
         "--jobs",
@@ -301,9 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=int(os.environ.get(ENV_JOBS, "1")),
         help="worker processes (default 1, env DISSOC_JOBS)",
     )
-    p_ver.add_argument("--format", choices=["json", "csv", "text"], default="text")
+    p_ver.add_argument("--format", choices=sorted(_FORMATS), default="text")
     p_ver.add_argument("--output", help="report path (default stdout)")
-    p_ver.add_argument("--k-max", type=int, default=3, help="leaf count cap for the surgery suite")
     p_ver.add_argument(
         "--cache-dir",
         default=os.environ.get(ENV_CACHE_DIR),

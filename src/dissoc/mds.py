@@ -25,11 +25,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-import numpy as np
-
 from .graphs import Graph, iter_bits
-
-NAIVE_ORDER_CAP = 24
 
 _OUT, _FREE, _MATCHED = 1, 2, 4
 _ALL = _OUT | _FREE | _MATCHED
@@ -212,47 +208,6 @@ def enumerate_mds(g: Graph) -> Iterator[int]:
     _search(g, [_ALL] * g.n, sink)
     sink.sort()
     yield from sink
-
-
-def enumerate_mds_naive(g: Graph) -> list[int]:
-    """Reference oracle: test every subset against the definition.
-
-    Kept deliberately independent of the optimized search. Output is
-    ascending by bit-packed value by construction.
-    """
-    if g.n > NAIVE_ORDER_CAP:
-        raise ValueError(f"naive oracle capped at order {NAIVE_ORDER_CAP}")
-    return [s for s in range(1 << g.n) if is_maximal_dissociation(g, s)]
-
-
-def count_mds_bruteforce(g: Graph) -> int:
-    """Vectorized subset-filter count of maximal dissociation sets.
-
-    Same exhaustive-filter semantics as :func:`enumerate_mds_naive`, run
-    over all 2^n subsets at once with numpy so that order-12 corpora stay
-    cheap. Shares no logic with the optimized enumerator.
-    """
-    n = g.n
-    if n > NAIVE_ORDER_CAP:
-        raise ValueError(f"brute-force counter capped at order {NAIVE_ORDER_CAP}")
-    size = 1 << n
-    pop = np.zeros(size, dtype=np.uint8)
-    for i in range(n):
-        pop[1 << i : 1 << (i + 1)] = pop[: 1 << i] + 1
-    masks = np.arange(size, dtype=np.uint64)
-    member = [(masks >> np.uint64(v)) & np.uint64(1) != 0 for v in range(n)]
-    cnt = [pop[(masks & np.uint64(g.adj[v])).astype(np.int64)] for v in range(n)]
-    ok = np.ones(size, dtype=bool)
-    for v in range(n):
-        ok &= ~member[v] | (cnt[v] <= 1)
-    memdeg = [np.where(member[v], cnt[v], 0).astype(np.int16) for v in range(n)]
-    for v in range(n):
-        nbr_sum = np.zeros(size, dtype=np.int16)
-        for u in iter_bits(g.adj[v]):
-            nbr_sum += memdeg[u]
-        addable_v = ~member[v] & (cnt[v] <= 1) & (nbr_sum == 0)
-        ok &= ~addable_v
-    return int(np.count_nonzero(ok))
 
 
 def mds_profile(g: Graph) -> MdsProfile:

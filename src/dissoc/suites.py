@@ -13,11 +13,20 @@ from __future__ import annotations
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Iterable, MutableMapping, NamedTuple, Sequence
 
 from ._version import __version__
-from .canon import generate_caterpillars, generate_trees, generate_unicyclic, tree_code, unicyclic_code
+from .canon import (
+    DEFAULT_TREE_CAP,
+    DEFAULT_UNICYCLIC_CAP,
+    GENERATORS,
+    generate_caterpillars,
+    generate_trees,
+    generate_unicyclic,
+    tree_code,
+    unicyclic_code,
+)
 from .families import U_pq, enumerate_U_rt_class, extremal_caterpillars, extremal_trees, extremal_unicyclic
 from .graphs import (
     Graph,
@@ -40,6 +49,8 @@ from .mds import Status, phi, phi_refined
 
 IDENTITY_PAIR_SEED = 0x1D55
 IDENTITY_PAIR_COUNT = 200
+# leaf-removal checks its refined-count identity up to this order
+LEAF_IDENTITY_ORDER_CAP = 10
 
 
 @dataclass
@@ -49,20 +60,17 @@ class Violation:
     lhs: int
     rhs: int
 
-    def to_dict(self) -> dict:
-        return {"graph6": self.graph6, "rule": self.rule, "lhs": self.lhs, "rhs": self.rhs}
-
 
 @dataclass
 class VerificationReport:
     suite: str
     order: str
     graphs_examined: int
-    bound: int | None
-    min_phi: int | None
-    minimizers: list[tuple[str, str]]
-    expected_minimizers: list[tuple[str, str]]
     violations: list[Violation]
+    bound: int | None = None
+    min_phi: int | None = None
+    minimizers: list[tuple[str, str]] = field(default_factory=list)
+    expected_minimizers: list[tuple[str, str]] = field(default_factory=list)
     observations: list[dict] = field(default_factory=list)
     runtime_ms: float | None = None
     engine_version: str = __version__
@@ -72,19 +80,10 @@ class VerificationReport:
         return not self.violations
 
     def to_dict(self, include_runtime: bool = False) -> dict:
-        return {
-            "suite": self.suite,
-            "order": self.order,
-            "graphs_examined": self.graphs_examined,
-            "bound": self.bound,
-            "min_phi": self.min_phi,
-            "minimizers": [list(pair) for pair in self.minimizers],
-            "expected_minimizers": [list(pair) for pair in self.expected_minimizers],
-            "violations": [v.to_dict() for v in self.violations],
-            "observations": self.observations,
-            "runtime_ms": self.runtime_ms if include_runtime else None,
-            "engine_version": self.engine_version,
-        }
+        out = asdict(self)
+        if not include_runtime:
+            out["runtime_ms"] = None
+        return out
 
     def summary_row(self) -> dict:
         return {
@@ -171,30 +170,23 @@ def _minimizer_report(
 def check_main_theorem(n: int, jobs: int = 1, graphs: Sequence[Graph] | None = None) -> VerificationReport:
     """Every unicyclic graph of order n has at least floor(n/2)+2 maximal
     dissociation sets, with the predicted minimizer set exactly attained."""
-    t0 = time.perf_counter()
     if graphs is None:
         graphs = list(generate_unicyclic(n))
     phis = _pmap(phi, graphs, jobs)
-    report = _minimizer_report("main", n, graphs, phis, n // 2 + 2, extremal_unicyclic(n))
-    report.runtime_ms = (time.perf_counter() - t0) * 1000
-    return report
+    return _minimizer_report("main", n, graphs, phis, n // 2 + 2, extremal_unicyclic(n))
 
 
 def check_tree_theorem(n: int, jobs: int = 1, graphs: Sequence[Graph] | None = None) -> VerificationReport:
     """Every tree of order n has at least ceil(n/2)+1 maximal dissociation
     sets, with minimizers exactly the predicted spiders."""
-    t0 = time.perf_counter()
     if graphs is None:
         graphs = list(generate_trees(n))
     phis = _pmap(phi, graphs, jobs)
-    report = _minimizer_report("trees", n, graphs, phis, (n + 1) // 2 + 1, extremal_trees(n))
-    report.runtime_ms = (time.perf_counter() - t0) * 1000
-    return report
+    return _minimizer_report("trees", n, graphs, phis, (n + 1) // 2 + 1, extremal_trees(n))
 
 
 def check_path_corollary(n_max: int) -> VerificationReport:
     """Paths meet the tree bound with equality exactly at orders 3, 4, 5."""
-    t0 = time.perf_counter()
     violations = []
     minimizers = []
     expected = []
@@ -214,19 +206,15 @@ def check_path_corollary(n_max: int) -> VerificationReport:
         suite="paths",
         order=f"3..{n_max}",
         graphs_examined=max(0, n_max - 2),
-        bound=None,
-        min_phi=None,
         minimizers=sorted(minimizers, key=lambda p: p[1]),
         expected_minimizers=sorted(expected, key=lambda p: p[1]),
         violations=violations,
-        runtime_ms=(time.perf_counter() - t0) * 1000,
     )
 
 
 def check_caterpillar_corollary(n_max: int) -> VerificationReport:
     """Caterpillars meet the tree bound with equality exactly on the six
     listed spiders."""
-    t0 = time.perf_counter()
     violations = []
     minimizers = []
     examined = 0
@@ -251,12 +239,9 @@ def check_caterpillar_corollary(n_max: int) -> VerificationReport:
         suite="caterpillars",
         order=f"3..{n_max}",
         graphs_examined=examined,
-        bound=None,
-        min_phi=None,
         minimizers=sorted(minimizers, key=lambda p: p[1]),
         expected_minimizers=expected,
         violations=violations,
-        runtime_ms=(time.perf_counter() - t0) * 1000,
     )
 
 
@@ -265,7 +250,6 @@ def check_cycle_lemma(n_min: int = 4, n_max: int = 20) -> VerificationReport:
     and by at least 2 beyond n=6."""
     if n_min < 4:
         raise ValueError("cycle lemma needs n_min >= 4")
-    t0 = time.perf_counter()
     violations = []
     minimizers = []
     expected = []
@@ -286,24 +270,19 @@ def check_cycle_lemma(n_min: int = 4, n_max: int = 20) -> VerificationReport:
         suite="cycle",
         order=f"{n_min}..{n_max}",
         graphs_examined=max(0, n_max - n_min + 1),
-        bound=None,
-        min_phi=None,
         minimizers=minimizers,
         expected_minimizers=expected,
         violations=violations,
-        runtime_ms=(time.perf_counter() - t0) * 1000,
     )
 
 
-def check_leaf_removal_lemma(n: int, check_identity: bool | None = None) -> VerificationReport:
+def check_leaf_removal_lemma(n: int) -> VerificationReport:
     """For cycles with pendants, removing a closed leaf neighborhood drops
     the count by at least 2; the refined-count identity behind the argument
-    is checked directly (by default at orders up to 10)."""
+    is checked directly at orders up to LEAF_IDENTITY_ORDER_CAP."""
     if n < 5:
         raise ValueError("leaf-removal lemma needs order >= 5")
-    if check_identity is None:
-        check_identity = n <= 10
-    t0 = time.perf_counter()
+    check_identity = n <= LEAF_IDENTITY_ORDER_CAP
     violations = []
     examined = 0
     instances = 0
@@ -344,13 +323,8 @@ def check_leaf_removal_lemma(n: int, check_identity: bool | None = None) -> Veri
         suite="leaf-removal",
         order=str(n),
         graphs_examined=examined,
-        bound=None,
-        min_phi=None,
-        minimizers=[],
-        expected_minimizers=[],
         violations=violations,
         observations=[{"leaf_instances": instances, "identity_checked": check_identity}],
-        runtime_ms=(time.perf_counter() - t0) * 1000,
     )
 
 
@@ -366,7 +340,6 @@ def check_surgery_lemma(order_cap: int, k_max: int = 3) -> VerificationReport:
     and must satisfy the stated necessary condition."""
     if k_max < 2:
         raise ValueError("surgery lemma needs k_max >= 2")
-    t0 = time.perf_counter()
     violations = []
     observations = []
     examined = 0
@@ -422,14 +395,9 @@ def check_surgery_lemma(order_cap: int, k_max: int = 3) -> VerificationReport:
         suite="surgery",
         order=f"3..{order_cap}",
         graphs_examined=examined,
-        bound=None,
-        min_phi=None,
-        minimizers=[],
-        expected_minimizers=[],
         violations=violations,
         observations=observations
         + [{"instances": instances, "equality_instances": len(observations), "k_max": k_max}],
-        runtime_ms=(time.perf_counter() - t0) * 1000,
     )
 
 
@@ -445,8 +413,7 @@ def _pendant_path_triples(g: Graph) -> list[tuple[int, int, int]]:
     return out
 
 
-def _pendant_path_check(args: tuple[Graph, bool]) -> tuple[list[Violation], int, int]:
-    g, include_claims = args
+def _pendant_path_check(g: Graph) -> tuple[list[Violation], int, int]:
     violations: list[Violation] = []
     claim2_eq = 0
     total = 0
@@ -459,8 +426,6 @@ def _pendant_path_check(args: tuple[Graph, bool]) -> tuple[list[Violation], int,
         phi_h = phi(h)
         if phi_g < phi_h + 1:
             violations.append(Violation(_g6(g), "pendant_path_drop_ge_1", phi_g, phi_h + 1))
-        if not include_claims:
-            continue
         w2 = relabel[w]
         c1_lhs = phi_refined(g, [(w, Status.IN_DEGREE0)])
         c1_rhs = phi_refined(h, [(w2, Status.IN_DEGREE0)])
@@ -479,16 +444,13 @@ def _pendant_path_check(args: tuple[Graph, bool]) -> tuple[list[Violation], int,
     return violations, claim2_eq, total
 
 
-def check_pendant_path_lemma(
-    n: int, include_claims: bool = True, jobs: int = 1
-) -> VerificationReport:
+def check_pendant_path_lemma(n: int, jobs: int = 1) -> VerificationReport:
     """Deleting a pendant path of length two (leaf plus its degree-2
     support) drops the count by at least 1 on every unicyclic graph."""
     if n < 5:
         raise ValueError("pendant-path lemma needs order >= 5")
-    t0 = time.perf_counter()
     graphs = [g for g in generate_unicyclic(n) if _pendant_path_triples(g)]
-    results = _pmap(_pendant_path_check, [(g, include_claims) for g in graphs], jobs)
+    results = _pmap(_pendant_path_check, graphs, jobs)
     violations = [v for vs, _, _ in results for v in vs]
     claim2_eq = sum(eq for _, eq, _ in results)
     total = sum(t for _, _, t in results)
@@ -496,19 +458,14 @@ def check_pendant_path_lemma(
         suite="pendant-path",
         order=str(n),
         graphs_examined=len(graphs),
-        bound=None,
-        min_phi=None,
-        minimizers=[],
-        expected_minimizers=[],
         violations=violations,
         observations=[
             {
                 "pendant_path_instances": total,
                 "claim2_equality_instances": claim2_eq,
-                "claims_checked": include_claims,
+                "claims_checked": True,
             }
         ],
-        runtime_ms=(time.perf_counter() - t0) * 1000,
     )
 
 
@@ -523,7 +480,6 @@ def check_case3_subcases(n: int) -> VerificationReport:
         if n < 10:
             raise ValueError("even orders start at 10")
         base = U_pq((n - 4) // 2, (n - 6) // 2)
-    t0 = time.perf_counter()
     center = 0
     triangle = {base.n - 2, base.n - 1}
     leaf_mask = leaves(base)
@@ -593,13 +549,8 @@ def check_case3_subcases(n: int) -> VerificationReport:
         suite="subcases",
         order=str(n),
         graphs_examined=len(orbits),
-        bound=None,
-        min_phi=None,
-        minimizers=[],
-        expected_minimizers=[],
         violations=violations,
         observations=observations,
-        runtime_ms=(time.perf_counter() - t0) * 1000,
     )
 
 
@@ -638,7 +589,6 @@ def check_identity_suite(
     """Per-vertex decomposition, support-vertex vanishing, deletion
     inequalities on every corpus graph, and multiplicativity on seeded
     random disjoint-union pairs drawn from the corpus."""
-    t0 = time.perf_counter()
     graphs = list(corpus)
     results = _pmap(_identity_check, graphs, jobs)
     violations = [v for vs in results for v in vs]
@@ -660,40 +610,36 @@ def check_identity_suite(
         suite="identities",
         order=f"corpus[{len(graphs)}]",
         graphs_examined=len(graphs),
-        bound=None,
-        min_phi=None,
-        minimizers=[],
-        expected_minimizers=[],
         violations=violations,
         observations=[{"union_pairs": pairs_done, "seed": seed}],
-        runtime_ms=(time.perf_counter() - t0) * 1000,
     )
 
 
-SUITE_NAMES = (
-    "main",
-    "trees",
-    "paths",
-    "caterpillars",
-    "cycle",
-    "leaf-removal",
-    "surgery",
-    "pendant-path",
-    "subcases",
-    "identities",
-)
+class Suite(NamedTuple):
+    start: int  # smallest order of the suite's domain
+    end: int  # largest order run by default
+    per_order: bool  # one report per order, else one report over the range
+    # (lo, hi, jobs, corpus) -> report; per-order suites get lo == hi == n,
+    # and corpus(kind, n) returns the tree or unicyclic corpus of order n
+    check: Callable[..., VerificationReport]
 
-DEFAULT_ORDERS = {
-    "main": (3, 12),
-    "trees": (3, 12),
-    "paths": (3, 20),
-    "caterpillars": (3, 9),
-    "cycle": (4, 20),
-    "leaf-removal": (5, 11),
-    "surgery": (3, 8),
-    "pendant-path": (5, 12),
-    "subcases": (9, 13),
-    "identities": (3, 8),
+
+SUITES = {
+    "main": Suite(
+        3, 12, True, lambda lo, hi, jobs, corpus: check_main_theorem(lo, jobs, corpus("unicyclic", lo))
+    ),
+    "trees": Suite(
+        3, 12, True, lambda lo, hi, jobs, corpus: check_tree_theorem(lo, jobs, corpus("tree", lo))
+    ),
+    "paths": Suite(3, 20, False, lambda lo, hi, jobs, corpus: check_path_corollary(hi)),
+    "caterpillars": Suite(3, 9, False, lambda lo, hi, jobs, corpus: check_caterpillar_corollary(hi)),
+    "cycle": Suite(4, 20, False, lambda lo, hi, jobs, corpus: check_cycle_lemma(lo, hi)),
+    "leaf-removal": Suite(5, 11, True, lambda lo, hi, jobs, corpus: check_leaf_removal_lemma(lo)),
+    "surgery": Suite(3, 8, False, lambda lo, hi, jobs, corpus: check_surgery_lemma(hi)),
+    "pendant-path": Suite(5, 12, True, lambda lo, hi, jobs, corpus: check_pendant_path_lemma(lo, jobs)),
+    "subcases": Suite(9, 13, True, lambda lo, hi, jobs, corpus: check_case3_subcases(lo)),
+    "identities": Suite(3, 8, False, lambda lo, hi, jobs, corpus: check_identity_suite(
+        [g for n in range(lo, hi + 1) for g in corpus("unicyclic", n)], jobs=jobs)),
 }
 
 
@@ -701,52 +647,47 @@ def run_suite(
     name: str,
     orders: tuple[int, int] | None = None,
     jobs: int = 1,
-    k_max: int = 3,
-    corpora: dict[tuple[str, int], list[Graph]] | None = None,
+    corpora: MutableMapping[tuple[str, int], list[Graph]] | None = None,
+    tree_cap: int = DEFAULT_TREE_CAP,
+    unicyclic_cap: int = DEFAULT_UNICYCLIC_CAP,
 ) -> list[VerificationReport]:
-    """Dispatch one named suite over an order range; returns its reports.
+    """Run one named suite over an order range; returns its timed reports.
 
-    ``corpora`` optionally maps (class, n) to pre-generated graph lists so a
-    cached corpus can be reused across suites.
+    ``orders`` (default: the suite's default range) has its lower bound
+    raised to the suite's domain start; an empty range is an error, never a
+    vacuous pass. The tree and unicyclic corpora of the main, trees and
+    identities suites are generated under ``tree_cap`` / ``unicyclic_cap``,
+    and an order above its cap is an error. ``corpora`` optionally maps
+    (class, n) to graph lists (a dict, or a ``CorpusCache``): it is consulted
+    first and receives every corpus generated, so a cached corpus is reused
+    across suites and runs.
     """
-    if name not in SUITE_NAMES:
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    lo_default, hi_default = DEFAULT_ORDERS[name]
-    lo, hi = orders if orders is not None else (lo_default, hi_default)
-    lo = max(lo, lo_default)
+    suite = SUITES[name]
+    lo, hi = orders if orders is not None else (suite.start, suite.end)
+    if max(lo, suite.start) > hi:
+        raise ValueError(
+            f"suite {name!r} has no orders to check in {lo}..{hi} "
+            f"(its domain starts at order {suite.start})"
+        )
+    lo = max(lo, suite.start)
+    caps = {"tree": tree_cap, "unicyclic": unicyclic_cap}
+    corpora = {} if corpora is None else corpora
 
-    def corpus(kind: str, n: int) -> list[Graph] | None:
-        if corpora is not None and (kind, n) in corpora:
-            return corpora[(kind, n)]
-        return None
+    def corpus(kind: str, n: int) -> list[Graph]:
+        if n > caps[kind]:
+            raise ValueError(f"{kind} corpus of order {n} is above its cap {caps[kind]}")
+        graphs = corpora.get((kind, n))
+        if graphs is None:
+            graphs = corpora[kind, n] = list(GENERATORS[kind](n, cap=caps[kind]))
+        return graphs
 
-    if name == "main":
-        return [
-            check_main_theorem(n, jobs=jobs, graphs=corpus("unicyclic", n))
-            for n in range(lo, hi + 1)
-        ]
-    if name == "trees":
-        return [
-            check_tree_theorem(n, jobs=jobs, graphs=corpus("tree", n))
-            for n in range(lo, hi + 1)
-        ]
-    if name == "paths":
-        return [check_path_corollary(hi)]
-    if name == "caterpillars":
-        return [check_caterpillar_corollary(hi)]
-    if name == "cycle":
-        return [check_cycle_lemma(lo, hi)]
-    if name == "leaf-removal":
-        return [check_leaf_removal_lemma(n) for n in range(lo, hi + 1)]
-    if name == "surgery":
-        return [check_surgery_lemma(hi, k_max=k_max)]
-    if name == "pendant-path":
-        return [check_pendant_path_lemma(n, jobs=jobs) for n in range(lo, hi + 1)]
-    if name == "subcases":
-        valid = [n for n in range(lo, hi + 1) if (n % 2 == 1 and n >= 9) or (n % 2 == 0 and n >= 10)]
-        return [check_case3_subcases(n) for n in valid]
-    graphs = []
-    for n in range(lo, hi + 1):
-        cached = corpus("unicyclic", n)
-        graphs.extend(cached if cached is not None else generate_unicyclic(n))
-    return [check_identity_suite(graphs, jobs=jobs)]
+    ranges = [(n, n) for n in range(lo, hi + 1)] if suite.per_order else [(lo, hi)]
+    reports = []
+    for a, b in ranges:
+        t0 = time.perf_counter()
+        report = suite.check(a, b, jobs, corpus)
+        report.runtime_ms = (time.perf_counter() - t0) * 1000
+        reports.append(report)
+    return reports

@@ -3,8 +3,10 @@
 None of these share algorithms with the package code under test: labeled
 trees come from Prufer sequences, isomorphism deduplication uses the
 backtracking test, class counts are recomputed analytically from the
-rooted-tree recurrence, and random connected graphs are built from a random
-spanning tree.
+rooted-tree recurrence, random connected graphs are built from a random
+spanning tree, and maximal dissociation sets are found by testing every
+subset against the definition (one subset at a time, or all at once with
+numpy).
 """
 
 from __future__ import annotations
@@ -15,7 +17,12 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from dissoc import Graph, from_edges, is_isomorphic_bruteforce, iter_bits
+import numpy as np
+
+from dissoc import Graph, from_edges, is_maximal_dissociation, iter_bits
+
+BRUTEFORCE_ISO_CAP = 10
+NAIVE_ORDER_CAP = 24
 
 
 def prufer_decode(seq: tuple[int, ...], n: int) -> Graph:
@@ -58,6 +65,97 @@ def _signature(g: Graph) -> tuple:
         for v in range(g.n)
     )
     return (g.n, g.edge_count, tuple(per_vertex))
+
+
+def is_isomorphic_bruteforce(g: Graph, h: Graph) -> bool:
+    """Backtracking isomorphism test, intended as a small-order oracle."""
+    if g.n > BRUTEFORCE_ISO_CAP or h.n > BRUTEFORCE_ISO_CAP:
+        raise ValueError(f"brute-force isomorphism capped at order {BRUTEFORCE_ISO_CAP}")
+    if g.n != h.n or g.edge_count != h.edge_count:
+        return False
+    if _signature(g) != _signature(h):
+        return False
+    n = g.n
+    deg_g = [g.adj[v].bit_count() for v in range(n)]
+    deg_h = [h.adj[v].bit_count() for v in range(n)]
+    # BFS order from a max-degree vertex keeps mapped neighborhoods connected
+    start = max(range(n), key=lambda v: deg_g[v])
+    order: list[int] = []
+    seen = 1 << start
+    queue = [start]
+    while queue:
+        v = queue.pop(0)
+        order.append(v)
+        for u in iter_bits(g.adj[v]):
+            if not seen >> u & 1:
+                seen |= 1 << u
+                queue.append(u)
+    for v in range(n):  # disconnected remainder, if any
+        if not seen >> v & 1:
+            order.append(v)
+            seen |= 1 << v
+    image = [-1] * n
+
+    def backtrack(i: int, used: int, assigned: int) -> bool:
+        if i == n:
+            return True
+        v = order[i]
+        mapped_nbrs = 0
+        for w in iter_bits(g.adj[v] & assigned):
+            mapped_nbrs |= 1 << image[w]
+        for u in range(n):
+            if used >> u & 1 or deg_h[u] != deg_g[v]:
+                continue
+            if h.adj[u] & used != mapped_nbrs:
+                continue
+            image[v] = u
+            if backtrack(i + 1, used | 1 << u, assigned | 1 << v):
+                return True
+        image[v] = -1
+        return False
+
+    return backtrack(0, 0, 0)
+
+
+def enumerate_mds_naive(g: Graph) -> list[int]:
+    """Reference oracle: test every subset against the definition.
+
+    Kept deliberately independent of the optimized search. Output is
+    ascending by bit-packed value by construction.
+    """
+    if g.n > NAIVE_ORDER_CAP:
+        raise ValueError(f"naive oracle capped at order {NAIVE_ORDER_CAP}")
+    return [s for s in range(1 << g.n) if is_maximal_dissociation(g, s)]
+
+
+def count_mds_bruteforce(g: Graph) -> int:
+    """Vectorized subset-filter count of maximal dissociation sets.
+
+    Same exhaustive-filter semantics as :func:`enumerate_mds_naive`, run
+    over all 2^n subsets at once with numpy so that order-12 corpora stay
+    cheap. Shares no logic with the optimized enumerator.
+    """
+    n = g.n
+    if n > NAIVE_ORDER_CAP:
+        raise ValueError(f"brute-force counter capped at order {NAIVE_ORDER_CAP}")
+    size = 1 << n
+    pop = np.zeros(size, dtype=np.uint8)
+    for i in range(n):
+        pop[1 << i : 1 << (i + 1)] = pop[: 1 << i] + 1
+    masks = np.arange(size, dtype=np.uint64)
+    member = [(masks >> np.uint64(v)) & np.uint64(1) != 0 for v in range(n)]
+    cnt = [pop[(masks & np.uint64(g.adj[v])).astype(np.int64)] for v in range(n)]
+    ok = np.ones(size, dtype=bool)
+    for v in range(n):
+        ok &= ~member[v] | (cnt[v] <= 1)
+    memdeg = [np.where(member[v], cnt[v], 0).astype(np.int16) for v in range(n)]
+    for v in range(n):
+        nbr_sum = np.zeros(size, dtype=np.int16)
+        for u in iter_bits(g.adj[v]):
+            nbr_sum += memdeg[u]
+        addable_v = ~member[v] & (cnt[v] <= 1) & (nbr_sum == 0)
+        ok &= ~addable_v
+    return int(np.count_nonzero(ok))
 
 
 class IsoClassRegistry:

@@ -13,7 +13,6 @@ from dissoc import (
     generate_trees,
     generate_unicyclic,
     is_caterpillar,
-    is_isomorphic_bruteforce,
     path,
     spider_T,
     tree_code,
@@ -26,6 +25,7 @@ from oracles import (
     count_trees_bruteforce,
     count_unicyclic_bruteforce,
     free_tree_counts,
+    is_isomorphic_bruteforce,
     prufer_decode,
     unicyclic_counts,
 )

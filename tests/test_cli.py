@@ -140,6 +140,38 @@ def test_verify_unknown_suite_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "suite, orders, start",
+    [
+        ("main", "2", 3),
+        ("cycle", "1..3", 4),
+        ("subcases", "3..8", 9),
+        ("paths", "2", 3),
+        ("identities", "1..2", 3),
+    ],
+)
+def test_verify_empty_domain_exit_2(capsys, suite, orders, start):
+    for name in (suite, "all"):
+        code, out, err = run_cli(capsys, "verify", "--suite", name, "--orders", orders)
+        assert code == 2 and out == ""
+    code, _, err = run_cli(capsys, "verify", "--suite", suite, "--orders", orders)
+    assert repr(suite) in err and f"domain starts at order {start}" in err
+
+
+def test_verify_caps_are_honoured(tmp_path, capsys):
+    commands = [
+        ("--suite", "main", "--orders", "4", "--unicyclic-cap", "3"),
+        ("--suite", "trees", "--orders", "5", "--tree-cap", "4"),
+    ]
+    cache = str(tmp_path / "cache")
+    for argv in commands:
+        assert run_cli(capsys, "verify", *argv)[0] == 2
+        assert run_cli(capsys, "verify", *argv, "--cache-dir", cache)[0] == 2
+        # a cached corpus above the cap is refused too
+        assert run_cli(capsys, "verify", *argv[:4], "--cache-dir", cache)[0] == 0
+        assert run_cli(capsys, "verify", *argv, "--cache-dir", cache)[0] == 2
+
+
 def test_orders_single_value(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "trees", "--orders", "6")
     assert code == 0 and "[PASS] trees n=6" in out

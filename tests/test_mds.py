@@ -9,11 +9,9 @@ from dissoc import (
     Status,
     U_pq,
     addable,
-    count_mds_bruteforce,
     cycle,
     disjoint_union,
     enumerate_mds,
-    enumerate_mds_naive,
     from_edges,
     is_dissociation,
     is_maximal_dissociation,
@@ -28,7 +26,7 @@ from dissoc import (
 )
 from dissoc.graphs import delete_vertices, closed_neighborhood
 
-from oracles import random_connected_graph
+from oracles import count_mds_bruteforce, enumerate_mds_naive, random_connected_graph
 
 K1 = from_edges(1, [])
 

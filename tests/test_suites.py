@@ -5,6 +5,7 @@ import pytest
 from dissoc import generate_unicyclic, graph6_decode, phi, unicyclic_code
 from dissoc.families import U_pq, extremal_unicyclic
 from dissoc.suites import (
+    SUITES,
     Violation,
     check_case3_subcases,
     check_caterpillar_corollary,
@@ -227,3 +228,25 @@ def test_expected_minimizers_attain_bound():
     for n in range(3, 13):
         for g in extremal_unicyclic(n):
             assert phi(g) == n // 2 + 2
+
+
+def test_suite_table_matches_direct_checks():
+    direct = {
+        "main": check_main_theorem,
+        "trees": check_tree_theorem,
+        "paths": check_path_corollary,
+        "caterpillars": check_caterpillar_corollary,
+        "cycle": lambda n: check_cycle_lemma(n, n),
+        "leaf-removal": check_leaf_removal_lemma,
+        "surgery": check_surgery_lemma,
+        "pendant-path": check_pendant_path_lemma,
+        "subcases": check_case3_subcases,
+        "identities": lambda n: check_identity_suite(generate_unicyclic(n)),
+    }
+    assert set(direct) == set(SUITES)
+    for name, suite in SUITES.items():
+        reports = run_suite(name, orders=(suite.start, suite.start))
+        assert [r.to_dict() for r in reports] == [direct[name](suite.start).to_dict()], name
+    seq = run_suite("identities", orders=(3, 6), jobs=1)
+    par = run_suite("identities", orders=(3, 6), jobs=2)
+    assert [r.to_dict() for r in seq] == [r.to_dict() for r in par]
