@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 
 from ._version import __version__
 from .canon import DEFAULT_TREE_CAP, DEFAULT_UNICYCLIC_CAP, GENERATORS
@@ -66,31 +67,42 @@ class CorpusCache:
         return os.path.join(self.directory, f"{kind}_{n}_v{__version__}.g6")
 
     def load(self, kind: str, n: int) -> list[Graph] | None:
+        """The cached corpus, or None if absent. A file whose header is
+        missing or malformed, or disagrees with the request or with the
+        number of graphs it holds, raises ValueError."""
         path = self._path(kind, n)
         if not os.path.exists(path):
             return None
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-        if not lines or not lines[0].startswith("#"):
-            return None
-        graphs = [graph6_decode(line) for line in lines[1:] if line]
+        try:
+            with open(path, "r", encoding="ascii") as fh:
+                lines = fh.read().splitlines()
+            graphs = [graph6_decode(line) for line in lines[1:] if line]
+        except ValueError as exc:
+            raise ValueError(f"corrupt corpus cache file {path}: {exc}") from None
+        header = lines[0] if lines and lines[0].startswith("#") else "#"
+        fields = dict(item.partition("=")[::2] for item in header[1:].split())
+        want = {"class": kind, "order": str(n), "count": str(len(graphs))}
+        found = {key: fields.get(key) for key in want}
+        if found != want:
+            raise ValueError(
+                f"corrupt corpus cache file {path}: header says {found}, request and contents say {want}"
+            )
         return graphs
 
     def store(self, kind: str, n: int, graphs: list[Graph]) -> None:
+        # a private temporary file renamed into place: concurrent writers
+        # write identical content, so whichever rename lands last is correct
         path = self._path(kind, n)
-        lock = path + ".lock"
+        fd, tmp = tempfile.mkstemp(
+            dir=self.directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
+        )
         try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return  # another process is writing this entry
-        try:
-            tmp = path + ".tmp"
-            with open(tmp, "w", encoding="ascii") as fh:
+            with os.fdopen(fd, "w", encoding="ascii") as fh:
                 fh.write(format_corpus(kind, n, graphs))
             os.replace(tmp, path)
-        finally:
-            os.close(fd)
-            os.unlink(lock)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def get(self, key: tuple[str, int]) -> list[Graph] | None:
         return self.load(*key)

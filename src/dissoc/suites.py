@@ -21,7 +21,6 @@ from .canon import (
     DEFAULT_TREE_CAP,
     DEFAULT_UNICYCLIC_CAP,
     GENERATORS,
-    generate_caterpillars,
     generate_trees,
     generate_unicyclic,
     tree_code,
@@ -39,18 +38,27 @@ from .graphs import (
     disjoint_union,
     from_edges,
     graph6_encode,
+    is_caterpillar,
     iter_bits,
     leaves,
     path,
     support_vertices,
     vset,
 )
-from .mds import Status, phi, phi_refined
+from .mds import Status, mds_profile, phi, phi_refined
 
 IDENTITY_PAIR_SEED = 0x1D55
 IDENTITY_PAIR_COUNT = 200
 # leaf-removal checks its refined-count identity up to this order
 LEAF_IDENTITY_ORDER_CAP = 10
+
+# (kind, n) -> the tree or unicyclic corpus of order n
+Corpus = Callable[[str, int], Sequence[Graph]]
+
+
+def _generated(kind: str, n: int) -> list[Graph]:
+    """The corpus at the default caps, for checks called directly."""
+    return list(GENERATORS[kind](n))
 
 
 @dataclass
@@ -212,7 +220,7 @@ def check_path_corollary(n_max: int) -> VerificationReport:
     )
 
 
-def check_caterpillar_corollary(n_max: int) -> VerificationReport:
+def check_caterpillar_corollary(n_max: int, corpus: Corpus = _generated) -> VerificationReport:
     """Caterpillars meet the tree bound with equality exactly on the six
     listed spiders."""
     violations = []
@@ -223,7 +231,7 @@ def check_caterpillar_corollary(n_max: int) -> VerificationReport:
     expected_codes = {code for _, code in expected}
     for n in range(3, n_max + 1):
         bound = (n + 1) // 2 + 1
-        for g in generate_caterpillars(n):
+        for g in filter(is_caterpillar, corpus("tree", n)):
             examined += 1
             value = phi(g)
             if value < bound:
@@ -333,7 +341,7 @@ def _add_leaves(g: Graph, w: int, k: int) -> Graph:
     return from_edges(g.n + k, edges)
 
 
-def check_surgery_lemma(order_cap: int, k_max: int = 3) -> VerificationReport:
+def check_surgery_lemma(order_cap: int, k_max: int = 3, corpus: Corpus = _generated) -> VerificationReport:
     """Moving the last of k pendant leaves from w onto the first leaf never
     increases the count. The two refined-count claims behind the argument
     are asserted on every instance; count-preserving instances are recorded
@@ -345,7 +353,7 @@ def check_surgery_lemma(order_cap: int, k_max: int = 3) -> VerificationReport:
     examined = 0
     instances = 0
     for m in range(3, order_cap + 1):
-        for u_graph in generate_unicyclic(m):
+        for u_graph in corpus("unicyclic", m):
             examined += 1
             supports = support_vertices(u_graph)
             for w in range(u_graph.n):
@@ -361,16 +369,18 @@ def check_surgery_lemma(order_cap: int, k_max: int = 3) -> VerificationReport:
                     vk = u_graph.n + k - 1
                     edges2 = [e for e in g1.edges() if e != (w, vk)] + [(v1, vk)]
                     g2 = from_edges(g1.n, edges2)
-                    phi1 = phi(g1)
-                    phi2 = phi(g2)
+                    p1 = mds_profile(g1)
+                    p2 = mds_profile(g2)
+                    phi1 = p1.total
+                    phi2 = p2.total
                     if phi1 < phi2:
                         violations.append(Violation(_g6(g1), "surgery_phi_monotone", phi1, phi2))
-                    c1_lhs = phi_refined(g2, [(w, Status.EXCLUDED)])
-                    c1_rhs = phi_refined(g1, [(w, Status.EXCLUDED)])
+                    c1_lhs = p2.per_vertex[w][0]
+                    c1_rhs = p1.per_vertex[w][0]
                     if c1_lhs != c1_rhs:
                         violations.append(Violation(_g6(g1), "surgery_claim1", c1_lhs, c1_rhs))
-                    c2_lhs = phi_refined(g2, [(w, Status.IN_DEGREE1)])
-                    c2_rhs = phi_refined(g1, [(w, Status.IN_DEGREE1)]) - phi_u_minus_nw
+                    c2_lhs = p2.per_vertex[w][2]
+                    c2_rhs = p1.per_vertex[w][2] - phi_u_minus_nw
                     if c2_lhs != c2_rhs:
                         violations.append(Violation(_g6(g1), "surgery_claim2", c2_lhs, c2_rhs))
                     if phi1 == phi2:
@@ -416,40 +426,42 @@ def _pendant_path_triples(g: Graph) -> list[tuple[int, int, int]]:
 def _pendant_path_check(g: Graph) -> tuple[list[Violation], int, int]:
     violations: list[Violation] = []
     claim2_eq = 0
-    total = 0
-    phi_g = None
-    for w, u, v in _pendant_path_triples(g):
-        total += 1
-        if phi_g is None:
-            phi_g = phi(g)
+    triples = _pendant_path_triples(g)
+    profile = mds_profile(g)
+    for w, u, v in triples:
         h, relabel = delete_vertices(g, vset([u, v]))
-        phi_h = phi(h)
-        if phi_g < phi_h + 1:
-            violations.append(Violation(_g6(g), "pendant_path_drop_ge_1", phi_g, phi_h + 1))
         w2 = relabel[w]
-        c1_lhs = phi_refined(g, [(w, Status.IN_DEGREE0)])
-        c1_rhs = phi_refined(h, [(w2, Status.IN_DEGREE0)])
-        if c1_lhs != c1_rhs:
-            violations.append(Violation(_g6(g), "pendant_path_claim1", c1_lhs, c1_rhs))
-        c2_lhs = phi_refined(g, [(w, Status.IN_DEGREE1)])
-        c2_rhs = phi_refined(h, [(w2, Status.IN_DEGREE1)]) + 1
+        h_excl, h_deg0, h_deg1 = (
+            phi_refined(h, [(w2, status)])
+            for status in (Status.EXCLUDED, Status.IN_DEGREE0, Status.IN_DEGREE1)
+        )
+        # every set puts w2 in exactly one status
+        phi_h = h_excl + h_deg0 + h_deg1
+        if profile.total < phi_h + 1:
+            violations.append(Violation(_g6(g), "pendant_path_drop_ge_1", profile.total, phi_h + 1))
+        c3_lhs, c1_lhs, c2_lhs = profile.per_vertex[w]
+        if c1_lhs != h_deg0:
+            violations.append(Violation(_g6(g), "pendant_path_claim1", c1_lhs, h_deg0))
+        c2_rhs = h_deg1 + 1
         if c2_lhs < c2_rhs:
             violations.append(Violation(_g6(g), "pendant_path_claim2_ge", c2_lhs, c2_rhs))
         if c2_lhs == c2_rhs:
             claim2_eq += 1
-        c3_lhs = phi_refined(g, [(w, Status.EXCLUDED)])
-        c3_rhs = phi_refined(h, [(w2, Status.EXCLUDED)])
-        if c3_lhs < c3_rhs:
-            violations.append(Violation(_g6(g), "pendant_path_claim3_ge", c3_lhs, c3_rhs))
-    return violations, claim2_eq, total
+        if c3_lhs < h_excl:
+            violations.append(Violation(_g6(g), "pendant_path_claim3_ge", c3_lhs, h_excl))
+    return violations, claim2_eq, len(triples)
 
 
-def check_pendant_path_lemma(n: int, jobs: int = 1) -> VerificationReport:
+def check_pendant_path_lemma(
+    n: int, jobs: int = 1, graphs: Sequence[Graph] | None = None
+) -> VerificationReport:
     """Deleting a pendant path of length two (leaf plus its degree-2
     support) drops the count by at least 1 on every unicyclic graph."""
     if n < 5:
         raise ValueError("pendant-path lemma needs order >= 5")
-    graphs = [g for g in generate_unicyclic(n) if _pendant_path_triples(g)]
+    if graphs is None:
+        graphs = generate_unicyclic(n)
+    graphs = [g for g in graphs if _pendant_path_triples(g)]
     results = _pmap(_pendant_path_check, graphs, jobs)
     violations = [v for vs, _, _ in results for v in vs]
     claim2_eq = sum(eq for _, eq, _ in results)
@@ -556,16 +568,11 @@ def check_case3_subcases(n: int) -> VerificationReport:
 
 def _identity_check(g: Graph) -> list[Violation]:
     violations = []
-    total = phi(g)
+    profile = mds_profile(g)
     supports = support_vertices(g)
-    for v in range(g.n):
-        parts = (
-            phi_refined(g, [(v, Status.EXCLUDED)]),
-            phi_refined(g, [(v, Status.IN_DEGREE0)]),
-            phi_refined(g, [(v, Status.IN_DEGREE1)]),
-        )
-        if sum(parts) != total:
-            violations.append(Violation(_g6(g), "per_vertex_decomposition", sum(parts), total))
+    for v, parts in enumerate(profile.per_vertex):
+        if sum(parts) != profile.total:
+            violations.append(Violation(_g6(g), "per_vertex_decomposition", sum(parts), profile.total))
         if supports >> v & 1 and parts[1] != 0:
             violations.append(Violation(_g6(g), "support_vertex_deg0_zero", parts[1], 0))
         if _phi_minus(g, 1 << v) < parts[0]:
@@ -619,8 +626,8 @@ class Suite(NamedTuple):
     start: int  # smallest order of the suite's domain
     end: int  # largest order run by default
     per_order: bool  # one report per order, else one report over the range
-    # (lo, hi, jobs, corpus) -> report; per-order suites get lo == hi == n,
-    # and corpus(kind, n) returns the tree or unicyclic corpus of order n
+    # (lo, hi, jobs, corpus: Corpus) -> report; per-order suites get
+    # lo == hi == n
     check: Callable[..., VerificationReport]
 
 
@@ -632,11 +639,13 @@ SUITES = {
         3, 12, True, lambda lo, hi, jobs, corpus: check_tree_theorem(lo, jobs, corpus("tree", lo))
     ),
     "paths": Suite(3, 20, False, lambda lo, hi, jobs, corpus: check_path_corollary(hi)),
-    "caterpillars": Suite(3, 9, False, lambda lo, hi, jobs, corpus: check_caterpillar_corollary(hi)),
+    "caterpillars": Suite(3, 9, False, lambda lo, hi, jobs, corpus: check_caterpillar_corollary(hi, corpus)),
     "cycle": Suite(4, 20, False, lambda lo, hi, jobs, corpus: check_cycle_lemma(lo, hi)),
     "leaf-removal": Suite(5, 11, True, lambda lo, hi, jobs, corpus: check_leaf_removal_lemma(lo)),
-    "surgery": Suite(3, 8, False, lambda lo, hi, jobs, corpus: check_surgery_lemma(hi)),
-    "pendant-path": Suite(5, 12, True, lambda lo, hi, jobs, corpus: check_pendant_path_lemma(lo, jobs)),
+    "surgery": Suite(3, 8, False, lambda lo, hi, jobs, corpus: check_surgery_lemma(hi, corpus=corpus)),
+    "pendant-path": Suite(
+        5, 12, True, lambda lo, hi, jobs, corpus: check_pendant_path_lemma(lo, jobs, corpus("unicyclic", lo))
+    ),
     "subcases": Suite(9, 13, True, lambda lo, hi, jobs, corpus: check_case3_subcases(lo)),
     "identities": Suite(3, 8, False, lambda lo, hi, jobs, corpus: check_identity_suite(
         [g for n in range(lo, hi + 1) for g in corpus("unicyclic", n)], jobs=jobs)),
@@ -655,12 +664,11 @@ def run_suite(
 
     ``orders`` (default: the suite's default range) has its lower bound
     raised to the suite's domain start; an empty range is an error, never a
-    vacuous pass. The tree and unicyclic corpora of the main, trees and
-    identities suites are generated under ``tree_cap`` / ``unicyclic_cap``,
-    and an order above its cap is an error. ``corpora`` optionally maps
-    (class, n) to graph lists (a dict, or a ``CorpusCache``): it is consulted
-    first and receives every corpus generated, so a cached corpus is reused
-    across suites and runs.
+    vacuous pass. Every suite that uses a tree or unicyclic corpus takes it
+    generated under ``tree_cap`` / ``unicyclic_cap``, and an order above its
+    cap is an error. ``corpora`` optionally maps (class, n) to graph lists
+    (a dict, or a ``CorpusCache``): it is consulted first and receives every
+    corpus generated, so a cached corpus is reused across suites and runs.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")

@@ -1,11 +1,12 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from dissoc import cycle, graph6_encode
-from dissoc.cli import main
+from dissoc import cycle, generate_unicyclic, graph6_encode
+from dissoc.cli import CorpusCache, main
 
 
 def run_cli(capsys, *argv):
@@ -162,6 +163,9 @@ def test_verify_caps_are_honoured(tmp_path, capsys):
     commands = [
         ("--suite", "main", "--orders", "4", "--unicyclic-cap", "3"),
         ("--suite", "trees", "--orders", "5", "--tree-cap", "4"),
+        ("--suite", "pendant-path", "--orders", "8", "--unicyclic-cap", "5"),
+        ("--suite", "surgery", "--orders", "8", "--unicyclic-cap", "5"),
+        ("--suite", "caterpillars", "--orders", "9", "--tree-cap", "5"),
     ]
     cache = str(tmp_path / "cache")
     for argv in commands:
@@ -170,6 +174,62 @@ def test_verify_caps_are_honoured(tmp_path, capsys):
         # a cached corpus above the cap is refused too
         assert run_cli(capsys, "verify", *argv[:4], "--cache-dir", cache)[0] == 0
         assert run_cli(capsys, "verify", *argv, "--cache-dir", cache)[0] == 2
+
+
+# JSON reports of the suites that read refined counts from one profile per
+# graph, as produced when they ran one search per refined count
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("pendant-path", "--orders", "5..10"), "9cce3ef3a7d79bee21b6d46fcb03b705f595783a9c20bbdbaa39a296bbe01a02"),
+        (("surgery",), "998fbf59e880018f043c6c17995151617c95e7d1c612ee3a9ad9a9b61dd7c4eb"),
+        (("identities",), "5afdc51c7e9cc218310bc7c66ea07d61908a8f49446e96ebda22b548cf4053d5"),
+    ],
+)
+def test_verify_json_digest(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, "verify", "--suite", *argv, "--format", "json")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_truncated_cache_exit_2(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    argv = ("verify", "--suite", "main", "--orders", "9", "--cache-dir", str(cache))
+    assert run_cli(capsys, *argv)[0] == 0
+    (entry,) = cache.glob("unicyclic_9_*.g6")
+    lines = entry.read_text().splitlines()
+    entry.write_text("\n".join(lines[:3]) + "\n")  # header plus 2 graphs
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and str(entry) in err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda lines: lines[1:],  # no header
+        lambda lines: ["#"] + lines[1:],
+        lambda lines: [lines[0].replace("order=6", "order=7")] + lines[1:],
+        lambda lines: [lines[0].replace("class=unicyclic", "class=tree")] + lines[1:],
+        lambda lines: lines + lines[1:2],  # one graph more than the count
+        lambda lines: lines[:-1] + [lines[-1][:-1]],  # last line cut short
+        lambda lines: [],
+    ],
+)
+def test_cache_load_rejects_malformed_file(tmp_path, edit):
+    cache = CorpusCache(str(tmp_path))
+    cache.store("unicyclic", 6, list(generate_unicyclic(6)))
+    path = tmp_path / "unicyclic_6_v0.1.0.g6"
+    path.write_text("".join(line + "\n" for line in edit(path.read_text().splitlines())))
+    with pytest.raises(ValueError, match=str(path)):
+        cache.load("unicyclic", 6)
+
+
+def test_cache_store_over_stale_lock(tmp_path):
+    cache = CorpusCache(str(tmp_path))
+    graphs = list(generate_unicyclic(6))
+    (tmp_path / "unicyclic_6_v0.1.0.g6.lock").touch()  # left by a crashed writer
+    cache.store("unicyclic", 6, graphs)
+    assert cache.load("unicyclic", 6) == graphs
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["unicyclic_6_v0.1.0.g6", "unicyclic_6_v0.1.0.g6.lock"]
 
 
 def test_orders_single_value(capsys):

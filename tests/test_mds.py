@@ -13,6 +13,8 @@ from dissoc import (
     disjoint_union,
     enumerate_mds,
     from_edges,
+    generate_trees,
+    generate_unicyclic,
     is_dissociation,
     is_maximal_dissociation,
     iter_bits,
@@ -143,6 +145,17 @@ def test_mds_profile_rows_sum_to_total():
         prof = mds_profile(g)
         for triple in prof.per_vertex:
             assert sum(triple) == prof.total
+
+
+def test_mds_profile_matches_refined_counts_on_corpora():
+    # the per-graph suites read their refined counts from the profile
+    statuses = (Status.EXCLUDED, Status.IN_DEGREE0, Status.IN_DEGREE1)
+    for n in range(1, 10):
+        for g in [*generate_trees(n), *generate_unicyclic(n)]:
+            prof = mds_profile(g)
+            assert prof.total == phi(g)
+            for v in range(g.n):
+                assert prof.per_vertex[v] == tuple(phi_refined(g, [(v, s)]) for s in statuses)
 
 
 def test_every_emitted_set_is_maximal():

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from dissoc import generate_unicyclic, graph6_decode, phi, unicyclic_code
+from dissoc import suites
 from dissoc.families import U_pq, extremal_unicyclic
+from dissoc.mds import MdsProfile
 from dissoc.suites import (
     SUITES,
     Violation,
@@ -124,6 +126,40 @@ def test_pendant_path_on_U22():
     for w, u, v in triples:
         h, _ = delete_vertices(g, vset([u, v]))
         assert phi(g) >= phi(h) + 1
+
+
+@pytest.mark.parametrize(
+    "slot, delta, run, rule",
+    [
+        (1, 1, lambda: check_pendant_path_lemma(5), "pendant_path_claim1"),
+        (2, -1, lambda: check_pendant_path_lemma(5), "pendant_path_claim2_ge"),
+        (0, -1, lambda: check_pendant_path_lemma(5), "pendant_path_claim3_ge"),
+        (0, 1, lambda: check_surgery_lemma(4, k_max=2), "surgery_claim1"),
+        (2, 1, lambda: check_surgery_lemma(4, k_max=2), "surgery_claim2"),
+        (0, 1, lambda: check_identity_suite(generate_unicyclic(4)), "per_vertex_decomposition"),
+        (1, 1, lambda: check_identity_suite(generate_unicyclic(4)), "support_vertex_deg0_zero"),
+    ],
+)
+def test_profile_checks_catch_a_skewed_profile(monkeypatch, slot, delta, run, rule):
+    # shift one entry of every per-vertex triple in the first profile taken;
+    # a check that passes anyway does not read the profile it claims to
+    real = suites.mds_profile
+    calls = []
+
+    def skewed(g):
+        profile = real(g)
+        calls.append(g)
+        if len(calls) > 1:
+            return profile
+        rows = tuple(
+            tuple(c + delta if i == slot else c for i, c in enumerate(row)) for row in profile.per_vertex
+        )
+        return MdsProfile(profile.total, rows)
+
+    assert run().passed
+    monkeypatch.setattr(suites, "mds_profile", skewed)
+    report = run()
+    assert calls and rule in {v.rule for v in report.violations}
 
 
 def test_case3_subcases_odd():
