@@ -24,6 +24,10 @@ from .graphs import (
 
 DEFAULT_TREE_CAP = 14
 DEFAULT_UNICYCLIC_CAP = 13
+# Keys corpus cache files. Bump it whenever a generator's output (which
+# graphs, their labels or their order) changes; a package release alone
+# leaves cached corpora valid.
+GENERATOR_VERSION = "0.1.0"
 
 
 class CanonicalCode(NamedTuple):

@@ -16,11 +16,11 @@ import sys
 import tempfile
 
 from ._version import __version__
-from .canon import DEFAULT_TREE_CAP, DEFAULT_UNICYCLIC_CAP, GENERATORS
+from .canon import DEFAULT_TREE_CAP, DEFAULT_UNICYCLIC_CAP, GENERATOR_VERSION, GENERATORS
 from .families import parse_family
 from .graphs import Graph, bit_list, graph6_decode, graph6_encode
 from .mds import Status, enumerate_mds, phi, phi_refined
-from .suites import SUITES, run_suite
+from .suites import SUITES, run_suite, suite_orders
 
 ENV_CACHE_DIR = "DISSOC_CACHE_DIR"
 ENV_JOBS = "DISSOC_JOBS"
@@ -64,7 +64,7 @@ class CorpusCache:
         os.makedirs(directory, exist_ok=True)
 
     def _path(self, kind: str, n: int) -> str:
-        return os.path.join(self.directory, f"{kind}_{n}_v{__version__}.g6")
+        return os.path.join(self.directory, f"{kind}_{n}_v{GENERATOR_VERSION}.g6")
 
     def load(self, kind: str, n: int) -> list[Graph] | None:
         """The cached corpus, or None if absent. A file whose header is
@@ -112,7 +112,7 @@ class CorpusCache:
 
 
 def format_corpus(kind: str, n: int, graphs: list[Graph]) -> str:
-    header = f"# class={kind} order={n} count={len(graphs)} version={__version__}"
+    header = f"# class={kind} order={n} count={len(graphs)} generator={GENERATOR_VERSION}"
     lines = [header] + [graph6_encode(g).decode("ascii") for g in graphs]
     return "\n".join(lines) + "\n"
 
@@ -189,10 +189,14 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     orders = _parse_orders(args.orders) if args.orders else None
     corpora = CorpusCache(args.cache_dir) if args.cache_dir else None
+    # every domain is resolved before any suite runs, so an empty one fails
+    # at once
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    ranges = {name: suite_orders(name, orders) for name in names}
     reports = []
-    for name in list(SUITES) if args.suite == "all" else [args.suite]:
+    for name, resolved in ranges.items():
         reports += run_suite(
-            name, orders, args.jobs, corpora, tree_cap=args.tree_cap, unicyclic_cap=args.unicyclic_cap
+            name, resolved, args.jobs, corpora, tree_cap=args.tree_cap, unicyclic_cap=args.unicyclic_cap
         )
     text = _FORMATS[args.format](reports)
     if args.output:

@@ -1,8 +1,35 @@
 """Enumeration and exact counting of maximal dissociation sets.
 
 A dissociation set induces a subgraph of maximum degree at most one, i.e. a
-disjoint union of isolated vertices and single edges. The optimized
-enumerator assigns one of three states to each vertex in label order:
+disjoint union of isolated vertices and single edges. It is maximal when
+every outside vertex is blocked: it has two neighbors in the set, or one
+neighbor that already has a partner inside.
+
+Counting (``phi``, ``phi_refined``, ``mds_profile``) runs a subtree-vector
+dynamic program whenever every component of the graph is a tree or
+unicyclic, in time linear in the order. The graph is peeled leaf by leaf;
+each peeled vertex hangs below its last neighbor, which leaves one root per
+tree component and one cycle per unicyclic component. Per vertex ``v`` the
+DP keeps a six-slot vector of what the neighbors merged so far demand of
+``v``: with ``v`` out of the set, that it has no in-neighbor yet, exactly
+one in-neighbor of induced degree 0, or is already blocked; with ``v`` in,
+that it has no in-neighbor, none but must still gain a partner (an out
+neighbor relies on ``v`` being matched), or is matched to one of them.
+Merging a neighbor is a product of two such vectors. ``_edge`` turns a
+finished subtree into the vector its parent sees, applying the subtree
+root's allowed statuses; each allowed bit (out, in with degree 0, in with
+degree 1) gates its own slots, so refined counts pin vertices for free. A
+cycle is cut at one edge (a, b) and counted as six cases over the statuses
+of a and b (both out; both in and matched to each other; one in with
+degree 0 or 1 and the other out), each a chain over the cycle vertices;
+the pendant-tree vectors are computed once and shared by every case.
+``mds_profile`` adds a top-down pass: a vertex's context is everything
+outside its subtree, and it depends on the cut cases only through the sum
+of the cycle contexts, so each pendant tree is visited once.
+
+The backtracking enumerator ``_search`` remains in two places: behind
+``enumerate_mds``, and for graphs with a component that has two or more
+cycles. It assigns each vertex, in label order, one of three states:
 
 * ``out``        - not in the set;
 * ``in-free``    - in the set with induced degree 0 (never gains a partner);
@@ -174,6 +201,216 @@ def _search(g: Graph, allowed: list[int], sink: list[int] | None) -> int:
     return rec(0, 0, 0, 0)
 
 
+# --- subtree-vector DP --------------------------------------------------------
+#
+# A vector (x0, x1, xb, n0, nn, n1) counts partial assignments by what they
+# demand of one vertex v. With v out: x0 no in-neighbor, x1 one in-neighbor
+# of degree 0, xb blocked. With v in: n0 no in-neighbor, nn none yet but
+# matching required, n1 matched to a neighbor already merged.
+
+_UNIT = (1, 0, 0, 1, 0, 0)
+# what the far end of the cut edge (a, b) asks of its near end
+_DEMAND_OUT = (1, 0, 0, 0, 0, 0)  # out: the near end must be out too
+_DEMAND_FREE = (0, 1, 0, 0, 0, 0)  # in with degree 0: the near end is out
+_DEMAND_BLOCKING = (0, 0, 1, 0, 0, 0)  # in with degree 1: the near end is out
+_DEMAND_NONE = (0, 0, 0, 1, 0, 0)  # out and blocked elsewhere: the near end is in
+_DEMAND_PARTNER = (0, 0, 0, 0, 0, 1)  # in, its partner: the near end is in
+# (demand on a, mask on a, demand on b, mask on b): one case per status
+# pattern of a and b, so every maximal set falls in exactly one
+_CUT_CASES = (
+    (_DEMAND_OUT, _ALL, _DEMAND_OUT, _ALL),
+    (_DEMAND_PARTNER, _ALL, _DEMAND_PARTNER, _ALL),
+    (_DEMAND_NONE, _FREE, _DEMAND_FREE, _ALL),
+    (_DEMAND_NONE, _MATCHED, _DEMAND_BLOCKING, _ALL),
+    (_DEMAND_FREE, _ALL, _DEMAND_NONE, _FREE),
+    (_DEMAND_BLOCKING, _ALL, _DEMAND_NONE, _MATCHED),
+)
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    """Merge the demands of two disjoint neighbor sets of one vertex."""
+    a0, a1, ab, c0, cn, c1 = a
+    b0, b1, bb, d0, dn, d1 = b
+    x0 = a0 * b0
+    x1 = a0 * b1 + a1 * b0
+    n0 = c0 * d0
+    c = c0 + cn
+    d = d0 + dn
+    return (x0, x1, (a0 + a1 + ab) * (b0 + b1 + bb) - x0 - x1, n0, c * d - n0, c * d1 + c1 * d)
+
+
+def _edge(a: tuple, mask: int) -> tuple:
+    """The demands a finished subtree with root vector ``a`` puts on the
+    root's parent p, keeping only the root statuses in ``mask``."""
+    x0, x1, xb, n0, nn, n1 = a
+    if mask & _OUT:
+        # root out: blocked already (p free to choose), blocked once p is
+        # in, or needing p in and matched
+        p_out, p_in, p_matched = xb, xb + x1, x0
+    else:
+        p_out = p_in = p_matched = 0
+    free = n0 if mask & _FREE else 0
+    if mask & _MATCHED:
+        # root in: matched below (p must stay out), or matched to p
+        blocking, partner = n1, n0 + nn
+    else:
+        blocking = partner = 0
+    return (p_out, free, blocking, p_in, p_matched, partner)
+
+
+def _layout(g: Graph) -> tuple[list[int], list[int], list[list[int]]] | None:
+    """Peel leaves until only cycles remain.
+
+    Returns (peel order, parent per vertex, cycles in cyclic order); every
+    peeled vertex comes before its parent, a tree component's root has
+    parent -1, and a pendant tree's top vertex has a cycle vertex as parent.
+    None when some component has two or more cycles.
+    """
+    adj = g.adj
+    alive = g.full_mask
+    deg = [row.bit_count() for row in adj]
+    stack = [v for v in range(g.n) if deg[v] <= 1]
+    order: list[int] = []
+    parent = [-1] * g.n
+    while stack:
+        v = stack.pop()
+        alive ^= 1 << v
+        order.append(v)
+        rest = adj[v] & alive
+        if rest:
+            u = rest.bit_length() - 1
+            parent[v] = u
+            deg[u] -= 1
+            if deg[u] == 1:
+                stack.append(u)
+    if any((adj[v] & alive).bit_count() != 2 for v in iter_bits(alive)):
+        return None
+    cycles = []
+    while alive:
+        v = (alive & -alive).bit_length() - 1
+        cyc = []
+        while v >= 0:
+            cyc.append(v)
+            alive ^= 1 << v
+            v = (adj[v] & alive).bit_length() - 1
+        cycles.append(cyc)
+    return order, parent, cycles
+
+
+def _subtrees(g: Graph, allowed: list[int], order: list[int], parent: list[int]):
+    """Bottom-up pass: each vertex's vector over its peeled subtree, and
+    the vector each peeled vertex hands its parent."""
+    vec = [_UNIT] * g.n
+    up = [_UNIT] * g.n
+    for v in order:
+        p = parent[v]
+        if p >= 0:
+            up[v] = e = _edge(vec[v], allowed[v])
+            vec[p] = _mul(vec[p], e)
+    return vec, up
+
+
+def _root_value(e: tuple) -> int:
+    return e[0] + e[1] + e[2]
+
+
+def _count_cycle(cyc: list[int], vec: list[tuple], allowed: list[int]) -> int:
+    a, b, inner = cyc[0], cyc[-1], cyc[-2:0:-1]
+    total = 0
+    for need_a, mask_a, need_b, mask_b in _CUT_CASES:
+        if not (allowed[a] & mask_a and allowed[b] & mask_b):
+            continue
+        e = _edge(_mul(vec[b], need_b), allowed[b] & mask_b)
+        for v in inner:
+            e = _edge(_mul(vec[v], e), allowed[v])
+        total += _root_value(_edge(_mul(_mul(vec[a], need_a), e), allowed[a] & mask_a))
+    return total
+
+
+def _count(g: Graph, allowed: list[int]) -> int:
+    layout = _layout(g)
+    if layout is None:
+        return _search(g, allowed, None)
+    order, parent, cycles = layout
+    vec, _ = _subtrees(g, allowed, order, parent)
+    total = 1
+    for v in order:
+        if parent[v] < 0:
+            total *= _root_value(_edge(vec[v], allowed[v]))
+    for cyc in cycles:
+        total *= _count_cycle(cyc, vec, allowed)
+    return total
+
+
+def _vsum(vectors: list[tuple]) -> tuple:
+    return vectors[0] if len(vectors) == 1 else tuple(map(sum, zip(*vectors)))
+
+
+def _cycle_contexts(cyc: list[int], vec: list[tuple]) -> list[list[tuple[int, tuple]]]:
+    """Per cycle vertex, (mask, vector) pairs that sum, over the six cut
+    cases, the demands of everything outside its pendant trees."""
+    k = len(cyc)
+    sums: list[dict[int, list[tuple]]] = [{} for _ in cyc]
+    for need_a, mask_a, need_b, mask_b in _CUT_CASES:
+        masks = [_ALL] * k
+        masks[0] &= mask_a
+        masks[-1] &= mask_b
+        before = [need_a] * k
+        after = [need_b] * k
+        for i in range(k - 1):
+            before[i + 1] = _edge(_mul(vec[cyc[i]], before[i]), masks[i])
+            j = k - 1 - i
+            after[j - 1] = _edge(_mul(vec[cyc[j]], after[j]), masks[j])
+        for i in range(k):
+            sums[i].setdefault(masks[i], []).append(_mul(before[i], after[i]))
+    return [[(mask, _vsum(vs)) for mask, vs in s.items()] for s in sums]
+
+
+def _profile(g: Graph, order: list[int], parent: list[int], cycles: list[list[int]]) -> MdsProfile:
+    vec, up = _subtrees(g, [_ALL] * g.n, order, parent)
+    children: list[list[int]] = [[] for _ in range(g.n)]
+    # context[v]: (mask on v, vector) pairs summing the demands of
+    # everything outside v's subtree
+    context: list[list[tuple[int, tuple]]] = [[]] * g.n
+    components = []
+    for v in order:
+        if parent[v] >= 0:
+            children[parent[v]].append(v)
+        else:
+            context[v] = [(_ALL, _UNIT)]
+            components.append([v])
+    for cyc in cycles:
+        for v, ctx in zip(cyc, _cycle_contexts(cyc, vec)):
+            context[v] = ctx
+        components.append(list(cyc))
+    triples: list[tuple[int, int, int]] = [(0, 0, 0)] * g.n
+    totals = []
+    for component in components:
+        for p in component:  # children are appended as their parent is reached
+            kids = children[p]
+            component.extend(kids)
+            ctx = context[p]
+            triples[p] = _vsum([_edge(_mul(c, vec[p]), mask) for mask, c in ctx])[:3]
+            # each child's context: the parent with every other child
+            before = [_UNIT] * len(kids)
+            for i in range(1, len(kids)):
+                before[i] = _mul(before[i - 1], up[kids[i - 1]])
+            after = _UNIT
+            for i in range(len(kids) - 1, -1, -1):
+                rest = _mul(before[i], after)
+                context[kids[i]] = [(_ALL, _vsum([_edge(_mul(c, rest), mask) for mask, c in ctx]))]
+                after = _mul(after, up[kids[i]])
+        totals.append(sum(triples[component[0]]))
+    product = 1
+    for t in totals:
+        product *= t
+    for component, t in zip(components, totals):
+        if t != product:
+            for v in component:
+                triples[v] = tuple(x * (product // t) for x in triples[v])
+    return MdsProfile(product, tuple(triples))
+
+
 def _allowed(g: Graph, constraints: Iterable[Constraint | tuple]) -> list[int]:
     allowed = [_ALL] * g.n
     seen = 0
@@ -189,7 +426,7 @@ def _allowed(g: Graph, constraints: Iterable[Constraint | tuple]) -> list[int]:
 
 def phi(g: Graph) -> int:
     """Number of maximal dissociation sets of g."""
-    return _search(g, [_ALL] * g.n, None)
+    return _count(g, [_ALL] * g.n)
 
 
 def phi_refined(g: Graph, constraints: Iterable[Constraint | tuple]) -> int:
@@ -199,7 +436,7 @@ def phi_refined(g: Graph, constraints: Iterable[Constraint | tuple]) -> int:
     EXCLUDED keeps the vertex out, IN_ANY requires membership, IN_DEGREE0 /
     IN_DEGREE1 additionally pin its induced degree inside the set.
     """
-    return _search(g, _allowed(g, constraints), None)
+    return _count(g, _allowed(g, constraints))
 
 
 def enumerate_mds(g: Graph) -> Iterator[int]:
@@ -216,6 +453,9 @@ def mds_profile(g: Graph) -> MdsProfile:
     For every vertex the triple (excluded, in with induced degree 0, in
     with induced degree 1) sums to the total.
     """
+    layout = _layout(g)
+    if layout is not None:
+        return _profile(g, *layout)
     sets: list[int] = []
     _search(g, [_ALL] * g.n, sets)
     triples = []

@@ -652,6 +652,22 @@ SUITES = {
 }
 
 
+def suite_orders(name: str, orders: tuple[int, int] | None = None) -> tuple[int, int]:
+    """The order range a suite runs: ``orders`` (default: the suite's
+    default range) with its lower bound raised to the suite's domain start.
+    An empty range is an error, never a vacuous pass."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    suite = SUITES[name]
+    lo, hi = orders if orders is not None else (suite.start, suite.end)
+    if max(lo, suite.start) > hi:
+        raise ValueError(
+            f"suite {name!r} has no orders to check in {lo}..{hi} "
+            f"(its domain starts at order {suite.start})"
+        )
+    return max(lo, suite.start), hi
+
+
 def run_suite(
     name: str,
     orders: tuple[int, int] | None = None,
@@ -662,24 +678,15 @@ def run_suite(
 ) -> list[VerificationReport]:
     """Run one named suite over an order range; returns its timed reports.
 
-    ``orders`` (default: the suite's default range) has its lower bound
-    raised to the suite's domain start; an empty range is an error, never a
-    vacuous pass. Every suite that uses a tree or unicyclic corpus takes it
-    generated under ``tree_cap`` / ``unicyclic_cap``, and an order above its
-    cap is an error. ``corpora`` optionally maps (class, n) to graph lists
-    (a dict, or a ``CorpusCache``): it is consulted first and receives every
-    corpus generated, so a cached corpus is reused across suites and runs.
+    ``orders`` is resolved by ``suite_orders``. Every suite that uses a tree
+    or unicyclic corpus takes it generated under ``tree_cap`` /
+    ``unicyclic_cap``, and an order above its cap is an error. ``corpora``
+    optionally maps (class, n) to graph lists (a dict, or a
+    ``CorpusCache``): it is consulted first and receives every corpus
+    generated, so a cached corpus is reused across suites and runs.
     """
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}")
+    lo, hi = suite_orders(name, orders)
     suite = SUITES[name]
-    lo, hi = orders if orders is not None else (suite.start, suite.end)
-    if max(lo, suite.start) > hi:
-        raise ValueError(
-            f"suite {name!r} has no orders to check in {lo}..{hi} "
-            f"(its domain starts at order {suite.start})"
-        )
-    lo = max(lo, suite.start)
     caps = {"tree": tree_cap, "unicyclic": unicyclic_cap}
     corpora = {} if corpora is None else corpora
 

@@ -160,11 +160,11 @@ def test_criterion_08_case3_closed_forms():
 
 
 def test_criterion_09_equality_direction_beyond_oracle_range():
-    for n in range(3, 26, 2):
+    for n in range(3, 64, 2):
         assert phi(U_pq((n - 3) // 2, (n - 3) // 2)) == n // 2 + 2, n
-    for n in range(4, 25, 2):
+    for n in range(4, 65, 2):
         assert phi(U_pq((n - 2) // 2, (n - 4) // 2)) == n // 2 + 2, n
-    _report(9, "extremal family attains floor(n/2)+2 for odd n<=25 and even n<=24")
+    _report(9, "extremal family attains floor(n/2)+2 for odd n<=63 and even n<=64")
 
 
 def test_criterion_10_enumerator_soundness(unicyclic_by_n, trees_by_n):

@@ -7,6 +7,7 @@ import pytest
 
 from dissoc import cycle, generate_unicyclic, graph6_encode
 from dissoc.cli import CorpusCache, main
+from dissoc.suites import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +160,16 @@ def test_verify_empty_domain_exit_2(capsys, suite, orders, start):
     assert repr(suite) in err and f"domain starts at order {start}" in err
 
 
+def test_verify_all_resolves_every_domain_first(monkeypatch, capsys):
+    # subcases' domain is empty in 3..8: no suite may run before that is found
+    ran = []
+    for name, suite in SUITES.items():
+        monkeypatch.setitem(SUITES, name, suite._replace(check=lambda *args, name=name: ran.append(name)))
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--orders", "3..8")
+    assert code == 2 and out == "" and "'subcases'" in err
+    assert ran == []
+
+
 def test_verify_caps_are_honoured(tmp_path, capsys):
     commands = [
         ("--suite", "main", "--orders", "4", "--unicyclic-cap", "3"),
@@ -232,6 +243,19 @@ def test_cache_store_over_stale_lock(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["unicyclic_6_v0.1.0.g6", "unicyclic_6_v0.1.0.g6.lock"]
 
 
+def test_cache_is_keyed_on_the_generator_version(tmp_path, monkeypatch):
+    cache = CorpusCache(str(tmp_path))
+    graphs = list(generate_unicyclic(5))
+    cache.store("unicyclic", 5, graphs)
+    # a package release alone keeps the cached corpus
+    monkeypatch.setattr("dissoc.cli.__version__", "9.9.9")
+    assert cache.load("unicyclic", 5) == graphs
+    assert "generator=" in (tmp_path / "unicyclic_5_v0.1.0.g6").read_text().splitlines()[0]
+    # a new generator version misses it
+    monkeypatch.setattr("dissoc.cli.GENERATOR_VERSION", "0.1.0-next")
+    assert cache.load("unicyclic", 5) is None
+
+
 def test_orders_single_value(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "trees", "--orders", "6")
     assert code == 0 and "[PASS] trees n=6" in out
@@ -245,3 +269,20 @@ def test_console_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3"
+
+
+@pytest.mark.parametrize("family, count", [("P(64)", 1916507251), ("C(64)", 2384319102)])
+def test_phi_order_64_families_subprocess(family, count):
+    proc = subprocess.run(
+        [sys.executable, "-m", "dissoc", "phi", "--family", family],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == str(count)
+
+
+@pytest.mark.parametrize("suite, orders", [("paths", "3..64"), ("cycle", "4..64")])
+def test_verify_families_to_order_64(capsys, suite, orders):
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--orders", orders)
+    assert code == 0 and out.startswith(f"[PASS] {suite} n={orders} graphs=")

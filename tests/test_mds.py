@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from dissoc import (
     Constraint,
+    MdsProfile,
     Status,
     U_pq,
     addable,
@@ -27,6 +28,7 @@ from dissoc import (
     vset,
 )
 from dissoc.graphs import delete_vertices, closed_neighborhood
+from dissoc import mds
 
 from oracles import count_mds_bruteforce, enumerate_mds_naive, random_connected_graph
 
@@ -156,6 +158,57 @@ def test_mds_profile_matches_refined_counts_on_corpora():
             assert prof.total == phi(g)
             for v in range(g.n):
                 assert prof.per_vertex[v] == tuple(phi_refined(g, [(v, s)]) for s in statuses)
+
+
+def _status_codes(g, s) -> list[int]:
+    # per vertex: 0 excluded, 1 in with degree 0, 2 in with degree 1
+    return [0 if not s >> v & 1 else 1 if not g.adj[v] & s else 2 for v in range(g.n)]
+
+
+def _check_counts_against_search(g, rng, pairs):
+    """phi, every mds_profile triple, phi_refined for every (vertex,
+    Status) and for each vertex pair in ``pairs`` under random statuses,
+    against counts derived from the sets of enumerate_mds (the search)."""
+    sets = list(enumerate_mds(g))
+    codes = [_status_codes(g, s) for s in sets]
+    triples = tuple(tuple(sum(1 for c in codes if c[v] == k) for k in range(3)) for v in range(g.n))
+    assert phi(g) == len(sets)
+    assert mds_profile(g) == MdsProfile(len(sets), triples)
+    for v, (excluded, deg0, deg1) in enumerate(triples):
+        expect = {
+            Status.EXCLUDED: excluded,
+            Status.IN_ANY: deg0 + deg1,
+            Status.IN_DEGREE0: deg0,
+            Status.IN_DEGREE1: deg1,
+        }
+        for status, count in expect.items():
+            assert phi_refined(g, [(v, status)]) == count, (g, v, status)
+    statuses = list(Status)
+    for a, b in pairs:
+        sa, sb = rng.choice(statuses), rng.choice(statuses)
+        expect = sum(1 for s in sets if _satisfies(g, s, a, sa) and _satisfies(g, s, b, sb))
+        assert phi_refined(g, [(a, sa), (b, sb)]) == expect, (g, a, sa, b, sb)
+
+
+def check_refined_counts_against_search(orders, seed=0x5E7):
+    """``_check_counts_against_search`` on every tree and unicyclic graph of
+    the given orders, with four random vertex pairs per graph (the shape of
+    the leaf-removal suite's pins). Returns the number of graphs checked."""
+    rng = random.Random(seed)
+    checked = 0
+    for n in orders:
+        for g in [*generate_trees(n), *generate_unicyclic(n)]:
+            checked += 1
+            pairs = [rng.sample(range(g.n), 2) for _ in range(4)] if g.n >= 2 else []
+            _check_counts_against_search(g, rng, pairs)
+    return checked
+
+
+def test_refined_counts_match_search_sets_on_corpora():
+    # the refined-count gate, independent of the DP behind phi_refined and
+    # mds_profile; check_refined_counts_against_search(range(11, 13)) takes
+    # it to order 12 in about half a minute
+    assert check_refined_counts_against_search(range(1, 11)) == 201 + 1040
 
 
 def test_every_emitted_set_is_maximal():
@@ -299,3 +352,47 @@ def test_stream_is_sorted_ascending():
         out = list(enumerate_mds(g))
         assert out == sorted(out)
         assert len(out) == len(set(out))
+
+
+def test_counts_on_disjoint_unions_match_search_sets():
+    # the DP takes a graph whose components are all trees or unicyclic;
+    # a component with two cycles sends the whole graph to the search
+    rng = random.Random(59)
+    two_cycles = from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+    trees = list(generate_trees(5))
+    unicyclic = list(generate_unicyclic(5))
+    for i in range(40):
+        parts = [rng.choice(trees), rng.choice(unicyclic), K1] + ([two_cycles] if i % 2 else [])
+        rng.shuffle(parts)
+        g = parts[0]
+        for h in parts[1:]:
+            g = disjoint_union(g, h)
+        assert (mds._layout(g) is None) == bool(i % 2)
+        # each pair pins vertices of two different components
+        starts = [0]
+        for h in parts:
+            starts.append(starts[-1] + h.n)
+        pairs = []
+        for _ in range(8):
+            x, y = rng.sample(range(len(parts)), 2)
+            pairs.append((rng.randrange(starts[x], starts[x + 1]), rng.randrange(starts[y], starts[y + 1])))
+        _check_counts_against_search(g, rng, pairs)
+
+
+def test_counts_invariant_under_relabeling_on_corpora():
+    # random corpus trees and unicyclic graphs, which take the DP
+    rng = random.Random(61)
+    graphs = [g for n in (8, 9, 10) for g in (*generate_trees(n), *generate_unicyclic(n))]
+    for g in rng.sample(graphs, 60):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+        assert phi(h) == phi(g)
+        prof_g = mds_profile(g)
+        prof_h = mds_profile(h)
+        assert prof_h.total == prof_g.total
+        statuses = list(Status)
+        for v in range(g.n):
+            assert prof_h.per_vertex[perm[v]] == prof_g.per_vertex[v]
+            status = rng.choice(statuses)
+            assert phi_refined(h, [(perm[v], status)]) == phi_refined(g, [(v, status)])
