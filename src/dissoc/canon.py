@@ -5,28 +5,24 @@ Rooted trees are canonicalized bottom-up (leaf -> "()", internal node ->
 "(" + sorted child codes + ")"), free trees by rooting at the centroid, and
 unicyclic graphs as a dihedral necklace of the rooted-tree codes hanging at
 each cycle position. No general-purpose canonical labeling is needed at
-these orders.
+these orders. Every code comes from one pass that peels leaves, oldest
+first, and codes each subtree as it is peeled: a tree peels completely, a
+unicyclic graph down to its cycle.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from itertools import product
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
-from .graphs import (
-    Graph,
-    classify,
-    cycle_vertices,
-    from_edges,
-    is_caterpillar,
-    iter_bits,
-)
+from .graphs import Graph, _trusted, from_edges, is_caterpillar
 
 DEFAULT_TREE_CAP = 14
 DEFAULT_UNICYCLIC_CAP = 13
 # Keys corpus cache files. Bump it whenever a generator's output (which
 # graphs, their labels or their order) changes; a package release alone
-# leaves cached corpora valid.
+# leaves cached corpora valid. tests/test_canon.py pins that output.
 GENERATOR_VERSION = "0.1.0"
 
 
@@ -35,108 +31,143 @@ class CanonicalCode(NamedTuple):
     text: str
 
 
-def _rooted_text(g: Graph, root: int, banned: int = 0) -> str:
-    """AHU code of the subtree reachable from root, avoiding banned vertices."""
+def _peel(adj: Sequence[int]) -> tuple:
+    """Peel leaves, oldest first, until only cycles remain, coding every
+    peeled subtree on the way (leaf -> "()", vertex -> "(" + sorted child
+    codes + ")"). A tree peels completely; its last vertex is a center.
 
-    def code(v: int, parent: int) -> str:
-        subcodes = sorted(
-            code(u, v) for u in iter_bits(g.adj[v] & ~banned) if u != parent
-        )
-        return "(" + "".join(subcodes) + ")"
+    Returns (order, parent, size, code, kids, alive): the peeled vertices,
+    each after all of its children; per vertex the neighbor left when it
+    was peeled (else -1), the order of its peeled subtree, its code, and
+    the codes of its peeled children; and the vertices left, the cycles.
+    """
+    n = len(adj)
+    deg = [row.bit_count() for row in adj]
+    order = [v for v in range(n) if deg[v] <= 1]
+    parent = [-1] * n
+    size = [1] * n
+    code = [""] * n
+    kids: list[list[str]] = [[] for _ in range(n)]
+    alive = (1 << n) - 1
+    for v in order:  # grows as vertices become leaves
+        alive ^= 1 << v
+        ks = kids[v]
+        ks.sort()
+        code[v] = text = "(" + "".join(ks) + ")"
+        rest = adj[v] & alive
+        if rest:
+            u = rest.bit_length() - 1
+            parent[v] = u
+            size[u] += size[v]
+            kids[u].append(text)
+            deg[u] -= 1
+            if deg[u] == 1:
+                order.append(u)
+    return order, parent, size, code, kids, alive
 
-    return code(root, -1)
+
+def _peel_tree(adj: Sequence[int]) -> tuple | None:
+    """The peel of a tree (connected and acyclic, so m = n-1), else None."""
+    peel = _peel(adj)
+    if peel[5] or peel[1].count(-1) != 1:
+        return None
+    return peel
+
+
+def _rerooted(peel: tuple, v: int, drop: int = -1) -> str:
+    """AHU code of v's tree rooted at v, without the branch of v's peeled
+    child ``drop``: the codes on the path from v up to the peel's root are
+    recomputed with the path reversed."""
+    _, parent, _, code, kids, _ = peel
+    if parent[v] < 0 and drop < 0:
+        return code[v]
+    chain = [v]
+    while parent[chain[-1]] >= 0:
+        chain.append(parent[chain[-1]])
+    text = None
+    for i in range(len(chain) - 1, -1, -1):
+        ks = list(kids[chain[i]])
+        below = chain[i - 1] if i else drop
+        if below >= 0:
+            ks.remove(code[below])
+        if text is not None:
+            insort(ks, text)
+        text = "(" + "".join(ks) + ")"
+    return text
 
 
 def ahu_code(g: Graph, root: int) -> CanonicalCode:
     """Canonical code of a tree rooted at the given vertex."""
-    if classify(g).kind != "tree":
+    peel = _peel_tree(g.adj)
+    if peel is None:
         raise ValueError("ahu_code requires a tree")
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range")
-    return CanonicalCode("rooted-tree", _rooted_text(g, root))
+    return CanonicalCode("rooted-tree", _rerooted(peel, root))
 
 
-def _centroids(g: Graph) -> list[int]:
-    n = g.n
-    order: list[int] = []
-    parent = [-1] * n
-    seen = 1
-    stack = [0]
-    visited = [False] * n
-    visited[0] = True
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for u in iter_bits(g.adj[v]):
-            if not visited[u]:
-                visited[u] = True
-                parent[u] = v
-                stack.append(u)
-                seen += 1
-    size = [1] * n
-    maxcomp = [0] * n
-    for v in reversed(order):
-        if parent[v] >= 0:
-            size[parent[v]] += size[v]
-            maxcomp[parent[v]] = max(maxcomp[parent[v]], size[v])
-    for v in range(n):
-        maxcomp[v] = max(maxcomp[v], n - size[v])
-    best = min(maxcomp)
-    return [v for v in range(n) if maxcomp[v] == best]
+def _tree_text(adj: Sequence[int]) -> str | None:
+    """Free-tree code text of the rows, None if they are not a tree.
+
+    Rooted at the peel's last vertex, the vertices whose subtree holds more
+    than half the tree form a path down to the centroid, so the centroid is
+    the first such vertex peeled. A subtree of exactly half (peeled before
+    it) is the second centroid, hanging directly below the first.
+    """
+    peel = _peel_tree(adj)
+    if peel is None:
+        return None
+    order, parent, size, code, _, _ = peel
+    n = len(adj)
+    for v in order:
+        if 2 * size[v] >= n:
+            break
+    if 2 * size[v] > n:
+        return "C" + _rerooted(peel, v)
+    halves = sorted((code[v], _rerooted(peel, parent[v], drop=v)))
+    return "B" + halves[0] + halves[1]
 
 
 def tree_code(g: Graph) -> CanonicalCode:
     """Canonical code of a free tree; equal codes iff isomorphic."""
-    if classify(g).kind != "tree":
+    text = _tree_text(g.adj)
+    if text is None:
         raise ValueError("tree_code requires a tree")
-    cents = _centroids(g)
-    if len(cents) == 1:
-        return CanonicalCode("free-tree", "C" + _rooted_text(g, cents[0]))
-    c1, c2 = cents
-    halves = sorted(
-        (_rooted_text(g, c1, banned=1 << c2), _rooted_text(g, c2, banned=1 << c1))
-    )
-    return CanonicalCode("free-tree", "B" + halves[0] + halves[1])
+    return CanonicalCode("free-tree", text)
 
 
-def _cycle_sequence(g: Graph) -> list[int]:
-    mask = cycle_vertices(g)
-    start = (mask & -mask).bit_length() - 1
-    seq = [start]
-    prev = -1
-    cur = start
-    while True:
-        nxt_candidates = [u for u in iter_bits(g.adj[cur] & mask) if u != prev]
-        nxt = nxt_candidates[0]
-        if nxt == start:
-            return seq
-        seq.append(nxt)
-        prev, cur = cur, nxt
-
-
-def _dihedral_min(codes: tuple[str, ...]) -> tuple[str, ...]:
+def _dihedral_min(codes: tuple) -> tuple:
+    """Least rotation or reflection; only those starting at a least entry
+    can win."""
+    low = min(codes)
     best = codes
     for seq in (codes, codes[::-1]):
-        for k in range(len(seq)):
-            cand = seq[k:] + seq[:k]
-            if cand < best:
-                best = cand
+        for k, c in enumerate(seq):
+            if c == low:
+                cand = seq[k:] + seq[:k]
+                if cand < best:
+                    best = cand
     return best
 
 
 def unicyclic_code(g: Graph) -> CanonicalCode:
     """Canonical code of a unicyclic graph; equal codes iff isomorphic."""
-    seq = _cycle_sequence(g)
-    mask = cycle_vertices(g)
-    codes = tuple(
-        _rooted_text(g, v, banned=mask & ~(1 << v)) for v in seq
-    )
-    best = _dihedral_min(codes)
-    return CanonicalCode("unicyclic", f"{len(seq)}:" + "|".join(best))
-
-
-def _with_leaf(g: Graph, v: int) -> Graph:
-    return from_edges(g.n + 1, g.edges() + [(v, g.n)])
+    adj = g.adj
+    _, parent, _, _, kids, alive = _peel(adj)
+    rest = alive
+    cyc = []
+    # unicyclic iff every peeled vertex hangs below the cycle and what is
+    # left is one cycle
+    if alive and parent.count(-1) == alive.bit_count():
+        v = (alive & -alive).bit_length() - 1
+        while v >= 0 and (adj[v] & alive).bit_count() == 2:
+            cyc.append(v)
+            rest ^= 1 << v
+            v = (adj[v] & rest).bit_length() - 1
+    if not cyc or rest:
+        raise ValueError("unicyclic_code requires a unicyclic graph")
+    codes = tuple("(" + "".join(sorted(kids[v])) + ")" for v in cyc)
+    return CanonicalCode("unicyclic", f"{len(cyc)}:" + "|".join(_dihedral_min(codes)))
 
 
 _tree_levels: dict[int, dict[str, Graph]] = {}
@@ -146,15 +177,20 @@ def _tree_table(n: int) -> dict[str, Graph]:
     if n in _tree_levels:
         return _tree_levels[n]
     if n == 1:
-        table = {tree_code(from_edges(1, [])).text: from_edges(1, [])}
+        g = from_edges(1, [])
+        table = {_tree_text(g.adj): g}
     else:
         table = {}
+        leaf = n - 1
         for g in _tree_table(n - 1).values():
-            for v in range(g.n):
-                extended = _with_leaf(g, v)
-                key = tree_code(extended).text
+            for v in range(leaf):
+                # g with a new leaf at v
+                rows = list(g.adj)
+                rows[v] |= 1 << leaf
+                rows.append(1 << v)
+                key = _tree_text(rows)
                 if key not in table:
-                    table[key] = extended
+                    table[key] = _trusted(n, tuple(rows))
     _tree_levels[n] = table
     return table
 
@@ -188,8 +224,9 @@ def _rooted_table(size: int) -> dict[str, tuple[Graph, int]]:
         return _rooted_tables[size]
     table: dict[str, tuple[Graph, int]] = {}
     for g in generate_trees(size, cap=max(size, DEFAULT_TREE_CAP)):
+        peel = _peel(g.adj)
         for root in range(g.n):
-            key = _rooted_text(g, root)
+            key = _rerooted(peel, root)
             if key not in table:
                 table[key] = (g, root)
     _rooted_tables[size] = table
@@ -205,19 +242,33 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _assemble_unicyclic(r: int, combo: tuple[str, ...], sizes: tuple[int, ...]) -> Graph:
-    n = sum(sizes)
-    edges = [(i, (i + 1) % r) for i in range(r)]
+def _assemble_unicyclic(n: int, pieces: list[tuple[Graph, int]]) -> Graph:
+    """The cycle 0..r-1 with the rooted tree pieces[i] = (tree, root) hung
+    at position i; the other vertices are numbered from r up, tree by tree,
+    in their order inside the tree."""
+    r = len(pieces)
+    rows = [0] * n
+    for i in range(r):
+        j = (i + 1) % r
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
     next_label = r
-    for pos in range(r):
-        tree, root = _rooted_table(sizes[pos])[combo[pos]]
-        relabel = {root: pos}
+    for pos, (tree, root) in enumerate(pieces):
+        new = []
         for v in range(tree.n):
-            if v != root:
-                relabel[v] = next_label
+            if v == root:
+                new.append(pos)
+            else:
+                new.append(next_label)
                 next_label += 1
-        edges += [(relabel[a], relabel[b]) for a, b in tree.edges()]
-    return from_edges(n, edges)
+        for v, row in enumerate(tree.adj):
+            bits = 0
+            while row:
+                low = row & -row
+                bits |= 1 << new[low.bit_length() - 1]
+                row ^= low
+            rows[new[v]] |= bits
+    return _trusted(n, tuple(rows))
 
 
 _unicyclic_memo: dict[int, list[Graph]] = {}
@@ -239,17 +290,28 @@ def generate_unicyclic(n: int, cap: int | None = None) -> Iterator[Graph]:
     if n in _unicyclic_memo:
         yield from _unicyclic_memo[n]
         return
+    # rank every rooted code once: rank order is code order, so tuples of
+    # ranks sort and compare like the code tuples
+    pieces: list[tuple[Graph, int]] = []
+    ranks_by_size: dict[int, list[int]] = {}
+    for key, size in sorted((key, size) for size in range(1, n - 1) for key in _rooted_table(size)):
+        ranks_by_size.setdefault(size, []).append(len(pieces))
+        pieces.append(_rooted_table(size)[key])
     out: list[Graph] = []
     for r in range(3, n + 1):
-        batch: list[tuple[tuple[str, ...], tuple[int, ...]]] = []
+        batch: list[tuple[int, ...]] = []
         for sizes in _compositions(n, r):
-            code_lists = [sorted(_rooted_table(s)) for s in sizes]
-            for combo in product(*code_lists):
-                if combo == _dihedral_min(combo):
-                    batch.append((combo, sizes))
-        batch.sort(key=lambda item: "|".join(item[0]))
-        for combo, sizes in batch:
-            out.append(_assemble_unicyclic(r, combo, sizes))
+            first_ranks, *others = (ranks_by_size[s] for s in sizes)
+            for first in first_ranks:
+                # a canonical tuple starts with its least entry
+                rest = [ranks[bisect_left(ranks, first):] for ranks in others]
+                for tail in product(*rest):
+                    combo = (first,) + tail
+                    if combo == _dihedral_min(combo):
+                        batch.append(combo)
+        batch.sort()
+        for combo in batch:
+            out.append(_assemble_unicyclic(n, [pieces[k] for k in combo]))
     _unicyclic_memo[n] = out
     yield from out
 

@@ -39,7 +39,11 @@ class Graph:
     Instances are immutable value objects: every surgery operation returns a
     new graph, so graphs can be shared freely between worker processes.
     Construction validates symmetry, absence of self-loops, and that no row
-    uses bit positions at or beyond the order.
+    uses bit positions at or beyond the order. The package's own builders
+    (``from_edges``, ``delete_vertices``, ``disjoint_union``,
+    ``graph6_decode`` and the generators in ``canon``) go through
+    ``_trusted`` instead: their rows are valid by construction, so only
+    their inputs are checked.
     """
 
     __slots__ = ("n", "adj")
@@ -96,6 +100,15 @@ class Graph:
         self.n, self.adj = state
 
 
+def _trusted(n: int, rows: tuple[int, ...]) -> Graph:
+    """A Graph from rows that are symmetric, loop-free and within the order
+    by construction, skipping the O(m) re-check of ``Graph.__init__``."""
+    g = Graph.__new__(Graph)
+    g.n = n
+    g.adj = rows
+    return g
+
+
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph on vertices 0..n-1 with the given edges.
 
@@ -111,7 +124,7 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"edge ({i},{j}) out of range for order {n}")
         rows[i] |= 1 << j
         rows[j] |= 1 << i
-    return Graph(n, rows)
+    return _trusted(n, tuple(rows))
 
 
 def path(n: int) -> Graph:
@@ -144,10 +157,13 @@ def delete_vertices(g: Graph, s: int) -> tuple[Graph, dict[int, int]]:
     rows = []
     for old in keep:
         row = 0
-        for u in iter_bits(g.adj[old] & ~s):
-            row |= 1 << relabel[u]
+        rest = g.adj[old] & ~s
+        while rest:
+            low = rest & -rest
+            row |= 1 << relabel[low.bit_length() - 1]
+            rest ^= low
         rows.append(row)
-    return Graph(len(keep), rows), relabel
+    return _trusted(len(keep), tuple(rows)), relabel
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -155,8 +171,7 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
     n = g.n + h.n
     if n > MAX_ORDER:
         raise ValueError(f"combined order {n} exceeds {MAX_ORDER}")
-    rows = list(g.adj) + [row << g.n for row in h.adj]
-    return Graph(n, rows)
+    return _trusted(n, g.adj + tuple(row << g.n for row in h.adj))
 
 
 def _check_vertex(g: Graph, v: int) -> None:
@@ -189,6 +204,7 @@ def classify(g: Graph) -> Classification:
 
     A connected graph is a tree iff m = n-1 and unicyclic iff m = n.
     """
+    adj = g.adj
     seen = 0
     components = 0
     for v in range(g.n):
@@ -199,8 +215,10 @@ def classify(g: Graph) -> Classification:
         seen |= frontier
         while frontier:
             nxt = 0
-            for u in iter_bits(frontier):
-                nxt |= g.adj[u]
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
             frontier = nxt & ~seen
             seen |= frontier
     m = g.edge_count
@@ -268,23 +286,19 @@ def is_caterpillar(g: Graph) -> bool:
 def graph6_encode(g: Graph) -> bytes:
     n = g.n
     if n <= 62:
-        head = bytes([n + 63])
+        head = [n + 63]
     else:
-        head = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    out = bytearray(head)
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        for i in range(j):
-            acc = (acc << 1) | (g.adj[i] >> j & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return bytes(out)
+        head = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
+    # bit p of ``stream`` is bit p of the upper triangle: column j holds the
+    # edges (i, j), i < j, which are the low j bits of row j
+    stream = 0
+    for j, row in enumerate(g.adj):
+        stream |= (row & ((1 << j) - 1)) << (j * (j - 1) // 2)
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    # reversed, so that bit 0 comes first, and padded to whole bytes
+    packed = int(format(stream, f"0{nbits}b")[::-1], 2) << pad if nbits else 0
+    return bytes(head + [(packed >> k & 63) + 63 for k in range(nbits + pad - 6, -1, -6)])
 
 
 def graph6_decode(data: bytes | str) -> Graph:
@@ -311,20 +325,24 @@ def graph6_decode(data: bytes | str) -> Graph:
     expect = (nbits + 5) // 6
     if len(body) != expect:
         raise ValueError(f"graph6 body has {len(body)} bytes, expected {expect}")
-    bits = []
+    acc = 0
     for b in body:
         x = b - 63
         if x < 0 or x > 63:
             raise ValueError(f"invalid graph6 data byte {b}")
-        bits.extend((x >> k) & 1 for k in range(5, -1, -1))
-    if any(bits[nbits:]):
+        acc = acc << 6 | x
+    pad = 6 * expect - nbits
+    if acc & ((1 << pad) - 1):
         raise ValueError("nonzero padding bits in graph6 data")
     rows = [0] * n
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[pos]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            pos += 1
-    return Graph(n, rows)
+    if nbits:
+        # bit p of ``stream`` is bit p of the upper triangle
+        stream = int(format(acc >> pad, f"0{nbits}b")[::-1], 2)
+        for j in range(1, n):
+            col = stream >> (j * (j - 1) // 2) & ((1 << j) - 1)
+            rows[j] |= col
+            while col:
+                low = col & -col
+                rows[low.bit_length() - 1] |= 1 << j
+                col ^= low
+    return _trusted(n, tuple(rows))

@@ -315,14 +315,32 @@ def _root_value(e: tuple) -> int:
 
 
 def _count_cycle(cyc: list[int], vec: list[tuple], allowed: list[int]) -> int:
-    a, b, inner = cyc[0], cyc[-1], cyc[-2:0:-1]
-    total = 0
-    for need_a, mask_a, need_b, mask_b in _CUT_CASES:
-        if not (allowed[a] & mask_a and allowed[b] & mask_b):
+    """Sum of the cut cases, carried together along the cycle from b to a."""
+    a, b = cyc[0], cyc[-1]
+    live = [
+        (need_a, mask_a, _edge(_mul(vec[b], need_b), allowed[b] & mask_b))
+        for need_a, mask_a, need_b, mask_b in _CUT_CASES
+        if allowed[a] & mask_a and allowed[b] & mask_b
+    ]
+    ends = [e for _, _, e in live]
+    for v in cyc[-2:0:-1]:
+        if allowed[v] != _ALL:
+            ends = [_edge(_mul(vec[v], e), allowed[v]) for e in ends]
             continue
-        e = _edge(_mul(vec[b], need_b), allowed[b] & mask_b)
-        for v in inner:
-            e = _edge(_mul(vec[v], e), allowed[v])
+        # _edge(_mul(vec[v], e), _ALL), inlined
+        a0, a1, ab, c0, cn, c1 = vec[v]
+        sa = a0 + a1 + ab
+        c = c0 + cn
+        nxt = []
+        for b0, b1, bb, d0, dn, d1 in ends:
+            x0 = a0 * b0
+            x1 = a0 * b1 + a1 * b0
+            xb = sa * (b0 + b1 + bb) - x0 - x1
+            d = d0 + dn
+            nxt.append((xb, c0 * d0, c * d1 + c1 * d, xb + x1, x0, c * d))
+        ends = nxt
+    total = 0
+    for (need_a, mask_a, _), e in zip(live, ends):
         total += _root_value(_edge(_mul(_mul(vec[a], need_a), e), allowed[a] & mask_a))
     return total
 

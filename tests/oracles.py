@@ -19,7 +19,7 @@ from math import gcd
 
 import numpy as np
 
-from dissoc import Graph, from_edges, is_maximal_dissociation, iter_bits
+from dissoc import MAX_ORDER, Graph, from_edges, is_maximal_dissociation, iter_bits
 
 BRUTEFORCE_ISO_CAP = 10
 NAIVE_ORDER_CAP = 24
@@ -315,3 +315,71 @@ def random_connected_graph(rng: random.Random, n: int, extra_edge_prob: float = 
         if not tree.adj[i] >> j & 1 and rng.random() < extra_edge_prob:
             edges.append((i, j))
     return from_edges(n, edges)
+
+
+def graph6_encode_bitwise(g: Graph) -> bytes:
+    """graph6 bytes, packed one upper-triangle bit at a time."""
+    n = g.n
+    if n <= 62:
+        head = bytes([n + 63])
+    else:
+        head = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
+    out = bytearray(head)
+    acc = 0
+    nbits = 0
+    for j in range(1, n):
+        for i in range(j):
+            acc = (acc << 1) | (g.adj[i] >> j & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(acc + 63)
+                acc = 0
+                nbits = 0
+    if nbits:
+        out.append((acc << (6 - nbits)) + 63)
+    return bytes(out)
+
+
+def graph6_decode_bitwise(data: bytes | str) -> Graph:
+    """graph6 decoding through a per-bit list, raising what
+    ``dissoc.graph6_decode`` raises."""
+    if isinstance(data, str):
+        data = data.encode("ascii")
+    if not data:
+        raise ValueError("empty graph6 string")
+    if data[0] == 126:
+        if len(data) >= 2 and data[1] == 126:
+            raise ValueError("graph6 orders above 258047 are not supported")
+        if len(data) < 4:
+            raise ValueError("truncated graph6 size prefix")
+        digits = [b - 63 for b in data[1:4]]
+        if any(d < 0 or d > 63 for d in digits):
+            raise ValueError("invalid graph6 size prefix byte")
+        n = (digits[0] << 12) | (digits[1] << 6) | digits[2]
+        body = data[4:]
+    else:
+        n = data[0] - 63
+        body = data[1:]
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"decoded order {n} outside [1, {MAX_ORDER}]")
+    nbits = n * (n - 1) // 2
+    expect = (nbits + 5) // 6
+    if len(body) != expect:
+        raise ValueError(f"graph6 body has {len(body)} bytes, expected {expect}")
+    bits = []
+    for b in body:
+        x = b - 63
+        if x < 0 or x > 63:
+            raise ValueError(f"invalid graph6 data byte {b}")
+        bits.extend((x >> k) & 1 for k in range(5, -1, -1))
+    if any(bits[nbits:]):
+        raise ValueError("nonzero padding bits in graph6 data")
+    rows = [0] * n
+    pos = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[pos]:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            pos += 1
+    return Graph(n, rows)

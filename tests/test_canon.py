@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -8,17 +9,19 @@ from dissoc import (
     ahu_code,
     classify,
     cycle,
+    disjoint_union,
     from_edges,
     generate_caterpillars,
     generate_trees,
     generate_unicyclic,
+    graph6_encode,
     is_caterpillar,
     path,
     spider_T,
     tree_code,
     unicyclic_code,
 )
-from dissoc.canon import DEFAULT_TREE_CAP, DEFAULT_UNICYCLIC_CAP
+from dissoc.canon import DEFAULT_TREE_CAP, DEFAULT_UNICYCLIC_CAP, GENERATOR_VERSION
 
 from oracles import (
     IsoClassRegistry,
@@ -75,6 +78,63 @@ def test_unicyclic_code_examples():
     assert unicyclic_code(U_rt(4, 2, (0, 1))) == unicyclic_code(U_rt(4, 2, (1, 2)))
     with pytest.raises(ValueError):
         unicyclic_code(path(4))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        path(5),
+        K1,
+        disjoint_union(cycle(3), cycle(4)),
+        disjoint_union(cycle(4), K1),
+        disjoint_union(cycle(3), path(2)),
+        from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0)]),  # two triangles on an edge
+        from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]),  # bowtie
+    ],
+)
+def test_unicyclic_code_rejects_other_graphs(g):
+    with pytest.raises(ValueError, match="^unicyclic_code requires a unicyclic graph$"):
+        unicyclic_code(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        cycle(5),
+        U_rt(4, 2, (0, 1)),
+        disjoint_union(path(3), path(2)),
+        disjoint_union(cycle(3), K1),  # m = n-1 but not connected
+    ],
+)
+def test_tree_code_rejects_other_graphs(g):
+    with pytest.raises(ValueError, match="^tree_code requires a tree$"):
+        tree_code(g)
+
+
+# sha256 over the generators' output, in order: graph6 bytes and code text
+# per tree of order 1..12, graph6 bytes per caterpillar of order 1..12, and
+# graph6 bytes and code text per unicyclic graph of order 3..11
+GENERATOR_DIGEST = "c4e407ee186833c7c46468800c4559ee57ca8a3ad60786776bb5af67e6ffa884"
+
+
+def test_generator_output_is_pinned():
+    h = hashlib.sha256()
+    for n in range(1, 13):
+        for g in generate_trees(n):
+            h.update(graph6_encode(g))
+            h.update(tree_code(g).text.encode())
+    for n in range(1, 13):
+        for g in generate_caterpillars(n):
+            h.update(graph6_encode(g))
+    for n in range(3, 12):
+        for g in generate_unicyclic(n):
+            h.update(graph6_encode(g))
+            h.update(unicyclic_code(g).text.encode())
+    assert h.hexdigest() == GENERATOR_DIGEST, (
+        "the generators' output (which graphs, their labels or their order) changed; "
+        f"if that is intended, bump canon.GENERATOR_VERSION (now {GENERATOR_VERSION!r}), "
+        "which keys the corpus cache files, and update GENERATOR_DIGEST"
+    )
 
 
 def test_code_soundness_vs_bruteforce_order7():

@@ -24,7 +24,7 @@ from dissoc import (
     vset,
 )
 
-from oracles import random_connected_graph
+from oracles import graph6_decode_bitwise, graph6_encode_bitwise, random_connected_graph
 import random
 
 
@@ -66,6 +66,51 @@ def test_from_edges_rejects(n, edges):
 def test_graph_init_rejects_asymmetry():
     with pytest.raises(ValueError):
         Graph(2, [0b10, 0b00])
+
+
+@pytest.mark.parametrize(
+    "n,rows,message",
+    [
+        (2, [0b01, 0b00], "self-loop at vertex 0"),
+        (3, [0b010, 0b101, 0b110], "self-loop at vertex 2"),
+        (2, [0b100, 0b00], "row 0 uses vertices >= order 2"),
+        (3, [0b010, 0b001, 0b1000], "row 2 uses vertices >= order 3"),
+        (64, [1 << 64] + [0] * 63, "row 0 uses vertices >= order 64"),
+    ],
+)
+def test_graph_init_rejects_loops_and_out_of_range_rows(n, rows, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(n, rows)
+
+
+def _random_graph(rng, n):
+    """Any graph of order n: a random density, edges listed in random
+    orientation with some repeated."""
+    p = rng.random()
+    edges = [(i, j) if rng.random() < 0.5 else (j, i)
+             for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    return from_edges(n, edges + edges[: len(edges) // 3])
+
+
+def _assert_validated(g):
+    # Graph(...) re-checks symmetry, loops and range; equality needs the
+    # rows stored as a tuple, as the constructor stores them
+    assert isinstance(g.adj, tuple)
+    assert Graph(g.n, g.adj) == g
+
+
+def test_trusted_builders_keep_graph_invariants():
+    rng = random.Random(11)
+    for _ in range(150):
+        n = rng.randint(1, 64)
+        g = _random_graph(rng, n)
+        _assert_validated(g)
+        _assert_validated(graph6_decode(graph6_encode(g)))
+        keep = 1 << rng.randrange(n)
+        h, _ = delete_vertices(g, rng.getrandbits(n) & ~keep)
+        _assert_validated(h)
+        if n < 64:
+            _assert_validated(disjoint_union(g, _random_graph(rng, rng.randint(1, 64 - n))))
 
 
 def test_path_and_cycle_basics():
@@ -206,27 +251,66 @@ def test_graph6_large_order_prefix():
     assert graph6_decode(data) == g
 
 
-@pytest.mark.parametrize(
-    "data",
-    [
-        b"",
-        b"?",        # order 0
-        b"B",        # truncated body
-        b"Bgg",      # oversized body
-        b"B" + bytes([200]),  # byte out of range
-        bytes([126, 63]),     # truncated long prefix
-    ],
-)
+GRAPH6_REJECTS = [
+    b"",
+    b"?",        # order 0
+    b"B",        # truncated body
+    b"Bgg",      # oversized body
+    b"B" + bytes([200]),  # byte out of range
+    bytes([126, 63]),     # truncated long prefix
+]
+
+
+@pytest.mark.parametrize("data", GRAPH6_REJECTS)
 def test_graph6_decode_rejects(data):
     with pytest.raises(ValueError):
         graph6_decode(data)
 
 
-def test_graph6_padding_must_be_zero():
+def _bad_padding():
     good = graph6_encode(path(3))
-    bad = good[:-1] + bytes([((good[-1] - 63) | 0b000111) + 63])
+    return good[:-1] + bytes([((good[-1] - 63) | 0b000111) + 63])
+
+
+def test_graph6_padding_must_be_zero():
     with pytest.raises(ValueError):
-        graph6_decode(bad)
+        graph6_decode(_bad_padding())
+
+
+def _decoded(decode, data):
+    try:
+        return decode(data)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_graph6_codec_matches_bitwise_oracle():
+    rng = random.Random(5)
+    samples = GRAPH6_REJECTS + [
+        _bad_padding(),
+        "Bw",
+        "B\u00e9",
+        bytes([126, 126, 63]),
+        bytes([126, 62, 64, 64]),
+        bytes([126, 63, 64, 63]) + b"?" * 336,
+        bytes([63 + 65]),
+    ]
+    for _ in range(200):
+        g = _random_graph(rng, rng.randint(1, 64))
+        data = graph6_encode(g)
+        assert data == graph6_encode_bitwise(g)
+        i = rng.randrange(len(data))
+        samples += [
+            data,
+            # another graph, set padding bits or another order
+            data[:i] + bytes([rng.randrange(63, 127)]) + data[i + 1:],
+            data[:-1] + bytes([rng.randrange(63, 127)]),
+            data[:i] + bytes([rng.randrange(256)]) + data[i + 1:],
+            data[:i],
+            data + bytes([rng.randrange(63, 127)]),
+        ]
+    for data in samples:
+        assert _decoded(graph6_decode, data) == _decoded(graph6_decode_bitwise, data), data
 
 
 @settings(max_examples=150, deadline=None)
