@@ -5,9 +5,9 @@ Rooted trees are canonicalized bottom-up (leaf -> "()", internal node ->
 "(" + sorted child codes + ")"), free trees by rooting at the centroid, and
 unicyclic graphs as a dihedral necklace of the rooted-tree codes hanging at
 each cycle position. No general-purpose canonical labeling is needed at
-these orders. Every code comes from one pass that peels leaves, oldest
-first, and codes each subtree as it is peeled: a tree peels completely, a
-unicyclic graph down to its cycle.
+these orders. Every code starts from the leaf peel of ``graphs._layout``
+(a tree peels completely, a unicyclic graph down to its cycle) and codes
+each peeled subtree in one pass over the peel order.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from bisect import bisect_left, insort
 from itertools import product
 from typing import Iterator, NamedTuple, Sequence
 
-from .graphs import Graph, _trusted, from_edges, is_caterpillar
+from .graphs import Graph, _layout, _trusted, _unicyclic_cycle, from_edges, is_caterpillar, iter_bits
 
 DEFAULT_TREE_CAP = 14
 DEFAULT_UNICYCLIC_CAP = 13
@@ -31,54 +31,45 @@ class CanonicalCode(NamedTuple):
     text: str
 
 
-def _peel(adj: Sequence[int]) -> tuple:
-    """Peel leaves, oldest first, until only cycles remain, coding every
-    peeled subtree on the way (leaf -> "()", vertex -> "(" + sorted child
-    codes + ")"). A tree peels completely; its last vertex is a center.
+def _coded_tree(adj: Sequence[int]) -> tuple | None:
+    """The ``_layout`` of a tree (connected and acyclic, so m = n-1) with
+    every peeled subtree coded (leaf -> "()", vertex -> "(" + sorted child
+    codes + ")"), else None. The last vertex peeled is a center.
 
-    Returns (order, parent, size, code, kids, alive): the peeled vertices,
-    each after all of its children; per vertex the neighbor left when it
-    was peeled (else -1), the order of its peeled subtree, its code, and
-    the codes of its peeled children; and the vertices left, the cycles.
+    Returns (order, parent, size, code, kids): the peel order and parents,
+    and per vertex the order of its subtree, its code and the codes of its
+    children.
     """
-    n = len(adj)
-    deg = [row.bit_count() for row in adj]
-    order = [v for v in range(n) if deg[v] <= 1]
-    parent = [-1] * n
+    layout = _layout(adj)
+    if layout is None or layout[2] or layout[1].count(-1) != 1:
+        return None
+    order, parent, _ = layout
+    return (order, parent, *_subtree_codes(order, parent))
+
+
+def _subtree_codes(order: list[int], parent: list[int]) -> tuple:
+    """Per vertex the order of its peeled subtree, its code and the codes
+    of its peeled children, in one pass over the peel order."""
+    n = len(parent)
     size = [1] * n
     code = [""] * n
     kids: list[list[str]] = [[] for _ in range(n)]
-    alive = (1 << n) - 1
-    for v in order:  # grows as vertices become leaves
-        alive ^= 1 << v
+    for v in order:
         ks = kids[v]
         ks.sort()
         code[v] = text = "(" + "".join(ks) + ")"
-        rest = adj[v] & alive
-        if rest:
-            u = rest.bit_length() - 1
-            parent[v] = u
+        u = parent[v]
+        if u >= 0:
             size[u] += size[v]
             kids[u].append(text)
-            deg[u] -= 1
-            if deg[u] == 1:
-                order.append(u)
-    return order, parent, size, code, kids, alive
-
-
-def _peel_tree(adj: Sequence[int]) -> tuple | None:
-    """The peel of a tree (connected and acyclic, so m = n-1), else None."""
-    peel = _peel(adj)
-    if peel[5] or peel[1].count(-1) != 1:
-        return None
-    return peel
+    return size, code, kids
 
 
 def _rerooted(peel: tuple, v: int, drop: int = -1) -> str:
     """AHU code of v's tree rooted at v, without the branch of v's peeled
     child ``drop``: the codes on the path from v up to the peel's root are
     recomputed with the path reversed."""
-    _, parent, _, code, kids, _ = peel
+    _, parent, _, code, kids = peel
     if parent[v] < 0 and drop < 0:
         return code[v]
     chain = [v]
@@ -98,7 +89,7 @@ def _rerooted(peel: tuple, v: int, drop: int = -1) -> str:
 
 def ahu_code(g: Graph, root: int) -> CanonicalCode:
     """Canonical code of a tree rooted at the given vertex."""
-    peel = _peel_tree(g.adj)
+    peel = _coded_tree(g.adj)
     if peel is None:
         raise ValueError("ahu_code requires a tree")
     if not 0 <= root < g.n:
@@ -114,10 +105,10 @@ def _tree_text(adj: Sequence[int]) -> str | None:
     the first such vertex peeled. A subtree of exactly half (peeled before
     it) is the second centroid, hanging directly below the first.
     """
-    peel = _peel_tree(adj)
+    peel = _coded_tree(adj)
     if peel is None:
         return None
-    order, parent, size, code, _, _ = peel
+    order, parent, size, code, _ = peel
     n = len(adj)
     for v in order:
         if 2 * size[v] >= n:
@@ -152,20 +143,12 @@ def _dihedral_min(codes: tuple) -> tuple:
 
 def unicyclic_code(g: Graph) -> CanonicalCode:
     """Canonical code of a unicyclic graph; equal codes iff isomorphic."""
-    adj = g.adj
-    _, parent, _, _, kids, alive = _peel(adj)
-    rest = alive
-    cyc = []
-    # unicyclic iff every peeled vertex hangs below the cycle and what is
-    # left is one cycle
-    if alive and parent.count(-1) == alive.bit_count():
-        v = (alive & -alive).bit_length() - 1
-        while v >= 0 and (adj[v] & alive).bit_count() == 2:
-            cyc.append(v)
-            rest ^= 1 << v
-            v = (adj[v] & rest).bit_length() - 1
-    if not cyc or rest:
+    layout = _layout(g.adj)
+    cyc = _unicyclic_cycle(layout)
+    if cyc is None:
         raise ValueError("unicyclic_code requires a unicyclic graph")
+    order, parent, _ = layout
+    _, _, kids = _subtree_codes(order, parent)
     codes = tuple("(" + "".join(sorted(kids[v])) + ")" for v in cyc)
     return CanonicalCode("unicyclic", f"{len(cyc)}:" + "|".join(_dihedral_min(codes)))
 
@@ -224,7 +207,7 @@ def _rooted_table(size: int) -> dict[str, tuple[Graph, int]]:
         return _rooted_tables[size]
     table: dict[str, tuple[Graph, int]] = {}
     for g in generate_trees(size, cap=max(size, DEFAULT_TREE_CAP)):
-        peel = _peel(g.adj)
+        peel = _coded_tree(g.adj)
         for root in range(g.n):
             key = _rerooted(peel, root)
             if key not in table:
@@ -263,10 +246,8 @@ def _assemble_unicyclic(n: int, pieces: list[tuple[Graph, int]]) -> Graph:
                 next_label += 1
         for v, row in enumerate(tree.adj):
             bits = 0
-            while row:
-                low = row & -row
-                bits |= 1 << new[low.bit_length() - 1]
-                row ^= low
+            for u in iter_bits(row):
+                bits |= 1 << new[u]
             rows[new[v]] |= bits
     return _trusted(n, tuple(rows))
 

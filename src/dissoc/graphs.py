@@ -8,7 +8,7 @@ reduce to integer bit operations.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 MAX_ORDER = 64
 
@@ -157,11 +157,8 @@ def delete_vertices(g: Graph, s: int) -> tuple[Graph, dict[int, int]]:
     rows = []
     for old in keep:
         row = 0
-        rest = g.adj[old] & ~s
-        while rest:
-            low = rest & -rest
-            row |= 1 << relabel[low.bit_length() - 1]
-            rest ^= low
+        for u in iter_bits(g.adj[old] & ~s):
+            row |= 1 << relabel[u]
         rows.append(row)
     return _trusted(len(keep), tuple(rows)), relabel
 
@@ -204,7 +201,6 @@ def classify(g: Graph) -> Classification:
 
     A connected graph is a tree iff m = n-1 and unicyclic iff m = n.
     """
-    adj = g.adj
     seen = 0
     components = 0
     for v in range(g.n):
@@ -215,10 +211,8 @@ def classify(g: Graph) -> Classification:
         seen |= frontier
         while frontier:
             nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= adj[low.bit_length() - 1]
-                frontier ^= low
+            for u in iter_bits(frontier):
+                nxt |= g.adj[u]
             frontier = nxt & ~seen
             seen |= frontier
     m = g.edge_count
@@ -231,22 +225,62 @@ def classify(g: Graph) -> Classification:
     return Classification(kind, components)
 
 
-def cycle_vertices(g: Graph) -> int:
-    """Vertices of the unique cycle of a unicyclic graph, as a bitmask.
+def _layout(adj: Sequence[int]) -> tuple[list[int], list[int], list[list[int]]] | None:
+    """Peel leaves, oldest first, until only cycles remain.
 
-    Found by iteratively deleting degree-1 vertices until none remain.
+    Returns (peel order, parent per vertex, cycles in cyclic order); every
+    peeled vertex comes after its peeled neighbors (its children), a tree
+    component's last vertex has parent -1, and a pendant tree's top vertex
+    has a cycle vertex as parent. None when some component has two or more
+    cycles.
     """
-    if classify(g).kind != "unicyclic":
+    n = len(adj)
+    deg = [row.bit_count() for row in adj]
+    order = [v for v in range(n) if deg[v] <= 1]
+    parent = [-1] * n
+    alive = (1 << n) - 1
+    for v in order:  # grows as vertices become leaves
+        alive ^= 1 << v
+        rest = adj[v] & alive
+        if rest:
+            u = rest.bit_length() - 1
+            parent[v] = u
+            deg[u] -= 1
+            if deg[u] == 1:
+                order.append(u)
+    core = alive
+    cycles = []
+    while alive:
+        v = (alive & -alive).bit_length() - 1
+        cyc = []
+        while v >= 0:
+            if (adj[v] & core).bit_count() != 2:
+                return None
+            cyc.append(v)
+            alive ^= 1 << v
+            v = (adj[v] & alive).bit_length() - 1
+        cycles.append(cyc)
+    return order, parent, cycles
+
+
+def _unicyclic_cycle(layout: tuple | None) -> list[int] | None:
+    """The cycle of a unicyclic graph from its ``_layout``, else None: the
+    graph is unicyclic iff it has one cycle and every peeled vertex hangs
+    below it."""
+    if layout is None:
+        return None
+    _, parent, cycles = layout
+    if len(cycles) != 1 or parent.count(-1) != len(cycles[0]):
+        return None
+    return cycles[0]
+
+
+def cycle_vertices(g: Graph) -> int:
+    """Vertices of the unique cycle of a unicyclic graph, as a bitmask."""
+    cyc = _unicyclic_cycle(_layout(g.adj))
+    if cyc is None:
         raise ValueError("cycle_vertices requires a unicyclic graph")
-    alive = g.full_mask
-    changed = True
-    while changed:
-        changed = False
-        for v in iter_bits(alive):
-            if (g.adj[v] & alive).bit_count() == 1:
-                alive &= ~(1 << v)
-                changed = True
-    return alive
+    return vset(cyc)
 
 
 def leaves(g: Graph) -> int:
@@ -341,8 +375,6 @@ def graph6_decode(data: bytes | str) -> Graph:
         for j in range(1, n):
             col = stream >> (j * (j - 1) // 2) & ((1 << j) - 1)
             rows[j] |= col
-            while col:
-                low = col & -col
-                rows[low.bit_length() - 1] |= 1 << j
-                col ^= low
+            for i in iter_bits(col):
+                rows[i] |= 1 << j
     return _trusted(n, tuple(rows))

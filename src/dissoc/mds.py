@@ -52,7 +52,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .graphs import Graph, iter_bits
+from .graphs import Graph, _layout, iter_bits
 
 _OUT, _FREE, _MATCHED = 1, 2, 4
 _ALL = _OUT | _FREE | _MATCHED
@@ -258,45 +258,6 @@ def _edge(a: tuple, mask: int) -> tuple:
     return (p_out, free, blocking, p_in, p_matched, partner)
 
 
-def _layout(g: Graph) -> tuple[list[int], list[int], list[list[int]]] | None:
-    """Peel leaves until only cycles remain.
-
-    Returns (peel order, parent per vertex, cycles in cyclic order); every
-    peeled vertex comes before its parent, a tree component's root has
-    parent -1, and a pendant tree's top vertex has a cycle vertex as parent.
-    None when some component has two or more cycles.
-    """
-    adj = g.adj
-    alive = g.full_mask
-    deg = [row.bit_count() for row in adj]
-    stack = [v for v in range(g.n) if deg[v] <= 1]
-    order: list[int] = []
-    parent = [-1] * g.n
-    while stack:
-        v = stack.pop()
-        alive ^= 1 << v
-        order.append(v)
-        rest = adj[v] & alive
-        if rest:
-            u = rest.bit_length() - 1
-            parent[v] = u
-            deg[u] -= 1
-            if deg[u] == 1:
-                stack.append(u)
-    if any((adj[v] & alive).bit_count() != 2 for v in iter_bits(alive)):
-        return None
-    cycles = []
-    while alive:
-        v = (alive & -alive).bit_length() - 1
-        cyc = []
-        while v >= 0:
-            cyc.append(v)
-            alive ^= 1 << v
-            v = (adj[v] & alive).bit_length() - 1
-        cycles.append(cyc)
-    return order, parent, cycles
-
-
 def _subtrees(g: Graph, allowed: list[int], order: list[int], parent: list[int]):
     """Bottom-up pass: each vertex's vector over its peeled subtree, and
     the vector each peeled vertex hands its parent."""
@@ -315,38 +276,20 @@ def _root_value(e: tuple) -> int:
 
 
 def _count_cycle(cyc: list[int], vec: list[tuple], allowed: list[int]) -> int:
-    """Sum of the cut cases, carried together along the cycle from b to a."""
-    a, b = cyc[0], cyc[-1]
-    live = [
-        (need_a, mask_a, _edge(_mul(vec[b], need_b), allowed[b] & mask_b))
-        for need_a, mask_a, need_b, mask_b in _CUT_CASES
-        if allowed[a] & mask_a and allowed[b] & mask_b
-    ]
-    ends = [e for _, _, e in live]
-    for v in cyc[-2:0:-1]:
-        if allowed[v] != _ALL:
-            ends = [_edge(_mul(vec[v], e), allowed[v]) for e in ends]
-            continue
-        # _edge(_mul(vec[v], e), _ALL), inlined
-        a0, a1, ab, c0, cn, c1 = vec[v]
-        sa = a0 + a1 + ab
-        c = c0 + cn
-        nxt = []
-        for b0, b1, bb, d0, dn, d1 in ends:
-            x0 = a0 * b0
-            x1 = a0 * b1 + a1 * b0
-            xb = sa * (b0 + b1 + bb) - x0 - x1
-            d = d0 + dn
-            nxt.append((xb, c0 * d0, c * d1 + c1 * d, xb + x1, x0, c * d))
-        ends = nxt
+    a, b, inner = cyc[0], cyc[-1], cyc[-2:0:-1]
     total = 0
-    for (need_a, mask_a, _), e in zip(live, ends):
+    for need_a, mask_a, need_b, mask_b in _CUT_CASES:
+        if not (allowed[a] & mask_a and allowed[b] & mask_b):
+            continue
+        e = _edge(_mul(vec[b], need_b), allowed[b] & mask_b)
+        for v in inner:
+            e = _edge(_mul(vec[v], e), allowed[v])
         total += _root_value(_edge(_mul(_mul(vec[a], need_a), e), allowed[a] & mask_a))
     return total
 
 
 def _count(g: Graph, allowed: list[int]) -> int:
-    layout = _layout(g)
+    layout = _layout(g.adj)
     if layout is None:
         return _search(g, allowed, None)
     order, parent, cycles = layout
@@ -471,7 +414,7 @@ def mds_profile(g: Graph) -> MdsProfile:
     For every vertex the triple (excluded, in with induced degree 0, in
     with induced degree 1) sums to the total.
     """
-    layout = _layout(g)
+    layout = _layout(g.adj)
     if layout is not None:
         return _profile(g, *layout)
     sets: list[int] = []

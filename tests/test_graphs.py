@@ -24,6 +24,7 @@ from dissoc import (
     vset,
 )
 
+from dissoc.graphs import _layout, _unicyclic_cycle
 from oracles import graph6_decode_bitwise, graph6_encode_bitwise, random_connected_graph
 import random
 
@@ -202,6 +203,54 @@ def test_cycle_vertices():
     assert cycle_vertices(tri_pendant) == vset([0, 1, 2])
     with pytest.raises(ValueError):
         cycle_vertices(path(4))
+
+
+def test_layout_matches_component_cycle_counts():
+    # the shared leaf peel: None iff some component has more edges than
+    # vertices; else its cycles are the cycles of the graph, in cyclic order,
+    # and every peeled vertex comes after its children
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        p = rng.choice((0.15, 0.25, 0.4))
+        g = from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+        components = []
+        seen = 0
+        for v in range(n):
+            if not seen >> v & 1:
+                comp = frontier = 1 << v
+                while frontier:
+                    nxt = 0
+                    for u in iter_bits(frontier):
+                        nxt |= g.adj[u]
+                    frontier = nxt & ~comp
+                    comp |= frontier
+                seen |= comp
+                components.append(comp)
+        excess = [sum((g.adj[u] & comp).bit_count() for u in iter_bits(comp)) // 2 - comp.bit_count() for comp in components]
+        layout = _layout(g.adj)
+        assert (layout is None) == any(e > 0 for e in excess)
+        unicyclic = classify(g).kind == "unicyclic"
+        if unicyclic:
+            assert cycle_vertices(g) == vset(_unicyclic_cycle(layout))
+        else:
+            assert _unicyclic_cycle(layout) is None
+            with pytest.raises(ValueError, match="^cycle_vertices requires a unicyclic graph$"):
+                cycle_vertices(g)
+        if layout is None:
+            continue
+        order, parent, cycles = layout
+        assert len(cycles) == sum(e == 0 for e in excess)
+        assert sorted(order + [v for cyc in cycles for v in cyc]) == list(range(n))
+        for cyc in cycles:
+            assert len(cyc) >= 3
+            for i, v in enumerate(cyc):
+                assert g.adj[v] >> cyc[i - 1] & 1
+        position = {v: i for i, v in enumerate(order)}
+        for v in order:
+            if parent[v] >= 0:
+                assert g.adj[v] >> parent[v] & 1
+                assert parent[v] not in position or position[parent[v]] > position[v]
 
 
 def test_leaves_and_supports():
