@@ -166,7 +166,15 @@ def _tree_table(n: int) -> dict[str, Graph]:
         table = {}
         leaf = n - 1
         for g in _tree_table(n - 1).values():
+            extended = 0  # neighbors of the leaves extended so far
             for v in range(leaf):
+                row = g.adj[v]
+                if row & (row - 1) == 0:
+                    # a leaf: swapping it with an earlier leaf of the same
+                    # neighbor is an automorphism, so that extension covers it
+                    if row & extended:
+                        continue
+                    extended |= row
                 # g with a new leaf at v
                 rows = list(g.adj)
                 rows[v] |= 1 << leaf

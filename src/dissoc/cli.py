@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+import zlib
 
 from ._version import __version__
 from .canon import DEFAULT_TREE_CAP, DEFAULT_UNICYCLIC_CAP, GENERATOR_VERSION, GENERATORS
@@ -68,24 +69,35 @@ class CorpusCache:
 
     def load(self, kind: str, n: int) -> list[Graph] | None:
         """The cached corpus, or None if absent. A file whose header is
-        missing or malformed, or disagrees with the request or with the
-        number of graphs it holds, raises ValueError."""
+        missing or malformed, disagrees with the request or with the
+        number of graphs it holds, or lacks or fails its ``crc32=``
+        checksum of the graph6 lines raises ValueError."""
         path = self._path(kind, n)
         if not os.path.exists(path):
             return None
         try:
             with open(path, "r", encoding="ascii") as fh:
-                lines = fh.read().splitlines()
-            graphs = [graph6_decode(line) for line in lines[1:] if line]
+                header, _, body = fh.read().partition("\n")
+            graphs = [graph6_decode(line) for line in body.splitlines() if line]
         except ValueError as exc:
             raise ValueError(f"corrupt corpus cache file {path}: {exc}") from None
-        header = lines[0] if lines and lines[0].startswith("#") else "#"
+        header = header if header.startswith("#") else "#"
         fields = dict(item.partition("=")[::2] for item in header[1:].split())
         want = {"class": kind, "order": str(n), "count": str(len(graphs))}
         found = {key: fields.get(key) for key in want}
         if found != want:
             raise ValueError(
                 f"corrupt corpus cache file {path}: header says {found}, request and contents say {want}"
+            )
+        if "crc32" not in fields:
+            raise ValueError(
+                f"corpus cache file {path} has no crc32= checksum, so its contents cannot be "
+                "checked (older dissoc versions wrote none); delete it to rebuild it"
+            )
+        if fields["crc32"] != _checksum(body):
+            raise ValueError(
+                f"corrupt corpus cache file {path}: its graphs do not match the crc32= checksum "
+                "in its header; delete it to rebuild it"
             )
         return graphs
 
@@ -111,10 +123,20 @@ class CorpusCache:
         self.store(*key, graphs)
 
 
+def _checksum(body: str) -> str:
+    # CRC-32, not a hashlib digest: hashlib loads OpenSSL, which adds about
+    # 4 MB of peak RSS to every process that imports it
+    return f"{zlib.crc32(body.encode('ascii')):08x}"
+
+
 def format_corpus(kind: str, n: int, graphs: list[Graph]) -> str:
-    header = f"# class={kind} order={n} count={len(graphs)} generator={GENERATOR_VERSION}"
-    lines = [header] + [graph6_encode(g).decode("ascii") for g in graphs]
-    return "\n".join(lines) + "\n"
+    """A header line, whose ``crc32=`` covers the lines after it, and one
+    graph6 line per graph."""
+    body = "".join(graph6_encode(g).decode("ascii") + "\n" for g in graphs)
+    return (
+        f"# class={kind} order={n} count={len(graphs)} generator={GENERATOR_VERSION} "
+        f"crc32={_checksum(body)}\n" + body
+    )
 
 
 def cmd_phi(args) -> int:

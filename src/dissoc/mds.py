@@ -27,6 +27,16 @@ the pendant-tree vectors are computed once and shared by every case.
 outside its subtree, and it depends on the cut cases only through the sum
 of the cycle contexts, so each pendant tree is visited once.
 
+The context of a single vertex needs no top-down pass. For a cycle vertex
+it is the cut-case chains with the cut placed beside it and the vertex's
+own vector left out; ``phi`` counts a cycle by merging that vector back in.
+Below the cycle, a child's context follows from its parent's and the
+product of its siblings, so only the path from the cycle down to the
+vertex is visited. Merging the context with the vertex's vector gives its
+triple; merging it with the vertex's vector minus one child's subtree gives
+the triple in the graph without that subtree, which is what the
+pendant-path suite compares.
+
 The backtracking enumerator ``_search`` remains in two places: behind
 ``enumerate_mds``, and for graphs with a component that has two or more
 cycles. It assigns each vertex, in label order, one of three states:
@@ -52,7 +62,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .graphs import Graph, _layout, iter_bits
+from .graphs import Graph, _layout, _unicyclic_cycle, iter_bits
 
 _OUT, _FREE, _MATCHED = 1, 2, 4
 _ALL = _OUT | _FREE | _MATCHED
@@ -267,7 +277,8 @@ def _subtrees(g: Graph, allowed: list[int], order: list[int], parent: list[int])
         p = parent[v]
         if p >= 0:
             up[v] = e = _edge(vec[v], allowed[v])
-            vec[p] = _mul(vec[p], e)
+            # a first child needs no merge: _UNIT is the identity
+            vec[p] = e if vec[p] is _UNIT else _mul(vec[p], e)
     return vec, up
 
 
@@ -275,17 +286,20 @@ def _root_value(e: tuple) -> int:
     return e[0] + e[1] + e[2]
 
 
-def _count_cycle(cyc: list[int], vec: list[tuple], allowed: list[int]) -> int:
-    a, b, inner = cyc[0], cyc[-1], cyc[-2:0:-1]
-    total = 0
+def _cut_context(cyc: list[int], vec: list[tuple], allowed: list[int]) -> list[tuple[int, tuple]]:
+    """Context of a = cyc[0] with the cycle cut at the edge (a, cyc[-1]):
+    per live cut case, the mask it puts on a and the demands on a of
+    everything outside a's pendant trees."""
+    allowed_a, allowed_b, inner = allowed[cyc[0]], allowed[cyc[-1]], cyc[-2:0:-1]
+    vec_b = vec[cyc[-1]]
+    out = []
     for need_a, mask_a, need_b, mask_b in _CUT_CASES:
-        if not (allowed[a] & mask_a and allowed[b] & mask_b):
-            continue
-        e = _edge(_mul(vec[b], need_b), allowed[b] & mask_b)
-        for v in inner:
-            e = _edge(_mul(vec[v], e), allowed[v])
-        total += _root_value(_edge(_mul(_mul(vec[a], need_a), e), allowed[a] & mask_a))
-    return total
+        if allowed_a & mask_a and allowed_b & mask_b:
+            e = _edge(_mul(vec_b, need_b), allowed_b & mask_b)
+            for v in inner:
+                e = _edge(_mul(vec[v], e), allowed[v])
+            out.append((allowed_a & mask_a, _mul(need_a, e)))
+    return out
 
 
 def _count(g: Graph, allowed: list[int]) -> int:
@@ -299,7 +313,11 @@ def _count(g: Graph, allowed: list[int]) -> int:
         if parent[v] < 0:
             total *= _root_value(_edge(vec[v], allowed[v]))
     for cyc in cycles:
-        total *= _count_cycle(cyc, vec, allowed)
+        a = vec[cyc[0]]
+        count = 0
+        for mask, c in _cut_context(cyc, vec, allowed):
+            count += _root_value(_edge(_mul(a, c), mask))
+        total *= count
     return total
 
 
@@ -327,6 +345,13 @@ def _cycle_contexts(cyc: list[int], vec: list[tuple]) -> list[list[tuple[int, tu
     return [[(mask, _vsum(vs)) for mask, vs in s.items()] for s in sums]
 
 
+def _close(ctx: list[tuple[int, tuple]], a: tuple) -> tuple:
+    """What a vertex with vector ``a`` and context ``ctx`` hands a parent
+    that does not exist: its first three slots are the (excluded,
+    degree-0, degree-1) counts of the vertex."""
+    return _vsum([_edge(_mul(c, a), mask) for mask, c in ctx])
+
+
 def _profile(g: Graph, order: list[int], parent: list[int], cycles: list[list[int]]) -> MdsProfile:
     vec, up = _subtrees(g, [_ALL] * g.n, order, parent)
     children: list[list[int]] = [[] for _ in range(g.n)]
@@ -351,15 +376,14 @@ def _profile(g: Graph, order: list[int], parent: list[int], cycles: list[list[in
             kids = children[p]
             component.extend(kids)
             ctx = context[p]
-            triples[p] = _vsum([_edge(_mul(c, vec[p]), mask) for mask, c in ctx])[:3]
+            triples[p] = _close(ctx, vec[p])[:3]
             # each child's context: the parent with every other child
             before = [_UNIT] * len(kids)
             for i in range(1, len(kids)):
                 before[i] = _mul(before[i - 1], up[kids[i - 1]])
             after = _UNIT
             for i in range(len(kids) - 1, -1, -1):
-                rest = _mul(before[i], after)
-                context[kids[i]] = [(_ALL, _vsum([_edge(_mul(c, rest), mask) for mask, c in ctx]))]
+                context[kids[i]] = [(_ALL, _close(ctx, _mul(before[i], after)))]
                 after = _mul(after, up[kids[i]])
         totals.append(sum(triples[component[0]]))
     product = 1
@@ -370,6 +394,47 @@ def _profile(g: Graph, order: list[int], parent: list[int], cycles: list[list[in
             for v in component:
                 triples[v] = tuple(x * (product // t) for x in triples[v])
     return MdsProfile(product, tuple(triples))
+
+
+def _detached_triples(g: Graph, pairs: Iterable[tuple[int, int]]) -> list[tuple[tuple, tuple]]:
+    """For each (w, u), where u hangs below its neighbor w in the leaf peel
+    of the connected unicyclic graph g: the (excluded, degree-0, degree-1)
+    triple at w in g, and the same triple in g minus u's subtree."""
+    layout = _layout(g.adj)
+    cyc = _unicyclic_cycle(layout)
+    if cyc is None:
+        raise ValueError("the pendant-path pass requires a unicyclic graph")
+    order, parent, _ = layout
+    allowed = [_ALL] * g.n
+    vec, up = _subtrees(g, allowed, order, parent)
+    children: list[list[int]] = [[] for _ in range(g.n)]
+    for v in order:
+        children[parent[v]].append(v)
+    context: dict[int, list[tuple[int, tuple]]] = {}
+
+    def without(p: int, child: int) -> tuple:
+        """p's vector with ``child``'s subtree left out."""
+        rest = _UNIT
+        for k in children[p]:
+            if k != child:
+                rest = _mul(rest, up[k])
+        return rest
+
+    def context_of(v: int) -> list[tuple[int, tuple]]:
+        if v not in context:
+            p = parent[v]
+            if p < 0:
+                i = cyc.index(v)
+                context[v] = _cut_context(cyc[i:] + cyc[:i], vec, allowed)
+            else:
+                context[v] = [(_ALL, _close(context_of(p), without(p, v)))]
+        return context[v]
+
+    out = []
+    for w, u in pairs:
+        ctx = context_of(w)
+        out.append((_close(ctx, vec[w])[:3], _close(ctx, without(w, u))[:3]))
+    return out
 
 
 def _allowed(g: Graph, constraints: Iterable[Constraint | tuple]) -> list[int]:

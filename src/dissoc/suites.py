@@ -14,6 +14,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Callable, Iterable, MutableMapping, NamedTuple, Sequence
 
 from ._version import __version__
@@ -45,7 +46,7 @@ from .graphs import (
     support_vertices,
     vset,
 )
-from .mds import Status, mds_profile, phi, phi_refined
+from .mds import Status, _detached_triples, mds_profile, phi, phi_refined
 
 IDENTITY_PAIR_SEED = 0x1D55
 IDENTITY_PAIR_COUNT = 200
@@ -341,71 +342,79 @@ def _add_leaves(g: Graph, w: int, k: int) -> Graph:
     return from_edges(g.n + k, edges)
 
 
-def check_surgery_lemma(order_cap: int, k_max: int = 3, corpus: Corpus = _generated) -> VerificationReport:
+def _surgery_instances(u_graph: Graph, k_max: int) -> tuple[list[Violation], list[dict], int]:
+    """The surgery instances on one base graph: violations, equality
+    observations and the number of instances."""
+    violations = []
+    observations = []
+    instances = 0
+    supports = support_vertices(u_graph)
+    for w in range(u_graph.n):
+        if supports >> w & 1:
+            continue
+        phi_u_minus_nw = _phi_minus(u_graph, closed_neighborhood(u_graph, w))
+        for k in range(2, k_max + 1):
+            if u_graph.n + k > 64:
+                continue
+            instances += 1
+            g1 = _add_leaves(u_graph, w, k)
+            v1 = u_graph.n
+            vk = u_graph.n + k - 1
+            edges2 = [e for e in g1.edges() if e != (w, vk)] + [(v1, vk)]
+            g2 = from_edges(g1.n, edges2)
+            p1 = mds_profile(g1)
+            p2 = mds_profile(g2)
+            phi1 = p1.total
+            phi2 = p2.total
+            if phi1 < phi2:
+                violations.append(Violation(_g6(g1), "surgery_phi_monotone", phi1, phi2))
+            c1_lhs = p2.per_vertex[w][0]
+            c1_rhs = p1.per_vertex[w][0]
+            if c1_lhs != c1_rhs:
+                violations.append(Violation(_g6(g1), "surgery_claim1", c1_lhs, c1_rhs))
+            c2_lhs = p2.per_vertex[w][2]
+            c2_rhs = p1.per_vertex[w][2] - phi_u_minus_nw
+            if c2_lhs != c2_rhs:
+                violations.append(Violation(_g6(g1), "surgery_claim2", c2_lhs, c2_rhs))
+            if phi1 == phi2:
+                cond_rhs = phi_refined(u_graph, [(w, Status.IN_DEGREE0)])
+                observations.append(
+                    {
+                        "g1": _g6(g1),
+                        "g2": _g6(g2),
+                        "base": _g6(u_graph),
+                        "w": w,
+                        "k": k,
+                        "phi": phi1,
+                        "phi_base_minus_nw": phi_u_minus_nw,
+                        "phi_base_w_deg0": cond_rhs,
+                    }
+                )
+                if phi_u_minus_nw != cond_rhs:
+                    violations.append(
+                        Violation(_g6(g1), "surgery_equality_condition", phi_u_minus_nw, cond_rhs)
+                    )
+    return violations, observations, instances
+
+
+def check_surgery_lemma(
+    order_cap: int, k_max: int = 3, corpus: Corpus = _generated, jobs: int = 1
+) -> VerificationReport:
     """Moving the last of k pendant leaves from w onto the first leaf never
     increases the count. The two refined-count claims behind the argument
     are asserted on every instance; count-preserving instances are recorded
     and must satisfy the stated necessary condition."""
     if k_max < 2:
         raise ValueError("surgery lemma needs k_max >= 2")
-    violations = []
-    observations = []
-    examined = 0
-    instances = 0
-    for m in range(3, order_cap + 1):
-        for u_graph in corpus("unicyclic", m):
-            examined += 1
-            supports = support_vertices(u_graph)
-            for w in range(u_graph.n):
-                if supports >> w & 1:
-                    continue
-                phi_u_minus_nw = _phi_minus(u_graph, closed_neighborhood(u_graph, w))
-                for k in range(2, k_max + 1):
-                    if u_graph.n + k > 64:
-                        continue
-                    instances += 1
-                    g1 = _add_leaves(u_graph, w, k)
-                    v1 = u_graph.n
-                    vk = u_graph.n + k - 1
-                    edges2 = [e for e in g1.edges() if e != (w, vk)] + [(v1, vk)]
-                    g2 = from_edges(g1.n, edges2)
-                    p1 = mds_profile(g1)
-                    p2 = mds_profile(g2)
-                    phi1 = p1.total
-                    phi2 = p2.total
-                    if phi1 < phi2:
-                        violations.append(Violation(_g6(g1), "surgery_phi_monotone", phi1, phi2))
-                    c1_lhs = p2.per_vertex[w][0]
-                    c1_rhs = p1.per_vertex[w][0]
-                    if c1_lhs != c1_rhs:
-                        violations.append(Violation(_g6(g1), "surgery_claim1", c1_lhs, c1_rhs))
-                    c2_lhs = p2.per_vertex[w][2]
-                    c2_rhs = p1.per_vertex[w][2] - phi_u_minus_nw
-                    if c2_lhs != c2_rhs:
-                        violations.append(Violation(_g6(g1), "surgery_claim2", c2_lhs, c2_rhs))
-                    if phi1 == phi2:
-                        cond_rhs = phi_refined(u_graph, [(w, Status.IN_DEGREE0)])
-                        observations.append(
-                            {
-                                "g1": _g6(g1),
-                                "g2": _g6(g2),
-                                "base": _g6(u_graph),
-                                "w": w,
-                                "k": k,
-                                "phi": phi1,
-                                "phi_base_minus_nw": phi_u_minus_nw,
-                                "phi_base_w_deg0": cond_rhs,
-                            }
-                        )
-                        if phi_u_minus_nw != cond_rhs:
-                            violations.append(
-                                Violation(_g6(g1), "surgery_equality_condition", phi_u_minus_nw, cond_rhs)
-                            )
+    graphs = [g for m in range(3, order_cap + 1) for g in corpus("unicyclic", m)]
+    results = _pmap(partial(_surgery_instances, k_max=k_max), graphs, jobs)
+    observations = [o for _, obs, _ in results for o in obs]
+    instances = sum(n for _, _, n in results)
     return VerificationReport(
         suite="surgery",
         order=f"3..{order_cap}",
-        graphs_examined=examined,
-        violations=violations,
+        graphs_examined=len(graphs),
+        violations=[v for vs, _, _ in results for v in vs],
         observations=observations
         + [{"instances": instances, "equality_instances": len(observations), "k_max": k_max}],
     )
@@ -424,22 +433,19 @@ def _pendant_path_triples(g: Graph) -> list[tuple[int, int, int]]:
 
 
 def _pendant_path_check(g: Graph) -> tuple[list[Violation], int, int]:
+    triples = _pendant_path_triples(g)
+    if not triples:
+        return [], 0, 0
     violations: list[Violation] = []
     claim2_eq = 0
-    triples = _pendant_path_triples(g)
-    profile = mds_profile(g)
-    for w, u, v in triples:
-        h, relabel = delete_vertices(g, vset([u, v]))
-        w2 = relabel[w]
-        h_excl, h_deg0, h_deg1 = (
-            phi_refined(h, [(w2, status)])
-            for status in (Status.EXCLUDED, Status.IN_DEGREE0, Status.IN_DEGREE1)
-        )
-        # every set puts w2 in exactly one status
+    # per triple: w's counts in g and in h = g - {u, v}, from one pass
+    split = _detached_triples(g, [(w, u) for w, u, _ in triples])
+    total = sum(split[0][0])
+    for (c3_lhs, c1_lhs, c2_lhs), (h_excl, h_deg0, h_deg1) in split:
+        # every set puts w in exactly one status
         phi_h = h_excl + h_deg0 + h_deg1
-        if profile.total < phi_h + 1:
-            violations.append(Violation(_g6(g), "pendant_path_drop_ge_1", profile.total, phi_h + 1))
-        c3_lhs, c1_lhs, c2_lhs = profile.per_vertex[w]
+        if total < phi_h + 1:
+            violations.append(Violation(_g6(g), "pendant_path_drop_ge_1", total, phi_h + 1))
         if c1_lhs != h_deg0:
             violations.append(Violation(_g6(g), "pendant_path_claim1", c1_lhs, h_deg0))
         c2_rhs = h_deg1 + 1
@@ -449,6 +455,13 @@ def _pendant_path_check(g: Graph) -> tuple[list[Violation], int, int]:
             claim2_eq += 1
         if c3_lhs < h_excl:
             violations.append(Violation(_g6(g), "pendant_path_claim3_ge", c3_lhs, h_excl))
+    # cross-check the pass against a pinned count of the first reduced graph
+    w, u, v = triples[0]
+    h, relabel = delete_vertices(g, vset([u, v]))
+    pinned = phi_refined(h, [(relabel[w], Status.IN_DEGREE0)])
+    h_deg0 = split[0][1][1]
+    if h_deg0 != pinned:
+        violations.append(Violation(_g6(g), "pendant_path_cross_check", h_deg0, pinned))
     return violations, claim2_eq, len(triples)
 
 
@@ -460,8 +473,7 @@ def check_pendant_path_lemma(
     if n < 5:
         raise ValueError("pendant-path lemma needs order >= 5")
     if graphs is None:
-        graphs = generate_unicyclic(n)
-    graphs = [g for g in graphs if _pendant_path_triples(g)]
+        graphs = list(generate_unicyclic(n))
     results = _pmap(_pendant_path_check, graphs, jobs)
     violations = [v for vs, _, _ in results for v in vs]
     claim2_eq = sum(eq for _, eq, _ in results)
@@ -469,7 +481,7 @@ def check_pendant_path_lemma(
     return VerificationReport(
         suite="pendant-path",
         order=str(n),
-        graphs_examined=len(graphs),
+        graphs_examined=sum(1 for _, _, t in results if t),
         violations=violations,
         observations=[
             {
@@ -642,7 +654,9 @@ SUITES = {
     "caterpillars": Suite(3, 9, False, lambda lo, hi, jobs, corpus: check_caterpillar_corollary(hi, corpus)),
     "cycle": Suite(4, 20, False, lambda lo, hi, jobs, corpus: check_cycle_lemma(lo, hi)),
     "leaf-removal": Suite(5, 11, True, lambda lo, hi, jobs, corpus: check_leaf_removal_lemma(lo)),
-    "surgery": Suite(3, 8, False, lambda lo, hi, jobs, corpus: check_surgery_lemma(hi, corpus=corpus)),
+    "surgery": Suite(
+        3, 8, False, lambda lo, hi, jobs, corpus: check_surgery_lemma(hi, corpus=corpus, jobs=jobs)
+    ),
     "pendant-path": Suite(
         5, 12, True, lambda lo, hi, jobs, corpus: check_pendant_path_lemma(lo, jobs, corpus("unicyclic", lo))
     ),

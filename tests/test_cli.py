@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from dissoc import cycle, generate_unicyclic, graph6_encode
+from dissoc import cycle, generate_unicyclic, graph6_decode, graph6_encode
 from dissoc.cli import CorpusCache, main
 from dissoc.suites import SUITES
 
@@ -187,19 +187,40 @@ def test_verify_caps_are_honoured(tmp_path, capsys):
         assert run_cli(capsys, "verify", *argv, "--cache-dir", cache)[0] == 2
 
 
-# JSON reports of the suites that read refined counts from one profile per
-# graph, as produced when they ran one search per refined count
+# JSON reports of the suites that read refined counts from one profile or
+# one targeted pass per graph, as produced when they ran one search per
+# refined count, at one and two workers
 @pytest.mark.parametrize(
     "argv, digest",
     [
         (("pendant-path", "--orders", "5..10"), "9cce3ef3a7d79bee21b6d46fcb03b705f595783a9c20bbdbaa39a296bbe01a02"),
         (("surgery",), "998fbf59e880018f043c6c17995151617c95e7d1c612ee3a9ad9a9b61dd7c4eb"),
         (("identities",), "5afdc51c7e9cc218310bc7c66ea07d61908a8f49446e96ebda22b548cf4053d5"),
+        (("pendant-path", "--orders", "5..10", "--jobs", "2"), "9cce3ef3a7d79bee21b6d46fcb03b705f595783a9c20bbdbaa39a296bbe01a02"),
+        (("surgery", "--jobs", "2"), "998fbf59e880018f043c6c17995151617c95e7d1c612ee3a9ad9a9b61dd7c4eb"),
     ],
 )
 def test_verify_json_digest(capsys, argv, digest):
     code, out, _ = run_cli(capsys, "verify", "--suite", *argv, "--format", "json")
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_swapped_cache_graph_exit_2(tmp_path, capsys):
+    # one character of the minimizer's line changed so that it still
+    # decodes: the header's count holds, only the checksum can tell
+    cache = tmp_path / "cache"
+    argv = ("verify", "--suite", "main", "--orders", "9", "--cache-dir", str(cache), "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    (minimizer, _), = json.loads(out)[0]["minimizers"]
+    (entry,) = cache.glob("unicyclic_9_*.g6")
+    lines = entry.read_text().splitlines()
+    i = lines.index(minimizer)
+    lines[i] = minimizer[0] + chr((ord(minimizer[1]) - 63 ^ 1) + 63) + minimizer[2:]
+    graph6_decode(lines[i])
+    entry.write_text("".join(line + "\n" for line in lines))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "corrupt corpus cache file" in err and str(entry) in err
 
 
 def test_verify_truncated_cache_exit_2(tmp_path, capsys):
@@ -223,6 +244,8 @@ def test_verify_truncated_cache_exit_2(tmp_path, capsys):
         lambda lines: lines + lines[1:2],  # one graph more than the count
         lambda lines: lines[:-1] + [lines[-1][:-1]],  # last line cut short
         lambda lines: [],
+        lambda lines: lines[:1] + [lines[1 + 3]] + lines[2:],  # a graph swapped for another
+        lambda lines: [lines[0].rpartition(" crc32=")[0]] + lines[1:],  # written before the checksum
     ],
 )
 def test_cache_load_rejects_malformed_file(tmp_path, edit):

@@ -29,6 +29,7 @@ from dissoc import (
 )
 from dissoc.graphs import delete_vertices, closed_neighborhood
 from dissoc import mds
+from dissoc.suites import _pendant_path_triples
 
 from oracles import count_mds_bruteforce, enumerate_mds_naive, random_connected_graph
 
@@ -209,6 +210,32 @@ def test_refined_counts_match_search_sets_on_corpora():
     # mds_profile; check_refined_counts_against_search(range(11, 13)) takes
     # it to order 12 in about half a minute
     assert check_refined_counts_against_search(range(1, 11)) == 201 + 1040
+
+
+def check_detached_triples(orders):
+    """``mds._detached_triples`` for every pendant-path triple (w, u, v) of
+    every unicyclic graph of the given orders: w's triple in g against
+    ``mds_profile``, and w's triple in g - {u, v} against three
+    ``phi_refined`` calls on that graph. Returns the number of triples."""
+    statuses = (Status.EXCLUDED, Status.IN_DEGREE0, Status.IN_DEGREE1)
+    checked = 0
+    for n in orders:
+        for g in generate_unicyclic(n):
+            triples = _pendant_path_triples(g)
+            profile = mds_profile(g)
+            pairs = mds._detached_triples(g, [(w, u) for w, u, _ in triples])
+            for (w, u, v), (in_g, in_h) in zip(triples, pairs, strict=True):
+                checked += 1
+                h, relabel = delete_vertices(g, vset([u, v]))
+                assert in_g == profile.per_vertex[w], (g, w)
+                assert in_h == tuple(phi_refined(h, [(relabel[w], s)]) for s in statuses), (g, w)
+    return checked
+
+
+def test_detached_triples_match_profile_and_reduced_graphs():
+    # pendant-path reads its claims from this pass;
+    # check_detached_triples(range(12, 14)) takes it to order 13
+    assert check_detached_triples(range(5, 12)) == 2737
 
 
 def test_every_emitted_set_is_maximal():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dissoc import generate_unicyclic, graph6_decode, phi, unicyclic_code
+from dissoc import from_edges, generate_unicyclic, graph6_decode, path, phi, unicyclic_code
 from dissoc import suites
 from dissoc.families import U_pq, extremal_unicyclic
 from dissoc.mds import MdsProfile
@@ -134,6 +134,7 @@ def test_pendant_path_on_U22():
         (1, 1, lambda: check_pendant_path_lemma(5), "pendant_path_claim1"),
         (2, -1, lambda: check_pendant_path_lemma(5), "pendant_path_claim2_ge"),
         (0, -1, lambda: check_pendant_path_lemma(5), "pendant_path_claim3_ge"),
+        (4, 1, lambda: check_pendant_path_lemma(5), "pendant_path_cross_check"),
         (0, 1, lambda: check_surgery_lemma(4, k_max=2), "surgery_claim1"),
         (2, 1, lambda: check_surgery_lemma(4, k_max=2), "surgery_claim2"),
         (0, 1, lambda: check_identity_suite(generate_unicyclic(4)), "per_vertex_decomposition"),
@@ -141,25 +142,41 @@ def test_pendant_path_on_U22():
     ],
 )
 def test_profile_checks_catch_a_skewed_profile(monkeypatch, slot, delta, run, rule):
-    # shift one entry of every per-vertex triple in the first profile taken;
-    # a check that passes anyway does not read the profile it claims to
-    real = suites.mds_profile
+    # shift one entry of every per-vertex triple in the first profile taken,
+    # or of every pair in the first targeted pass of pendant-path, whose
+    # slots 0..2 are w's triple in g and 3..5 its triple in g - {u, v}; a
+    # check that passes anyway does not read the counts it claims to
     calls = []
 
-    def skewed(g):
-        profile = real(g)
-        calls.append(g)
-        if len(calls) > 1:
-            return profile
-        rows = tuple(
-            tuple(c + delta if i == slot else c for i, c in enumerate(row)) for row in profile.per_vertex
-        )
-        return MdsProfile(profile.total, rows)
+    def shift(row, first):
+        return tuple(c + delta if first + i == slot else c for i, c in enumerate(row))
+
+    def skew_first_call(real, skew):
+        def skewed(*args):
+            result = real(*args)
+            calls.append(args)
+            return skew(result) if len(calls) == 1 else result
+
+        return skewed
+
+    def skew_profile(profile):
+        return MdsProfile(profile.total, tuple(shift(row, 0) for row in profile.per_vertex))
+
+    def skew_pairs(pairs):
+        return [(shift(in_g, 0), shift(in_h, 3)) for in_g, in_h in pairs]
 
     assert run().passed
-    monkeypatch.setattr(suites, "mds_profile", skewed)
+    monkeypatch.setattr(suites, "mds_profile", skew_first_call(suites.mds_profile, skew_profile))
+    monkeypatch.setattr(suites, "_detached_triples", skew_first_call(suites._detached_triples, skew_pairs))
     report = run()
     assert calls and rule in {v.rule for v in report.violations}
+
+
+def test_pendant_path_rejects_graphs_that_are_not_unicyclic():
+    two_cycles = from_edges(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6)])
+    for g in (path(7), two_cycles):
+        with pytest.raises(ValueError, match="unicyclic"):
+            check_pendant_path_lemma(7, graphs=[g])
 
 
 def test_case3_subcases_odd():
@@ -242,6 +259,9 @@ def test_jobs_do_not_change_reports():
     seq_pp = check_pendant_path_lemma(8, jobs=1)
     par_pp = check_pendant_path_lemma(8, jobs=2)
     assert seq_pp.to_dict() == par_pp.to_dict()
+    seq_surgery = check_surgery_lemma(6, jobs=1)
+    par_surgery = check_surgery_lemma(6, jobs=2)
+    assert seq_surgery.to_dict() == par_surgery.to_dict()
 
 
 def test_run_suite_dispatch():
