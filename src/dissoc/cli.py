@@ -21,7 +21,7 @@ from .canon import DEFAULT_TREE_CAP, DEFAULT_UNICYCLIC_CAP, GENERATOR_VERSION, G
 from .families import parse_family
 from .graphs import Graph, bit_list, graph6_decode, graph6_encode
 from .mds import Status, enumerate_mds, phi, phi_refined
-from .suites import SUITES, run_suite, suite_orders
+from .suites import SUITES, CorpusStore, run_suite, suite_orders
 
 ENV_CACHE_DIR = "DISSOC_CACHE_DIR"
 ENV_JOBS = "DISSOC_JOBS"
@@ -54,11 +54,7 @@ def _load_graph(args) -> Graph:
 
 
 class CorpusCache:
-    """graph6 corpus files keyed by (class, order, generator version).
-
-    Serves ``run_suite`` as a corpus mapping: ``get((kind, n))`` loads and
-    ``cache[kind, n] = graphs`` stores.
-    """
+    """graph6 corpus files keyed by (class, order, generator version)."""
 
     def __init__(self, directory: str):
         self.directory = directory
@@ -115,12 +111,6 @@ class CorpusCache:
         except BaseException:
             os.unlink(tmp)
             raise
-
-    def get(self, key: tuple[str, int]) -> list[Graph] | None:
-        return self.load(*key)
-
-    def __setitem__(self, key: tuple[str, int], graphs: list[Graph]) -> None:
-        self.store(*key, graphs)
 
 
 def _checksum(body: str) -> str:
@@ -210,16 +200,15 @@ def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     orders = _parse_orders(args.orders) if args.orders else None
-    corpora = CorpusCache(args.cache_dir) if args.cache_dir else None
+    cache = CorpusCache(args.cache_dir) if args.cache_dir else None
+    corpora = CorpusStore(args.tree_cap, args.unicyclic_cap, cache)
     # every domain is resolved before any suite runs, so an empty one fails
     # at once
     names = list(SUITES) if args.suite == "all" else [args.suite]
     ranges = {name: suite_orders(name, orders) for name in names}
     reports = []
     for name, resolved in ranges.items():
-        reports += run_suite(
-            name, resolved, args.jobs, corpora, tree_cap=args.tree_cap, unicyclic_cap=args.unicyclic_cap
-        )
+        reports += run_suite(name, resolved, args.jobs, corpora)
     text = _FORMATS[args.format](reports)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from itertools import combinations
 
-from .canon import tree_code
+from .canon import _dihedral_min, tree_code
 from .graphs import Graph, cycle, from_edges
 
 
@@ -60,17 +60,6 @@ def U_rt(r: int, t: int, pattern: tuple[int, ...] | None = None) -> Graph:
     return from_edges(r + t, edges)
 
 
-def _necklace_canonical(bits: tuple[int, ...]) -> tuple[int, ...]:
-    r = len(bits)
-    best = bits
-    for seq in (bits, bits[::-1]):
-        for k in range(r):
-            cand = seq[k:] + seq[:k]
-            if cand < best:
-                best = cand
-    return best
-
-
 def enumerate_U_rt_class(r: int, t: int) -> list[Graph]:
     """One representative per isomorphism class of pendant patterns.
 
@@ -82,8 +71,7 @@ def enumerate_U_rt_class(r: int, t: int) -> list[Graph]:
     reps: dict[tuple[int, ...], tuple[int, ...]] = {}
     for pattern in combinations(range(r), t):
         bits = tuple(1 if i in pattern else 0 for i in range(r))
-        canon = _necklace_canonical(bits)
-        reps.setdefault(canon, pattern)
+        reps.setdefault(_dihedral_min(bits), pattern)
     return [U_rt(r, t, reps[key]) for key in sorted(reps)]
 
 

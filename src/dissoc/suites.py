@@ -14,8 +14,8 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import partial
-from typing import Callable, Iterable, MutableMapping, NamedTuple, Sequence
+from functools import cache, partial
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ._version import __version__
 from .canon import (
@@ -53,14 +53,6 @@ IDENTITY_PAIR_COUNT = 200
 # leaf-removal checks its refined-count identity up to this order
 LEAF_IDENTITY_ORDER_CAP = 10
 
-# (kind, n) -> the tree or unicyclic corpus of order n
-Corpus = Callable[[str, int], Sequence[Graph]]
-
-
-def _generated(kind: str, n: int) -> list[Graph]:
-    """The corpus at the default caps, for checks called directly."""
-    return list(GENERATORS[kind](n))
-
 
 @dataclass
 class Violation:
@@ -88,10 +80,9 @@ class VerificationReport:
     def passed(self) -> bool:
         return not self.violations
 
-    def to_dict(self, include_runtime: bool = False) -> dict:
+    def to_dict(self) -> dict:
         out = asdict(self)
-        if not include_runtime:
-            out["runtime_ms"] = None
+        out["runtime_ms"] = None  # wall-clock time differs from run to run
         return out
 
     def summary_row(self) -> dict:
@@ -118,13 +109,20 @@ def _code(g: Graph) -> str:
     return "g6:" + _g6(g)
 
 
+@cache
+def _pool(jobs: int) -> ProcessPoolExecutor:
+    """The process's one pool of ``jobs`` workers: starting workers costs
+    more than the fan-out of many suite orders. Workers are forked at first
+    use, so they run the package as it stood then."""
+    return ProcessPoolExecutor(max_workers=jobs)
+
+
 def _pmap(fn: Callable, items: Sequence, jobs: int) -> list:
     """Order-preserving map, optionally fanned out across processes."""
     if jobs <= 1 or len(items) < 4:
         return [fn(x) for x in items]
     chunk = max(1, len(items) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+    return list(_pool(jobs).map(fn, items, chunksize=chunk))
 
 
 def _phi_minus(g: Graph, mask: int) -> int:
@@ -221,29 +219,30 @@ def check_path_corollary(n_max: int) -> VerificationReport:
     )
 
 
-def check_caterpillar_corollary(n_max: int, corpus: Corpus = _generated) -> VerificationReport:
+def check_caterpillar_corollary(n_max: int, graphs: Sequence[Graph] | None = None) -> VerificationReport:
     """Caterpillars meet the tree bound with equality exactly on the six
-    listed spiders."""
+    listed spiders. ``graphs`` are the trees of orders 3..n_max."""
+    if graphs is None:
+        graphs = [g for n in range(3, n_max + 1) for g in generate_trees(n)]
     violations = []
     minimizers = []
     examined = 0
     expected_graphs = [g for g in extremal_caterpillars() if g.n <= n_max]
     expected = sorted(((_g6(g), _code(g)) for g in expected_graphs), key=lambda p: p[1])
     expected_codes = {code for _, code in expected}
-    for n in range(3, n_max + 1):
-        bound = (n + 1) // 2 + 1
-        for g in filter(is_caterpillar, corpus("tree", n)):
-            examined += 1
-            value = phi(g)
-            if value < bound:
-                violations.append(Violation(_g6(g), "caterpillar_lower_bound", value, bound))
-            code = _code(g)
-            if value == bound:
-                minimizers.append((_g6(g), code))
-                if code not in expected_codes:
-                    violations.append(Violation(_g6(g), "unexpected_equality", value, bound))
-            elif code in expected_codes:
-                violations.append(Violation(_g6(g), "missing_equality", value, bound))
+    for g in filter(is_caterpillar, graphs):
+        examined += 1
+        bound = (g.n + 1) // 2 + 1
+        value = phi(g)
+        if value < bound:
+            violations.append(Violation(_g6(g), "caterpillar_lower_bound", value, bound))
+        code = _code(g)
+        if value == bound:
+            minimizers.append((_g6(g), code))
+            if code not in expected_codes:
+                violations.append(Violation(_g6(g), "unexpected_equality", value, bound))
+        elif code in expected_codes:
+            violations.append(Violation(_g6(g), "missing_equality", value, bound))
     return VerificationReport(
         suite="caterpillars",
         order=f"3..{n_max}",
@@ -398,15 +397,17 @@ def _surgery_instances(u_graph: Graph, k_max: int) -> tuple[list[Violation], lis
 
 
 def check_surgery_lemma(
-    order_cap: int, k_max: int = 3, corpus: Corpus = _generated, jobs: int = 1
+    order_cap: int, k_max: int = 3, graphs: Sequence[Graph] | None = None, jobs: int = 1
 ) -> VerificationReport:
     """Moving the last of k pendant leaves from w onto the first leaf never
     increases the count. The two refined-count claims behind the argument
     are asserted on every instance; count-preserving instances are recorded
-    and must satisfy the stated necessary condition."""
+    and must satisfy the stated necessary condition. ``graphs`` are the
+    unicyclic graphs of orders 3..order_cap."""
     if k_max < 2:
         raise ValueError("surgery lemma needs k_max >= 2")
-    graphs = [g for m in range(3, order_cap + 1) for g in corpus("unicyclic", m)]
+    if graphs is None:
+        graphs = [g for m in range(3, order_cap + 1) for g in generate_unicyclic(m)]
     results = _pmap(partial(_surgery_instances, k_max=k_max), graphs, jobs)
     observations = [o for _, obs, _ in results for o in obs]
     instances = sum(n for _, _, n in results)
@@ -517,10 +518,11 @@ def check_case3_subcases(n: int) -> VerificationReport:
             return "leaf"
         return "other"
 
-    orbits: dict[str, list[int]] = {}
+    # code -> (the graph extended at the orbit's first vertex, the orbit)
+    orbits: dict[str, tuple[Graph, list[int]]] = {}
     for w in range(base.n):
         extended = from_edges(base.n + 2, base.edges() + [(w, base.n), (base.n, base.n + 1)])
-        orbits.setdefault(unicyclic_code(extended).text, []).append(w)
+        orbits.setdefault(unicyclic_code(extended).text, (extended, []))[1].append(w)
 
     violations = []
     observations = []
@@ -540,12 +542,8 @@ def check_case3_subcases(n: int) -> VerificationReport:
         }
     leaf_orbit_count = 0
     for code in sorted(orbits):
-        members = orbits[code]
+        extended, members = orbits[code]
         roles = {role(w) for w in members}
-        rep = members[0]
-        extended = from_edges(
-            base.n + 2, base.edges() + [(rep, base.n), (base.n, base.n + 1)]
-        )
         value = phi(extended)
         if len(roles) != 1:
             violations.append(Violation(_g6(extended), "orbit_role_mixed", len(roles), 1))
@@ -634,35 +632,71 @@ def check_identity_suite(
     )
 
 
+class CorpusStore:
+    """The tree and unicyclic corpora of a run. Each (class, order) is
+    read from ``cache`` (an object with ``load(kind, n)`` and
+    ``store(kind, n, graphs)``, such as ``dissoc.cli.CorpusCache``) or
+    generated under its class's cap at most once, and kept. An order above
+    its cap is an error, cached or not."""
+
+    def __init__(self, tree_cap: int = DEFAULT_TREE_CAP, unicyclic_cap: int = DEFAULT_UNICYCLIC_CAP, cache=None):
+        self.caps = {"tree": tree_cap, "unicyclic": unicyclic_cap}
+        self.cache = cache
+        self.corpora: dict[tuple[str, int], list[Graph]] = {}
+
+    def graphs(self, kind: str, lo: int, hi: int) -> list[Graph]:
+        """The corpora of orders lo..hi, in order of order."""
+        return [g for n in range(lo, hi + 1) for g in self._corpus(kind, n)]
+
+    def _corpus(self, kind: str, n: int) -> list[Graph]:
+        if n > self.caps[kind]:
+            raise ValueError(f"{kind} corpus of order {n} is above its cap {self.caps[kind]}")
+        if (kind, n) not in self.corpora:
+            graphs = self.cache.load(kind, n) if self.cache else None
+            if graphs is None:
+                graphs = list(GENERATORS[kind](n, cap=self.caps[kind]))
+                if self.cache:
+                    self.cache.store(kind, n, graphs)
+            self.corpora[kind, n] = graphs
+        return self.corpora[kind, n]
+
+
 class Suite(NamedTuple):
     start: int  # smallest order of the suite's domain
     end: int  # largest order run by default
     per_order: bool  # one report per order, else one report over the range
-    # (lo, hi, jobs, corpus: Corpus) -> report; per-order suites get
+    # (lo, hi, jobs, corpora: CorpusStore) -> report; per-order suites get
     # lo == hi == n
     check: Callable[..., VerificationReport]
 
 
 SUITES = {
     "main": Suite(
-        3, 12, True, lambda lo, hi, jobs, corpus: check_main_theorem(lo, jobs, corpus("unicyclic", lo))
+        3, 12, True,
+        lambda lo, hi, jobs, corpora: check_main_theorem(lo, jobs, corpora.graphs("unicyclic", lo, lo)),
     ),
     "trees": Suite(
-        3, 12, True, lambda lo, hi, jobs, corpus: check_tree_theorem(lo, jobs, corpus("tree", lo))
+        3, 12, True, lambda lo, hi, jobs, corpora: check_tree_theorem(lo, jobs, corpora.graphs("tree", lo, lo))
     ),
-    "paths": Suite(3, 20, False, lambda lo, hi, jobs, corpus: check_path_corollary(hi)),
-    "caterpillars": Suite(3, 9, False, lambda lo, hi, jobs, corpus: check_caterpillar_corollary(hi, corpus)),
-    "cycle": Suite(4, 20, False, lambda lo, hi, jobs, corpus: check_cycle_lemma(lo, hi)),
-    "leaf-removal": Suite(5, 11, True, lambda lo, hi, jobs, corpus: check_leaf_removal_lemma(lo)),
+    "paths": Suite(3, 20, False, lambda lo, hi, jobs, corpora: check_path_corollary(hi)),
+    "caterpillars": Suite(
+        3, 9, False, lambda lo, hi, jobs, corpora: check_caterpillar_corollary(hi, corpora.graphs("tree", 3, hi))
+    ),
+    "cycle": Suite(4, 20, False, lambda lo, hi, jobs, corpora: check_cycle_lemma(lo, hi)),
+    "leaf-removal": Suite(5, 11, True, lambda lo, hi, jobs, corpora: check_leaf_removal_lemma(lo)),
     "surgery": Suite(
-        3, 8, False, lambda lo, hi, jobs, corpus: check_surgery_lemma(hi, corpus=corpus, jobs=jobs)
+        3, 8, False,
+        lambda lo, hi, jobs, corpora: check_surgery_lemma(hi, graphs=corpora.graphs("unicyclic", 3, hi), jobs=jobs),
     ),
     "pendant-path": Suite(
-        5, 12, True, lambda lo, hi, jobs, corpus: check_pendant_path_lemma(lo, jobs, corpus("unicyclic", lo))
+        5, 12, True,
+        lambda lo, hi, jobs, corpora: check_pendant_path_lemma(lo, jobs, corpora.graphs("unicyclic", lo, lo)),
     ),
-    "subcases": Suite(9, 13, True, lambda lo, hi, jobs, corpus: check_case3_subcases(lo)),
-    "identities": Suite(3, 8, False, lambda lo, hi, jobs, corpus: check_identity_suite(
-        [g for n in range(lo, hi + 1) for g in corpus("unicyclic", n)], jobs=jobs)),
+    "subcases": Suite(9, 13, True, lambda lo, hi, jobs, corpora: check_case3_subcases(lo)),
+    "identities": Suite(
+        3, 8, False,
+        lambda lo, hi, jobs, corpora: check_identity_suite(corpora.graphs("unicyclic", lo, hi), jobs=jobs),
+    ),
 }
 
 
@@ -686,37 +720,23 @@ def run_suite(
     name: str,
     orders: tuple[int, int] | None = None,
     jobs: int = 1,
-    corpora: MutableMapping[tuple[str, int], list[Graph]] | None = None,
-    tree_cap: int = DEFAULT_TREE_CAP,
-    unicyclic_cap: int = DEFAULT_UNICYCLIC_CAP,
+    corpora: CorpusStore | None = None,
 ) -> list[VerificationReport]:
     """Run one named suite over an order range; returns its timed reports.
 
     ``orders`` is resolved by ``suite_orders``. Every suite that uses a tree
-    or unicyclic corpus takes it generated under ``tree_cap`` /
-    ``unicyclic_cap``, and an order above its cap is an error. ``corpora``
-    optionally maps (class, n) to graph lists (a dict, or a
-    ``CorpusCache``): it is consulted first and receives every corpus
-    generated, so a cached corpus is reused across suites and runs.
+    or unicyclic corpus takes it from ``corpora`` (default: a new store at
+    the default caps, without a cache); one store shared by the suites of a
+    run generates or loads each corpus once.
     """
     lo, hi = suite_orders(name, orders)
     suite = SUITES[name]
-    caps = {"tree": tree_cap, "unicyclic": unicyclic_cap}
-    corpora = {} if corpora is None else corpora
-
-    def corpus(kind: str, n: int) -> list[Graph]:
-        if n > caps[kind]:
-            raise ValueError(f"{kind} corpus of order {n} is above its cap {caps[kind]}")
-        graphs = corpora.get((kind, n))
-        if graphs is None:
-            graphs = corpora[kind, n] = list(GENERATORS[kind](n, cap=caps[kind]))
-        return graphs
-
+    corpora = CorpusStore() if corpora is None else corpora
     ranges = [(n, n) for n in range(lo, hi + 1)] if suite.per_order else [(lo, hi)]
     reports = []
     for a, b in ranges:
         t0 = time.perf_counter()
-        report = suite.check(a, b, jobs, corpus)
+        report = suite.check(a, b, jobs, corpora)
         report.runtime_ms = (time.perf_counter() - t0) * 1000
         reports.append(report)
     return reports

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from dissoc import cycle, generate_unicyclic, graph6_decode, graph6_encode
+from dissoc import cycle, generate_unicyclic, graph6_decode, graph6_encode, suites
 from dissoc.cli import CorpusCache, main
 from dissoc.suites import SUITES
 
@@ -187,9 +187,14 @@ def test_verify_caps_are_honoured(tmp_path, capsys):
         assert run_cli(capsys, "verify", *argv, "--cache-dir", cache)[0] == 2
 
 
+# ``verify --suite all --format json`` at default orders: the reports must
+# stay byte-identical across worker counts, cache use and refactors
+VERIFY_ALL_DIGEST = "7fbf6fdedf1742580c495cc539d090cc13497e5e420fee851f61df192cefe883"
+
+
 # JSON reports of the suites that read refined counts from one profile or
 # one targeted pass per graph, as produced when they ran one search per
-# refined count, at one and two workers
+# refined count, at one and two workers; and of every suite at one worker
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -198,11 +203,40 @@ def test_verify_caps_are_honoured(tmp_path, capsys):
         (("identities",), "5afdc51c7e9cc218310bc7c66ea07d61908a8f49446e96ebda22b548cf4053d5"),
         (("pendant-path", "--orders", "5..10", "--jobs", "2"), "9cce3ef3a7d79bee21b6d46fcb03b705f595783a9c20bbdbaa39a296bbe01a02"),
         (("surgery", "--jobs", "2"), "998fbf59e880018f043c6c17995151617c95e7d1c612ee3a9ad9a9b61dd7c4eb"),
+        (("all",), VERIFY_ALL_DIGEST),
     ],
 )
 def test_verify_json_digest(capsys, argv, digest):
     code, out, _ = run_cli(capsys, "verify", "--suite", *argv, "--format", "json")
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_all_shares_one_store_and_one_pool(tmp_path, capsys, monkeypatch):
+    # every (class, order) file of a warm cache is read once, and both runs
+    # fan out through one pool, with the reports unchanged
+    loads, pools = [], []
+    load = CorpusCache.load
+    monkeypatch.setattr(CorpusCache, "load", lambda self, kind, n: loads.append((kind, n)) or load(self, kind, n))
+
+    class CountedPool(suites.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", CountedPool)
+    suites._pool.cache_clear()
+    argv = ("verify", "--suite", "all", "--jobs", "2", "--cache-dir", str(tmp_path), "--format", "json")
+    try:
+        for _ in ("cold", "warm"):
+            loads.clear()
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGEST
+            assert len(pools) == 1
+    finally:
+        suites._pool.cache_clear()
+        for pool in pools:
+            pool.shutdown()
+    assert sorted(loads) == sorted(set(loads)) and len(loads) == 20
 
 
 def test_verify_swapped_cache_graph_exit_2(tmp_path, capsys):

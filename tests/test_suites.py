@@ -8,6 +8,7 @@ from dissoc.families import U_pq, extremal_unicyclic
 from dissoc.mds import MdsProfile
 from dissoc.suites import (
     SUITES,
+    CorpusStore,
     Violation,
     check_case3_subcases,
     check_caterpillar_corollary,
@@ -275,9 +276,13 @@ def test_run_suite_dispatch():
 
 
 def test_run_suite_uses_supplied_corpora():
-    graphs = list(generate_unicyclic(5))
-    reports = run_suite("main", orders=(5, 5), corpora={("unicyclic", 5): graphs})
+    # a store that already holds part of a corpus hands exactly that part on
+    graphs = list(generate_unicyclic(5))[:3]
+    store = CorpusStore()
+    store.corpora["unicyclic", 5] = graphs
+    reports = run_suite("main", orders=(5, 5), corpora=store)
     assert reports[0].graphs_examined == len(graphs)
+    assert store.corpora == {("unicyclic", 5): graphs}
 
 
 def test_expected_minimizers_attain_bound():
