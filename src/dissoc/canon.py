@@ -260,9 +260,6 @@ def _assemble_unicyclic(n: int, pieces: list[tuple[Graph, int]]) -> Graph:
     return _trusted(n, tuple(rows))
 
 
-_unicyclic_memo: dict[int, list[Graph]] = {}
-
-
 def generate_unicyclic(n: int, cap: int | None = None) -> Iterator[Graph]:
     """One representative per isomorphism class of unicyclic graphs of order n.
 
@@ -276,9 +273,6 @@ def generate_unicyclic(n: int, cap: int | None = None) -> Iterator[Graph]:
         raise ValueError(f"unicyclic generation supports 1 <= n <= {cap}")
     if n < 3:
         return
-    if n in _unicyclic_memo:
-        yield from _unicyclic_memo[n]
-        return
     # rank every rooted code once: rank order is code order, so tuples of
     # ranks sort and compare like the code tuples
     pieces: list[tuple[Graph, int]] = []
@@ -286,7 +280,6 @@ def generate_unicyclic(n: int, cap: int | None = None) -> Iterator[Graph]:
     for key, size in sorted((key, size) for size in range(1, n - 1) for key in _rooted_table(size)):
         ranks_by_size.setdefault(size, []).append(len(pieces))
         pieces.append(_rooted_table(size)[key])
-    out: list[Graph] = []
     for r in range(3, n + 1):
         batch: list[tuple[int, ...]] = []
         for sizes in _compositions(n, r):
@@ -300,9 +293,7 @@ def generate_unicyclic(n: int, cap: int | None = None) -> Iterator[Graph]:
                         batch.append(combo)
         batch.sort()
         for combo in batch:
-            out.append(_assemble_unicyclic(n, [pieces[k] for k in combo]))
-    _unicyclic_memo[n] = out
-    yield from out
+            yield _assemble_unicyclic(n, [pieces[k] for k in combo])
 
 
 # class name -> generator, shared by the ``gen`` command and the suite runner

@@ -152,8 +152,7 @@ def cmd_mds(args) -> int:
 def cmd_gen(args) -> int:
     kind = args.klass
     n = args.order
-    cap = args.tree_cap if kind in ("tree", "caterpillar") else args.unicyclic_cap
-    graphs = list(GENERATORS[kind](n, cap=cap))
+    graphs = CorpusStore(args.tree_cap, args.unicyclic_cap).graphs(kind, n, n)
     text = format_corpus(kind, n, graphs)
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
@@ -260,7 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--jobs",
         type=int,
-        default=int(os.environ.get(ENV_JOBS, "1")),
+        # argparse converts a string default only when verify is parsed, so a
+        # bad DISSOC_JOBS is a usage error of verify alone
+        default=os.environ.get(ENV_JOBS, "1"),
         help="worker processes (default 1, env DISSOC_JOBS)",
     )
     p_ver.add_argument("--format", choices=sorted(_FORMATS), default="text")

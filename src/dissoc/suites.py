@@ -14,24 +14,15 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import cache, partial
+from functools import cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ._version import __version__
-from .canon import (
-    DEFAULT_TREE_CAP,
-    DEFAULT_UNICYCLIC_CAP,
-    GENERATORS,
-    generate_trees,
-    generate_unicyclic,
-    tree_code,
-    unicyclic_code,
-)
+from .canon import DEFAULT_TREE_CAP, DEFAULT_UNICYCLIC_CAP, GENERATORS, _tree_text, unicyclic_code
 from .families import U_pq, enumerate_U_rt_class, extremal_caterpillars, extremal_trees, extremal_unicyclic
 from .graphs import (
     Graph,
     bit_list,
-    classify,
     closed_neighborhood,
     cycle,
     degree,
@@ -50,6 +41,8 @@ from .mds import Status, _detached_triples, mds_profile, phi, phi_refined
 
 IDENTITY_PAIR_SEED = 0x1D55
 IDENTITY_PAIR_COUNT = 200
+# surgery moves the last of k = 2..SURGERY_K_MAX pendant leaves
+SURGERY_K_MAX = 3
 # leaf-removal checks its refined-count identity up to this order
 LEAF_IDENTITY_ORDER_CAP = 10
 
@@ -101,12 +94,14 @@ def _g6(g: Graph) -> str:
 
 
 def _code(g: Graph) -> str:
-    kind = classify(g).kind
-    if kind == "tree":
-        return tree_code(g).text
-    if kind == "unicyclic":
-        return unicyclic_code(g).text
-    return "g6:" + _g6(g)
+    """Canonical code text of a tree or unicyclic graph."""
+    text = _tree_text(g.adj)
+    return unicyclic_code(g).text if text is None else text
+
+
+def _coded(graphs: Iterable[Graph]) -> list[tuple[str, str]]:
+    """(graph6, code) of each graph, sorted by code."""
+    return sorted(((_g6(g), _code(g)) for g in graphs), key=lambda pair: pair[1])
 
 
 @cache
@@ -147,11 +142,8 @@ def _minimizer_report(
         if value < bound:
             violations.append(Violation(_g6(g), "phi_lower_bound", value, bound))
     min_phi = min(phis) if phis else 0
-    minimizers = sorted(
-        ((_g6(g), _code(g)) for g, value in zip(graphs, phis) if value == min_phi),
-        key=lambda pair: pair[1],
-    )
-    expected_min = sorted(((_g6(g), _code(g)) for g in expected), key=lambda p: p[1])
+    minimizers = _coded(g for g, value in zip(graphs, phis) if value == min_phi)
+    expected_min = _coded(expected)
     actual_codes = {code for _, code in minimizers}
     expected_codes = {code for _, code in expected_min}
     if min_phi != bound:
@@ -174,30 +166,27 @@ def _minimizer_report(
     )
 
 
-def check_main_theorem(n: int, jobs: int = 1, graphs: Sequence[Graph] | None = None) -> VerificationReport:
+def check_main_theorem(n: int, corpora: CorpusStore, jobs: int = 1) -> VerificationReport:
     """Every unicyclic graph of order n has at least floor(n/2)+2 maximal
     dissociation sets, with the predicted minimizer set exactly attained."""
-    if graphs is None:
-        graphs = list(generate_unicyclic(n))
+    graphs = corpora.graphs("unicyclic", n, n)
     phis = _pmap(phi, graphs, jobs)
     return _minimizer_report("main", n, graphs, phis, n // 2 + 2, extremal_unicyclic(n))
 
 
-def check_tree_theorem(n: int, jobs: int = 1, graphs: Sequence[Graph] | None = None) -> VerificationReport:
+def check_tree_theorem(n: int, corpora: CorpusStore, jobs: int = 1) -> VerificationReport:
     """Every tree of order n has at least ceil(n/2)+1 maximal dissociation
     sets, with minimizers exactly the predicted spiders."""
-    if graphs is None:
-        graphs = list(generate_trees(n))
+    graphs = corpora.graphs("tree", n, n)
     phis = _pmap(phi, graphs, jobs)
     return _minimizer_report("trees", n, graphs, phis, (n + 1) // 2 + 1, extremal_trees(n))
 
 
-def check_path_corollary(n_max: int) -> VerificationReport:
+def check_path_corollary(lo: int, hi: int) -> VerificationReport:
     """Paths meet the tree bound with equality exactly at orders 3, 4, 5."""
     violations = []
     minimizers = []
-    expected = []
-    for n in range(3, n_max + 1):
+    for n in range(lo, hi + 1):
         g = path(n)
         bound = (n + 1) // 2 + 1
         value = phi(g)
@@ -206,34 +195,28 @@ def check_path_corollary(n_max: int) -> VerificationReport:
         if (value == bound) != (n in (3, 4, 5)):
             violations.append(Violation(_g6(g), "path_equality_set", value, bound))
         if value == bound:
-            minimizers.append((_g6(g), _code(g)))
-        if n in (3, 4, 5):
-            expected.append((_g6(g), _code(g)))
+            minimizers.append(g)
     return VerificationReport(
         suite="paths",
-        order=f"3..{n_max}",
-        graphs_examined=max(0, n_max - 2),
-        minimizers=sorted(minimizers, key=lambda p: p[1]),
-        expected_minimizers=sorted(expected, key=lambda p: p[1]),
+        order=f"{lo}..{hi}",
+        graphs_examined=max(0, hi - lo + 1),
+        minimizers=_coded(minimizers),
+        expected_minimizers=_coded(path(n) for n in (3, 4, 5) if lo <= n <= hi),
         violations=violations,
     )
 
 
-def check_caterpillar_corollary(n_max: int, graphs: Sequence[Graph] | None = None) -> VerificationReport:
+def check_caterpillar_corollary(lo: int, hi: int, corpora: CorpusStore, jobs: int = 1) -> VerificationReport:
     """Caterpillars meet the tree bound with equality exactly on the six
-    listed spiders. ``graphs`` are the trees of orders 3..n_max."""
-    if graphs is None:
-        graphs = [g for n in range(3, n_max + 1) for g in generate_trees(n)]
+    listed spiders."""
+    graphs = list(filter(is_caterpillar, corpora.graphs("tree", lo, hi)))
+    phis = _pmap(phi, graphs, jobs)
     violations = []
     minimizers = []
-    examined = 0
-    expected_graphs = [g for g in extremal_caterpillars() if g.n <= n_max]
-    expected = sorted(((_g6(g), _code(g)) for g in expected_graphs), key=lambda p: p[1])
+    expected = _coded(g for g in extremal_caterpillars() if lo <= g.n <= hi)
     expected_codes = {code for _, code in expected}
-    for g in filter(is_caterpillar, graphs):
-        examined += 1
+    for g, value in zip(graphs, phis):
         bound = (g.n + 1) // 2 + 1
-        value = phi(g)
         if value < bound:
             violations.append(Violation(_g6(g), "caterpillar_lower_bound", value, bound))
         code = _code(g)
@@ -245,23 +228,22 @@ def check_caterpillar_corollary(n_max: int, graphs: Sequence[Graph] | None = Non
             violations.append(Violation(_g6(g), "missing_equality", value, bound))
     return VerificationReport(
         suite="caterpillars",
-        order=f"3..{n_max}",
-        graphs_examined=examined,
+        order=f"{lo}..{hi}",
+        graphs_examined=len(graphs),
         minimizers=sorted(minimizers, key=lambda p: p[1]),
         expected_minimizers=expected,
         violations=violations,
     )
 
 
-def check_cycle_lemma(n_min: int = 4, n_max: int = 20) -> VerificationReport:
+def check_cycle_lemma(lo: int, hi: int) -> VerificationReport:
     """phi(C_n) exceeds phi(P_{n-1}) by at least 1, exactly 1 only at n=6,
     and by at least 2 beyond n=6."""
-    if n_min < 4:
-        raise ValueError("cycle lemma needs n_min >= 4")
+    if lo < 4:
+        raise ValueError("cycle lemma needs orders >= 4")
     violations = []
     minimizers = []
-    expected = []
-    for n in range(n_min, n_max + 1):
+    for n in range(lo, hi + 1):
         g = cycle(n)
         diff = phi(g) - phi(path(n - 1))
         if diff < 1:
@@ -271,15 +253,13 @@ def check_cycle_lemma(n_min: int = 4, n_max: int = 20) -> VerificationReport:
         if n > 6 and diff < 2:
             violations.append(Violation(_g6(g), "cycle_gap_ge_2_beyond_6", diff, 2))
         if diff == 1:
-            minimizers.append((_g6(g), _code(g)))
-        if n == 6:
-            expected.append((_g6(g), _code(g)))
+            minimizers.append(g)
     return VerificationReport(
         suite="cycle",
-        order=f"{n_min}..{n_max}",
-        graphs_examined=max(0, n_max - n_min + 1),
-        minimizers=minimizers,
-        expected_minimizers=expected,
+        order=f"{lo}..{hi}",
+        graphs_examined=max(0, hi - lo + 1),
+        minimizers=_coded(minimizers),
+        expected_minimizers=_coded([cycle(6)] if lo <= 6 <= hi else []),
         violations=violations,
     )
 
@@ -341,7 +321,7 @@ def _add_leaves(g: Graph, w: int, k: int) -> Graph:
     return from_edges(g.n + k, edges)
 
 
-def _surgery_instances(u_graph: Graph, k_max: int) -> tuple[list[Violation], list[dict], int]:
+def _surgery_instances(u_graph: Graph) -> tuple[list[Violation], list[dict], int]:
     """The surgery instances on one base graph: violations, equality
     observations and the number of instances."""
     violations = []
@@ -352,7 +332,7 @@ def _surgery_instances(u_graph: Graph, k_max: int) -> tuple[list[Violation], lis
         if supports >> w & 1:
             continue
         phi_u_minus_nw = _phi_minus(u_graph, closed_neighborhood(u_graph, w))
-        for k in range(2, k_max + 1):
+        for k in range(2, SURGERY_K_MAX + 1):
             if u_graph.n + k > 64:
                 continue
             instances += 1
@@ -396,28 +376,23 @@ def _surgery_instances(u_graph: Graph, k_max: int) -> tuple[list[Violation], lis
     return violations, observations, instances
 
 
-def check_surgery_lemma(
-    order_cap: int, k_max: int = 3, graphs: Sequence[Graph] | None = None, jobs: int = 1
-) -> VerificationReport:
+def check_surgery_lemma(lo: int, hi: int, corpora: CorpusStore, jobs: int = 1) -> VerificationReport:
     """Moving the last of k pendant leaves from w onto the first leaf never
-    increases the count. The two refined-count claims behind the argument
-    are asserted on every instance; count-preserving instances are recorded
-    and must satisfy the stated necessary condition. ``graphs`` are the
-    unicyclic graphs of orders 3..order_cap."""
-    if k_max < 2:
-        raise ValueError("surgery lemma needs k_max >= 2")
-    if graphs is None:
-        graphs = [g for m in range(3, order_cap + 1) for g in generate_unicyclic(m)]
-    results = _pmap(partial(_surgery_instances, k_max=k_max), graphs, jobs)
+    increases the count, on the unicyclic graphs of orders lo..hi. The two
+    refined-count claims behind the argument are asserted on every instance;
+    count-preserving instances are recorded and must satisfy the stated
+    necessary condition."""
+    graphs = corpora.graphs("unicyclic", lo, hi)
+    results = _pmap(_surgery_instances, graphs, jobs)
     observations = [o for _, obs, _ in results for o in obs]
     instances = sum(n for _, _, n in results)
     return VerificationReport(
         suite="surgery",
-        order=f"3..{order_cap}",
+        order=f"{lo}..{hi}",
         graphs_examined=len(graphs),
         violations=[v for vs, _, _ in results for v in vs],
         observations=observations
-        + [{"instances": instances, "equality_instances": len(observations), "k_max": k_max}],
+        + [{"instances": instances, "equality_instances": len(observations), "k_max": SURGERY_K_MAX}],
     )
 
 
@@ -466,16 +441,12 @@ def _pendant_path_check(g: Graph) -> tuple[list[Violation], int, int]:
     return violations, claim2_eq, len(triples)
 
 
-def check_pendant_path_lemma(
-    n: int, jobs: int = 1, graphs: Sequence[Graph] | None = None
-) -> VerificationReport:
+def check_pendant_path_lemma(n: int, corpora: CorpusStore, jobs: int = 1) -> VerificationReport:
     """Deleting a pendant path of length two (leaf plus its degree-2
     support) drops the count by at least 1 on every unicyclic graph."""
     if n < 5:
         raise ValueError("pendant-path lemma needs order >= 5")
-    if graphs is None:
-        graphs = list(generate_unicyclic(n))
-    results = _pmap(_pendant_path_check, graphs, jobs)
+    results = _pmap(_pendant_path_check, corpora.graphs("unicyclic", n, n), jobs)
     violations = [v for vs, _, _ in results for v in vs]
     claim2_eq = sum(eq for _, eq, _ in results)
     total = sum(t for _, _, t in results)
@@ -597,21 +568,16 @@ def _identity_check(g: Graph) -> list[Violation]:
     return violations
 
 
-def check_identity_suite(
-    corpus: Iterable[Graph],
-    pair_count: int = IDENTITY_PAIR_COUNT,
-    seed: int = IDENTITY_PAIR_SEED,
-    jobs: int = 1,
-) -> VerificationReport:
+def check_identity_suite(lo: int, hi: int, corpora: CorpusStore, jobs: int = 1) -> VerificationReport:
     """Per-vertex decomposition, support-vertex vanishing, deletion
-    inequalities on every corpus graph, and multiplicativity on seeded
-    random disjoint-union pairs drawn from the corpus."""
-    graphs = list(corpus)
+    inequalities on every unicyclic graph of orders lo..hi, and
+    multiplicativity on seeded random disjoint-union pairs drawn from them."""
+    graphs = corpora.graphs("unicyclic", lo, hi)
     results = _pmap(_identity_check, graphs, jobs)
     violations = [v for vs in results for v in vs]
-    rng = random.Random(seed)
+    rng = random.Random(IDENTITY_PAIR_SEED)
     pairs_done = 0
-    while pairs_done < pair_count and graphs:
+    while pairs_done < IDENTITY_PAIR_COUNT and graphs:
         g = rng.choice(graphs)
         h = rng.choice(graphs)
         if g.n + h.n > 64:
@@ -628,19 +594,19 @@ def check_identity_suite(
         order=f"corpus[{len(graphs)}]",
         graphs_examined=len(graphs),
         violations=violations,
-        observations=[{"union_pairs": pairs_done, "seed": seed}],
+        observations=[{"union_pairs": pairs_done, "seed": IDENTITY_PAIR_SEED}],
     )
 
 
 class CorpusStore:
-    """The tree and unicyclic corpora of a run. Each (class, order) is
-    read from ``cache`` (an object with ``load(kind, n)`` and
-    ``store(kind, n, graphs)``, such as ``dissoc.cli.CorpusCache``) or
-    generated under its class's cap at most once, and kept. An order above
-    its cap is an error, cached or not."""
+    """The corpora of a run, by class (a key of ``canon.GENERATORS``). Each
+    (class, order) is read from ``cache`` (an object with ``load(kind, n)``
+    and ``store(kind, n, graphs)``, such as ``dissoc.cli.CorpusCache``) or
+    generated under its class's cap at most once, and kept. Caterpillars
+    take the tree cap. An order above its cap is an error, cached or not."""
 
     def __init__(self, tree_cap: int = DEFAULT_TREE_CAP, unicyclic_cap: int = DEFAULT_UNICYCLIC_CAP, cache=None):
-        self.caps = {"tree": tree_cap, "unicyclic": unicyclic_cap}
+        self.caps = {"tree": tree_cap, "caterpillar": tree_cap, "unicyclic": unicyclic_cap}
         self.cache = cache
         self.corpora: dict[tuple[str, int], list[Graph]] = {}
 
@@ -664,39 +630,22 @@ class CorpusStore:
 class Suite(NamedTuple):
     start: int  # smallest order of the suite's domain
     end: int  # largest order run by default
-    per_order: bool  # one report per order, else one report over the range
-    # (lo, hi, jobs, corpora: CorpusStore) -> report; per-order suites get
-    # lo == hi == n
+    per_order: bool  # check(n, ...) once per order, else check(lo, hi, ...) once
+    corpus: bool  # the check takes (corpora: CorpusStore, jobs) after its orders
     check: Callable[..., VerificationReport]
 
 
 SUITES = {
-    "main": Suite(
-        3, 12, True,
-        lambda lo, hi, jobs, corpora: check_main_theorem(lo, jobs, corpora.graphs("unicyclic", lo, lo)),
-    ),
-    "trees": Suite(
-        3, 12, True, lambda lo, hi, jobs, corpora: check_tree_theorem(lo, jobs, corpora.graphs("tree", lo, lo))
-    ),
-    "paths": Suite(3, 20, False, lambda lo, hi, jobs, corpora: check_path_corollary(hi)),
-    "caterpillars": Suite(
-        3, 9, False, lambda lo, hi, jobs, corpora: check_caterpillar_corollary(hi, corpora.graphs("tree", 3, hi))
-    ),
-    "cycle": Suite(4, 20, False, lambda lo, hi, jobs, corpora: check_cycle_lemma(lo, hi)),
-    "leaf-removal": Suite(5, 11, True, lambda lo, hi, jobs, corpora: check_leaf_removal_lemma(lo)),
-    "surgery": Suite(
-        3, 8, False,
-        lambda lo, hi, jobs, corpora: check_surgery_lemma(hi, graphs=corpora.graphs("unicyclic", 3, hi), jobs=jobs),
-    ),
-    "pendant-path": Suite(
-        5, 12, True,
-        lambda lo, hi, jobs, corpora: check_pendant_path_lemma(lo, jobs, corpora.graphs("unicyclic", lo, lo)),
-    ),
-    "subcases": Suite(9, 13, True, lambda lo, hi, jobs, corpora: check_case3_subcases(lo)),
-    "identities": Suite(
-        3, 8, False,
-        lambda lo, hi, jobs, corpora: check_identity_suite(corpora.graphs("unicyclic", lo, hi), jobs=jobs),
-    ),
+    "main": Suite(3, 12, True, True, check_main_theorem),
+    "trees": Suite(3, 12, True, True, check_tree_theorem),
+    "paths": Suite(3, 20, False, False, check_path_corollary),
+    "caterpillars": Suite(3, 9, False, True, check_caterpillar_corollary),
+    "cycle": Suite(4, 20, False, False, check_cycle_lemma),
+    "leaf-removal": Suite(5, 11, True, False, check_leaf_removal_lemma),
+    "surgery": Suite(3, 8, False, True, check_surgery_lemma),
+    "pendant-path": Suite(5, 12, True, True, check_pendant_path_lemma),
+    "subcases": Suite(9, 13, True, False, check_case3_subcases),
+    "identities": Suite(3, 8, False, True, check_identity_suite),
 }
 
 
@@ -732,11 +681,12 @@ def run_suite(
     lo, hi = suite_orders(name, orders)
     suite = SUITES[name]
     corpora = CorpusStore() if corpora is None else corpora
-    ranges = [(n, n) for n in range(lo, hi + 1)] if suite.per_order else [(lo, hi)]
+    extra = (corpora, jobs) if suite.corpus else ()
+    ranges = [(n,) for n in range(lo, hi + 1)] if suite.per_order else [(lo, hi)]
     reports = []
-    for a, b in ranges:
+    for args in ranges:
         t0 = time.perf_counter()
-        report = suite.check(a, b, jobs, corpora)
+        report = suite.check(*args, *extra)
         report.runtime_ms = (time.perf_counter() - t0) * 1000
         reports.append(report)
     return reports

@@ -13,8 +13,6 @@ from dissoc import (
     U_pq,
     cycle,
     enumerate_mds,
-    generate_trees,
-    generate_unicyclic,
     graph6_decode,
     graph6_encode,
     path,
@@ -24,6 +22,9 @@ from dissoc import (
 )
 from dissoc.families import extremal_caterpillars, extremal_trees, extremal_unicyclic
 from dissoc.suites import (
+    IDENTITY_PAIR_COUNT,
+    SURGERY_K_MAX,
+    CorpusStore,
     check_case3_subcases,
     check_caterpillar_corollary,
     check_cycle_lemma,
@@ -46,24 +47,28 @@ from oracles import (
 )
 
 
+# one store for the module: each corpus is generated once
+CORPORA = CorpusStore()
+
+
 def _report(num: int, text: str) -> None:
     print(f"PASS criterion {num:02d}: {text}")
 
 
 @pytest.fixture(scope="module")
 def unicyclic_by_n():
-    return {n: list(generate_unicyclic(n)) for n in range(3, 13)}
+    return {n: CORPORA.graphs("unicyclic", n, n) for n in range(3, 13)}
 
 
 @pytest.fixture(scope="module")
 def trees_by_n():
-    return {n: list(generate_trees(n)) for n in range(1, 13)}
+    return {n: CORPORA.graphs("tree", n, n) for n in range(1, 13)}
 
 
-def test_criterion_01_main_theorem_exhaustive(unicyclic_by_n):
+def test_criterion_01_main_theorem_exhaustive():
     t0 = time.perf_counter()
     for n in range(3, 13):
-        report = check_main_theorem(n, graphs=unicyclic_by_n[n])
+        report = check_main_theorem(n, CORPORA)
         assert report.passed, (n, report.violations[:3])
         assert report.min_phi == n // 2 + 2
         expected_sizes = {3: 1, 4: 1, 5: 1, 6: 3, 7: 1, 8: 2, 9: 1, 10: 1, 11: 1, 12: 1}
@@ -73,14 +78,14 @@ def test_criterion_01_main_theorem_exhaustive(unicyclic_by_n):
     elapsed = time.perf_counter() - t0
     assert elapsed < 300  # stated single-threaded runtime target
     # optional stretch order
-    report13 = check_main_theorem(13)
+    report13 = check_main_theorem(13, CORPORA)
     assert report13.passed and report13.min_phi == 8 and len(report13.minimizers) == 1
     _report(1, f"main theorem exhaustive for n=3..12 (+13) in {elapsed:.1f}s")
 
 
-def test_criterion_02_tree_bound(trees_by_n):
+def test_criterion_02_tree_bound():
     for n in range(3, 13):
-        report = check_tree_theorem(n, graphs=trees_by_n[n])
+        report = check_tree_theorem(n, CORPORA)
         assert report.passed, (n, report.violations[:3])
         assert report.min_phi == (n + 1) // 2 + 1
         expected_codes = sorted(tree_code(g).text for g in extremal_trees(n))
@@ -96,7 +101,7 @@ def test_criterion_03_path_and_caterpillar_corollaries():
             assert value == bound, n
         else:
             assert value > bound, n
-    report = check_caterpillar_corollary(9)
+    report = check_caterpillar_corollary(3, 9, CORPORA)
     assert report.passed, report.violations[:3]
     assert len(report.minimizers) == 6
     assert len(extremal_caterpillars()) == 6
@@ -120,7 +125,7 @@ def test_criterion_05_leaf_removal():
 
 
 def test_criterion_06_surgery():
-    report = check_surgery_lemma(8, k_max=3)
+    report = check_surgery_lemma(3, 8, CORPORA)
     assert report.passed, report.violations[:3]
     equalities = [o for o in report.observations if "g1" in o]
     for obs in equalities:
@@ -128,14 +133,14 @@ def test_criterion_06_surgery():
     tail = report.observations[-1]
     _report(
         6,
-        f"surgery monotone on {tail['instances']} instances (order<=8, k<=3), "
+        f"surgery monotone on {tail['instances']} instances (order<=8, k<={SURGERY_K_MAX}), "
         f"both claims exact, {tail['equality_instances']} equality instances all satisfy the condition",
     )
 
 
 def test_criterion_07_pendant_path():
     for n in range(5, 13):
-        report = check_pendant_path_lemma(n)
+        report = check_pendant_path_lemma(n, CORPORA)
         assert report.passed, (n, report.violations[:3])
     _report(7, "pendant-path drop >= 1 on all unicyclic graphs of order <= 12 with the shape")
 
@@ -198,15 +203,14 @@ def test_criterion_10_enumerator_soundness(unicyclic_by_n, trees_by_n):
     )
 
 
-def test_criterion_11_identity_suite(unicyclic_by_n):
-    corpus = [g for n in range(3, 9) for g in unicyclic_by_n[n]]
-    report = check_identity_suite(corpus, pair_count=200)
+def test_criterion_11_identity_suite():
+    report = check_identity_suite(3, 8, CORPORA)
     assert report.passed, report.violations[:3]
-    assert report.observations[0]["union_pairs"] == 200
+    assert report.observations[0]["union_pairs"] == IDENTITY_PAIR_COUNT == 200
     _report(
         11,
         f"decomposition, multiplicativity, support vanishing, deletion bounds "
-        f"on {len(corpus)} unicyclic graphs (order<=8) and 200 union pairs",
+        f"on {report.graphs_examined} unicyclic graphs (order<=8) and 200 union pairs",
     )
 
 

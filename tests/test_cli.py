@@ -82,6 +82,11 @@ def test_gen_tree7_count(tmp_path, capsys):
 def test_gen_cap_exceeded(capsys):
     code, _, err = run_cli(capsys, "gen", "--class", "unicyclic", "--order", "20")
     assert code == 2
+    # caterpillars take the tree cap
+    code, _, err = run_cli(capsys, "gen", "--class", "caterpillar", "--order", "6", "--tree-cap", "5")
+    assert code == 2 and "cap 5" in err
+    code, _, err = run_cli(capsys, "gen", "--class", "caterpillar", "--order", "6", "--unicyclic-cap", "5")
+    assert code == 0 and "count 6" in err
 
 
 def test_verify_exit_codes_and_text(capsys):
@@ -134,6 +139,24 @@ def test_verify_corpus_cache(tmp_path, capsys):
         "--cache-dir", str(cache),
     )
     assert code == 0 and out.count("[PASS]") == 2
+
+
+def test_bad_jobs_env_fails_verify_only(capsys, monkeypatch):
+    monkeypatch.setenv("DISSOC_JOBS", "x")
+    code, out, _ = run_cli(capsys, "phi", "--family", "P(3)")
+    assert code == 0 and out.strip() == "3"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "paths"])
+    assert exc.value.code == 2 and "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "suite, orders, graphs",
+    [("paths", "10..12", 3), ("caterpillars", "6..7", 16), ("surgery", "5..6", 18)],
+)
+def test_verify_range_suites_start_at_the_given_order(capsys, suite, orders, graphs):
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--orders", orders)
+    assert code == 0 and out.startswith(f"[PASS] {suite} n={orders} graphs={graphs} ")
 
 
 def test_verify_unknown_suite_usage_error(capsys):

@@ -2,11 +2,12 @@ import json
 
 import pytest
 
-from dissoc import from_edges, generate_unicyclic, graph6_decode, path, phi, unicyclic_code
+from dissoc import from_edges, graph6_decode, path, phi, unicyclic_code
 from dissoc import suites
 from dissoc.families import U_pq, extremal_unicyclic
 from dissoc.mds import MdsProfile
 from dissoc.suites import (
+    IDENTITY_PAIR_COUNT,
     SUITES,
     CorpusStore,
     Violation,
@@ -23,10 +24,13 @@ from dissoc.suites import (
     run_suite,
 )
 
+# one store for the module: each corpus is generated once
+CORPORA = CorpusStore()
+
 
 def test_main_theorem_small_orders():
     for n, expected_minimizers in [(3, 1), (4, 1), (5, 1), (6, 3), (7, 1), (8, 2), (9, 1)]:
-        report = check_main_theorem(n)
+        report = check_main_theorem(n, CORPORA)
         assert report.passed, report.violations
         assert report.min_phi == n // 2 + 2
         assert len(report.minimizers) == expected_minimizers
@@ -36,11 +40,11 @@ def test_main_theorem_small_orders():
 def test_main_theorem_examines_whole_corpus():
     known = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240}
     for n, count in known.items():
-        assert check_main_theorem(n).graphs_examined == count
+        assert check_main_theorem(n, CORPORA).graphs_examined == count
 
 
 def test_main_theorem_minimizers_sorted_and_decodable():
-    report = check_main_theorem(8)
+    report = check_main_theorem(8, CORPORA)
     codes = [code for _, code in report.minimizers]
     assert codes == sorted(codes)
     for g6, code in report.minimizers:
@@ -50,20 +54,20 @@ def test_main_theorem_minimizers_sorted_and_decodable():
 
 def test_tree_theorem_small_orders():
     for n, mins in [(3, 1), (4, 1), (5, 2), (6, 1), (7, 2), (8, 1)]:
-        report = check_tree_theorem(n)
+        report = check_tree_theorem(n, CORPORA)
         assert report.passed, report.violations
         assert report.min_phi == (n + 1) // 2 + 1
         assert len(report.minimizers) == mins
 
 
 def test_path_corollary():
-    report = check_path_corollary(20)
+    report = check_path_corollary(3, 20)
     assert report.passed
     assert len(report.minimizers) == 3  # orders 3, 4, 5 only
 
 
 def test_caterpillar_corollary():
-    report = check_caterpillar_corollary(9)
+    report = check_caterpillar_corollary(3, 9, CORPORA)
     assert report.passed
     assert len(report.minimizers) == 6
 
@@ -96,14 +100,14 @@ def test_leaf_removal_example_caterpillar():
 
 
 def test_surgery_lemma():
-    report = check_surgery_lemma(6, k_max=3)
+    report = check_surgery_lemma(3, 6, CORPORA)
     assert report.passed, report.violations[:3]
     tail = report.observations[-1]
     assert tail["instances"] > 0
 
 
 def test_surgery_equality_instances_satisfy_condition():
-    report = check_surgery_lemma(6, k_max=2)
+    report = check_surgery_lemma(3, 6, CORPORA)
     assert report.passed
     for obs in report.observations:
         if "g1" in obs:
@@ -112,7 +116,7 @@ def test_surgery_equality_instances_satisfy_condition():
 
 def test_pendant_path_lemma():
     for n in (5, 6, 7, 8, 9, 10):
-        report = check_pendant_path_lemma(n)
+        report = check_pendant_path_lemma(n, CORPORA)
         assert report.passed, report.violations[:3]
 
 
@@ -132,14 +136,14 @@ def test_pendant_path_on_U22():
 @pytest.mark.parametrize(
     "slot, delta, run, rule",
     [
-        (1, 1, lambda: check_pendant_path_lemma(5), "pendant_path_claim1"),
-        (2, -1, lambda: check_pendant_path_lemma(5), "pendant_path_claim2_ge"),
-        (0, -1, lambda: check_pendant_path_lemma(5), "pendant_path_claim3_ge"),
-        (4, 1, lambda: check_pendant_path_lemma(5), "pendant_path_cross_check"),
-        (0, 1, lambda: check_surgery_lemma(4, k_max=2), "surgery_claim1"),
-        (2, 1, lambda: check_surgery_lemma(4, k_max=2), "surgery_claim2"),
-        (0, 1, lambda: check_identity_suite(generate_unicyclic(4)), "per_vertex_decomposition"),
-        (1, 1, lambda: check_identity_suite(generate_unicyclic(4)), "support_vertex_deg0_zero"),
+        (1, 1, lambda: check_pendant_path_lemma(5, CORPORA), "pendant_path_claim1"),
+        (2, -1, lambda: check_pendant_path_lemma(5, CORPORA), "pendant_path_claim2_ge"),
+        (0, -1, lambda: check_pendant_path_lemma(5, CORPORA), "pendant_path_claim3_ge"),
+        (4, 1, lambda: check_pendant_path_lemma(5, CORPORA), "pendant_path_cross_check"),
+        (0, 1, lambda: check_surgery_lemma(3, 4, CORPORA), "surgery_claim1"),
+        (2, 1, lambda: check_surgery_lemma(3, 4, CORPORA), "surgery_claim2"),
+        (0, 1, lambda: check_identity_suite(4, 4, CORPORA), "per_vertex_decomposition"),
+        (1, 1, lambda: check_identity_suite(4, 4, CORPORA), "support_vertex_deg0_zero"),
     ],
 )
 def test_profile_checks_catch_a_skewed_profile(monkeypatch, slot, delta, run, rule):
@@ -176,8 +180,10 @@ def test_profile_checks_catch_a_skewed_profile(monkeypatch, slot, delta, run, ru
 def test_pendant_path_rejects_graphs_that_are_not_unicyclic():
     two_cycles = from_edges(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6)])
     for g in (path(7), two_cycles):
+        store = CorpusStore()
+        store.corpora["unicyclic", 7] = [g]
         with pytest.raises(ValueError, match="unicyclic"):
-            check_pendant_path_lemma(7, graphs=[g])
+            check_pendant_path_lemma(7, store)
 
 
 def test_case3_subcases_odd():
@@ -207,20 +213,20 @@ def test_case3_rejects_invalid_orders():
 
 
 def test_identity_suite():
-    corpus = [g for n in range(3, 8) for g in generate_unicyclic(n)]
-    report = check_identity_suite(corpus, pair_count=50)
+    report = check_identity_suite(3, 7, CORPORA)
     assert report.passed, report.violations[:3]
-    assert report.observations[0]["union_pairs"] == 50
+    assert report.observations[0]["union_pairs"] == IDENTITY_PAIR_COUNT
 
 
 def test_main_theorem_detects_missing_minimizer():
     # drop the extremal graph from the corpus: the bound is no longer attained
     from dissoc import unicyclic_code as ucode
 
-    full = list(generate_unicyclic(7))
+    full = CORPORA.graphs("unicyclic", 7, 7)
     extremal_code = ucode(extremal_unicyclic(7)[0]).text
-    doctored = [g for g in full if ucode(g).text != extremal_code]
-    report = check_main_theorem(7, graphs=doctored)
+    store = CorpusStore()
+    store.corpora["unicyclic", 7] = [g for g in full if ucode(g).text != extremal_code]
+    report = check_main_theorem(7, store)
     assert not report.passed
     rules = {v.rule for v in report.violations}
     assert "min_phi_equals_bound" in rules
@@ -232,20 +238,22 @@ def test_main_theorem_detects_bound_breach():
     # a path is not unicyclic and sits below the unicyclic bound
     from dissoc import path as mk_path
 
-    report = check_main_theorem(4, graphs=[mk_path(4)])
+    store = CorpusStore()
+    store.corpora["unicyclic", 4] = [mk_path(4)]
+    report = check_main_theorem(4, store)
     assert not report.passed
     assert any(v.rule == "phi_lower_bound" for v in report.violations)
 
 
 def test_report_passed_iff_no_violations():
-    report = check_main_theorem(5)
+    report = check_main_theorem(5, CORPORA)
     assert report.passed
     report.violations.append(Violation("", "synthetic", 0, 1))
     assert not report.passed
 
 
 def test_report_json_roundtrip_and_runtime_excluded():
-    report = check_main_theorem(6)
+    report = check_main_theorem(6, CORPORA)
     blob = json.dumps(report.to_dict(), sort_keys=True)
     parsed = json.loads(blob)
     assert parsed["runtime_ms"] is None
@@ -254,14 +262,14 @@ def test_report_json_roundtrip_and_runtime_excluded():
 
 
 def test_jobs_do_not_change_reports():
-    seq = check_main_theorem(8, jobs=1)
-    par = check_main_theorem(8, jobs=2)
+    seq = check_main_theorem(8, CORPORA, jobs=1)
+    par = check_main_theorem(8, CORPORA, jobs=2)
     assert seq.to_dict() == par.to_dict()
-    seq_pp = check_pendant_path_lemma(8, jobs=1)
-    par_pp = check_pendant_path_lemma(8, jobs=2)
+    seq_pp = check_pendant_path_lemma(8, CORPORA, jobs=1)
+    par_pp = check_pendant_path_lemma(8, CORPORA, jobs=2)
     assert seq_pp.to_dict() == par_pp.to_dict()
-    seq_surgery = check_surgery_lemma(6, jobs=1)
-    par_surgery = check_surgery_lemma(6, jobs=2)
+    seq_surgery = check_surgery_lemma(3, 6, CORPORA, jobs=1)
+    par_surgery = check_surgery_lemma(3, 6, CORPORA, jobs=2)
     assert seq_surgery.to_dict() == par_surgery.to_dict()
 
 
@@ -275,14 +283,29 @@ def test_run_suite_dispatch():
         run_suite("nonsense")
 
 
-def test_run_suite_uses_supplied_corpora():
-    # a store that already holds part of a corpus hands exactly that part on
-    graphs = list(generate_unicyclic(5))[:3]
-    store = CorpusStore()
-    store.corpora["unicyclic", 5] = graphs
-    reports = run_suite("main", orders=(5, 5), corpora=store)
-    assert reports[0].graphs_examined == len(graphs)
-    assert store.corpora == {("unicyclic", 5): graphs}
+def test_run_suite_uses_supplied_corpora(monkeypatch):
+    # a store that already holds part of the corpus a suite needs hands
+    # exactly that part on, and never generates
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator was called")
+
+    mapped = []
+    pmap = suites._pmap
+    monkeypatch.setattr(suites, "_pmap", lambda fn, items, jobs: mapped.extend(items) or pmap(fn, items, jobs))
+    corpus_suites = [name for name, suite in SUITES.items() if suite.corpus]
+    assert len(corpus_suites) == 6
+    for name in corpus_suites:
+        n = SUITES[name].start
+        kind = "tree" if name in ("trees", "caterpillars") else "unicyclic"
+        graphs = CORPORA.graphs(kind, n, n)[:3]
+        store = CorpusStore()
+        store.corpora[kind, n] = graphs
+        mapped.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(suites, "GENERATORS", dict.fromkeys(suites.GENERATORS, refuse))
+            run_suite(name, orders=(n, n), corpora=store)
+        assert mapped == graphs, name
+        assert store.corpora == {(kind, n): graphs}, name
 
 
 def test_expected_minimizers_attain_bound():
@@ -293,16 +316,16 @@ def test_expected_minimizers_attain_bound():
 
 def test_suite_table_matches_direct_checks():
     direct = {
-        "main": check_main_theorem,
-        "trees": check_tree_theorem,
-        "paths": check_path_corollary,
-        "caterpillars": check_caterpillar_corollary,
+        "main": lambda n: check_main_theorem(n, CORPORA),
+        "trees": lambda n: check_tree_theorem(n, CORPORA),
+        "paths": lambda n: check_path_corollary(n, n),
+        "caterpillars": lambda n: check_caterpillar_corollary(n, n, CORPORA),
         "cycle": lambda n: check_cycle_lemma(n, n),
         "leaf-removal": check_leaf_removal_lemma,
-        "surgery": check_surgery_lemma,
-        "pendant-path": check_pendant_path_lemma,
+        "surgery": lambda n: check_surgery_lemma(n, n, CORPORA),
+        "pendant-path": lambda n: check_pendant_path_lemma(n, CORPORA),
         "subcases": check_case3_subcases,
-        "identities": lambda n: check_identity_suite(generate_unicyclic(n)),
+        "identities": lambda n: check_identity_suite(n, n, CORPORA),
     }
     assert set(direct) == set(SUITES)
     for name, suite in SUITES.items():
