@@ -18,8 +18,6 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .graphs import Graph, _layout, _trusted, _unicyclic_cycle, from_edges, is_caterpillar, iter_bits
 
-DEFAULT_TREE_CAP = 14
-DEFAULT_UNICYCLIC_CAP = 13
 # Keys corpus cache files. Bump it whenever a generator's output (which
 # graphs, their labels or their order) changes; a package release alone
 # leaves cached corpora valid. tests/test_canon.py pins that output.
@@ -186,22 +184,21 @@ def _tree_table(n: int) -> dict[str, Graph]:
     return table
 
 
-def generate_trees(n: int, cap: int | None = None) -> Iterator[Graph]:
+def generate_trees(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of trees of order n.
 
     Built by extending smaller trees with one leaf and deduplicating by
     canonical code; yielded in code order.
     """
-    cap = DEFAULT_TREE_CAP if cap is None else cap
-    if not 1 <= n <= cap:
-        raise ValueError(f"tree generation supports 1 <= n <= {cap}")
+    if n < 1:
+        raise ValueError(f"tree generation needs n >= 1, got {n}")
     table = _tree_table(n)
     for key in sorted(table):
         yield table[key]
 
 
-def generate_caterpillars(n: int, cap: int | None = None) -> Iterator[Graph]:
-    for g in generate_trees(n, cap):
+def generate_caterpillars(n: int) -> Iterator[Graph]:
+    for g in generate_trees(n):
         if is_caterpillar(g):
             yield g
 
@@ -214,7 +211,7 @@ def _rooted_table(size: int) -> dict[str, tuple[Graph, int]]:
     if size in _rooted_tables:
         return _rooted_tables[size]
     table: dict[str, tuple[Graph, int]] = {}
-    for g in generate_trees(size, cap=max(size, DEFAULT_TREE_CAP)):
+    for g in generate_trees(size):
         peel = _coded_tree(g.adj)
         for root in range(g.n):
             key = _rerooted(peel, root)
@@ -260,7 +257,7 @@ def _assemble_unicyclic(n: int, pieces: list[tuple[Graph, int]]) -> Graph:
     return _trusted(n, tuple(rows))
 
 
-def generate_unicyclic(n: int, cap: int | None = None) -> Iterator[Graph]:
+def generate_unicyclic(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of unicyclic graphs of order n.
 
     For each cycle length r the rooted trees hanging at the r positions are
@@ -268,9 +265,8 @@ def generate_unicyclic(n: int, cap: int | None = None) -> Iterator[Graph]:
     so no post-hoc deduplication is needed. Yields ascending cycle length,
     then code order.
     """
-    cap = DEFAULT_UNICYCLIC_CAP if cap is None else cap
-    if not 1 <= n <= cap:
-        raise ValueError(f"unicyclic generation supports 1 <= n <= {cap}")
+    if n < 1:
+        raise ValueError(f"unicyclic generation needs n >= 1, got {n}")
     if n < 3:
         return
     # rank every rooted code once: rank order is code order, so tuples of

@@ -17,11 +17,11 @@ import tempfile
 import zlib
 
 from ._version import __version__
-from .canon import DEFAULT_TREE_CAP, DEFAULT_UNICYCLIC_CAP, GENERATOR_VERSION, GENERATORS
+from .canon import GENERATOR_VERSION, GENERATORS
 from .families import parse_family
 from .graphs import Graph, bit_list, graph6_decode, graph6_encode
 from .mds import Status, enumerate_mds, phi, phi_refined
-from .suites import SUITES, CorpusStore, run_suite, suite_orders
+from .suites import DEFAULT_TREE_CAP, DEFAULT_UNICYCLIC_CAP, SUITES, CorpusStore, run_suite, suite_orders
 
 ENV_CACHE_DIR = "DISSOC_CACHE_DIR"
 ENV_JOBS = "DISSOC_JOBS"
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         # argparse converts a string default only when verify is parsed, so a
         # bad DISSOC_JOBS is a usage error of verify alone
         default=os.environ.get(ENV_JOBS, "1"),
-        help="worker processes (default 1, env DISSOC_JOBS)",
+        help="worker processes, at most one per CPU (default 1, env DISSOC_JOBS)",
     )
     p_ver.add_argument("--format", choices=sorted(_FORMATS), default="text")
     p_ver.add_argument("--output", help="report path (default stdout)")

@@ -10,6 +10,7 @@ output.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -18,7 +19,7 @@ from functools import cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ._version import __version__
-from .canon import DEFAULT_TREE_CAP, DEFAULT_UNICYCLIC_CAP, GENERATORS, _tree_text, unicyclic_code
+from .canon import GENERATORS, _tree_text, unicyclic_code
 from .families import U_pq, enumerate_U_rt_class, extremal_caterpillars, extremal_trees, extremal_unicyclic
 from .graphs import (
     Graph,
@@ -106,10 +107,11 @@ def _coded(graphs: Iterable[Graph]) -> list[tuple[str, str]]:
 
 @cache
 def _pool(jobs: int) -> ProcessPoolExecutor:
-    """The process's one pool of ``jobs`` workers: starting workers costs
-    more than the fan-out of many suite orders. Workers are forked at first
-    use, so they run the package as it stood then."""
-    return ProcessPoolExecutor(max_workers=jobs)
+    """The process's one pool of ``jobs`` workers, at most one per CPU:
+    starting workers costs more than the fan-out of many suite orders. All
+    workers are forked at first use, so they run the package as it stood
+    then, and a larger ``jobs`` would ask the OS for that many processes."""
+    return ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1))
 
 
 def _pmap(fn: Callable, items: Sequence, jobs: int) -> list:
@@ -129,139 +131,96 @@ def _phi_minus(g: Graph, mask: int) -> int:
     return phi(h)
 
 
-def _minimizer_report(
+def _extremal_report(
     suite: str,
-    n: int,
+    order: str,
     graphs: Sequence[Graph],
-    phis: Sequence[int],
-    bound: int,
-    expected: Sequence[Graph],
+    values: Sequence[int],
+    bounds: Sequence[int],
+    expected: Iterable[Graph],
 ) -> VerificationReport:
+    """The shape of every extremal statement checked here: each value is at
+    least its graph's bound, and the graphs at equality are, up to
+    isomorphism, exactly ``expected``. Only graphs at equality are coded. An
+    unexpected or missing graph carries (graphs at equality, graphs expected)."""
     violations = []
-    for g, value in zip(graphs, phis):
+    at_bound = []
+    for g, value, bound in zip(graphs, values, bounds):
         if value < bound:
             violations.append(Violation(_g6(g), "phi_lower_bound", value, bound))
-    min_phi = min(phis) if phis else 0
-    minimizers = _coded(g for g, value in zip(graphs, phis) if value == min_phi)
+        elif value == bound:
+            at_bound.append(g)
+    minimizers = _coded(at_bound)
     expected_min = _coded(expected)
-    actual_codes = {code for _, code in minimizers}
-    expected_codes = {code for _, code in expected_min}
-    if min_phi != bound:
-        violations.append(Violation("", "min_phi_equals_bound", min_phi, bound))
-    for g6, code in minimizers:
-        if code not in expected_codes:
-            violations.append(Violation(g6, "unexpected_minimizer", min_phi, bound))
-    for g6, code in expected_min:
-        if code not in actual_codes:
-            violations.append(Violation(g6, "missing_minimizer", min_phi, bound))
+    sizes = (len(minimizers), len(expected_min))
+    want = {code for _, code in expected_min}
+    have = {code for _, code in minimizers}
+    violations += [Violation(g6, "unexpected_minimizer", *sizes) for g6, code in minimizers if code not in want]
+    violations += [Violation(g6, "missing_minimizer", *sizes) for g6, code in expected_min if code not in have]
     return VerificationReport(
         suite=suite,
-        order=str(n),
+        order=order,
         graphs_examined=len(graphs),
-        bound=bound,
-        min_phi=min_phi,
+        violations=violations,
         minimizers=minimizers,
         expected_minimizers=expected_min,
-        violations=violations,
     )
+
+
+def _minimum_report(
+    suite: str, n: int, graphs: list[Graph], bound: int, expected: list[Graph], jobs: int
+) -> VerificationReport:
+    """The extremal report of one bound that the least value must attain.
+    When the least value lies above the bound, equality is taken there, so
+    the graphs attaining it are the minimizers."""
+    phis = _pmap(phi, graphs, jobs)
+    min_phi = min(phis, default=0)
+    report = _extremal_report(suite, str(n), graphs, phis, [max(bound, min_phi)] * len(graphs), expected)
+    report.bound, report.min_phi = bound, min_phi
+    if min_phi != bound:
+        report.violations.append(Violation("", "min_phi_equals_bound", min_phi, bound))
+    return report
 
 
 def check_main_theorem(n: int, corpora: CorpusStore, jobs: int = 1) -> VerificationReport:
     """Every unicyclic graph of order n has at least floor(n/2)+2 maximal
     dissociation sets, with the predicted minimizer set exactly attained."""
     graphs = corpora.graphs("unicyclic", n, n)
-    phis = _pmap(phi, graphs, jobs)
-    return _minimizer_report("main", n, graphs, phis, n // 2 + 2, extremal_unicyclic(n))
+    return _minimum_report("main", n, graphs, n // 2 + 2, extremal_unicyclic(n), jobs)
 
 
 def check_tree_theorem(n: int, corpora: CorpusStore, jobs: int = 1) -> VerificationReport:
     """Every tree of order n has at least ceil(n/2)+1 maximal dissociation
     sets, with minimizers exactly the predicted spiders."""
     graphs = corpora.graphs("tree", n, n)
-    phis = _pmap(phi, graphs, jobs)
-    return _minimizer_report("trees", n, graphs, phis, (n + 1) // 2 + 1, extremal_trees(n))
+    return _minimum_report("trees", n, graphs, (n + 1) // 2 + 1, extremal_trees(n), jobs)
 
 
 def check_path_corollary(lo: int, hi: int) -> VerificationReport:
     """Paths meet the tree bound with equality exactly at orders 3, 4, 5."""
-    violations = []
-    minimizers = []
-    for n in range(lo, hi + 1):
-        g = path(n)
-        bound = (n + 1) // 2 + 1
-        value = phi(g)
-        if value < bound:
-            violations.append(Violation(_g6(g), "path_lower_bound", value, bound))
-        if (value == bound) != (n in (3, 4, 5)):
-            violations.append(Violation(_g6(g), "path_equality_set", value, bound))
-        if value == bound:
-            minimizers.append(g)
-    return VerificationReport(
-        suite="paths",
-        order=f"{lo}..{hi}",
-        graphs_examined=max(0, hi - lo + 1),
-        minimizers=_coded(minimizers),
-        expected_minimizers=_coded(path(n) for n in (3, 4, 5) if lo <= n <= hi),
-        violations=violations,
-    )
+    graphs = [path(n) for n in range(lo, hi + 1)]
+    bounds = [(g.n + 1) // 2 + 1 for g in graphs]
+    expected = [g for g in graphs if g.n in (3, 4, 5)]
+    return _extremal_report("paths", f"{lo}..{hi}", graphs, [phi(g) for g in graphs], bounds, expected)
 
 
 def check_caterpillar_corollary(lo: int, hi: int, corpora: CorpusStore, jobs: int = 1) -> VerificationReport:
     """Caterpillars meet the tree bound with equality exactly on the six
     listed spiders."""
     graphs = list(filter(is_caterpillar, corpora.graphs("tree", lo, hi)))
-    phis = _pmap(phi, graphs, jobs)
-    violations = []
-    minimizers = []
-    expected = _coded(g for g in extremal_caterpillars() if lo <= g.n <= hi)
-    expected_codes = {code for _, code in expected}
-    for g, value in zip(graphs, phis):
-        bound = (g.n + 1) // 2 + 1
-        if value < bound:
-            violations.append(Violation(_g6(g), "caterpillar_lower_bound", value, bound))
-        code = _code(g)
-        if value == bound:
-            minimizers.append((_g6(g), code))
-            if code not in expected_codes:
-                violations.append(Violation(_g6(g), "unexpected_equality", value, bound))
-        elif code in expected_codes:
-            violations.append(Violation(_g6(g), "missing_equality", value, bound))
-    return VerificationReport(
-        suite="caterpillars",
-        order=f"{lo}..{hi}",
-        graphs_examined=len(graphs),
-        minimizers=sorted(minimizers, key=lambda p: p[1]),
-        expected_minimizers=expected,
-        violations=violations,
-    )
+    bounds = [(g.n + 1) // 2 + 1 for g in graphs]
+    expected = [g for g in extremal_caterpillars() if lo <= g.n <= hi]
+    return _extremal_report("caterpillars", f"{lo}..{hi}", graphs, _pmap(phi, graphs, jobs), bounds, expected)
 
 
 def check_cycle_lemma(lo: int, hi: int) -> VerificationReport:
-    """phi(C_n) exceeds phi(P_{n-1}) by at least 1, exactly 1 only at n=6,
-    and by at least 2 beyond n=6."""
+    """phi(C_n) is at least phi(P_{n-1}) + 1, with equality only at n=6."""
     if lo < 4:
         raise ValueError("cycle lemma needs orders >= 4")
-    violations = []
-    minimizers = []
-    for n in range(lo, hi + 1):
-        g = cycle(n)
-        diff = phi(g) - phi(path(n - 1))
-        if diff < 1:
-            violations.append(Violation(_g6(g), "cycle_minus_path_ge_1", diff, 1))
-        if (diff == 1) != (n == 6):
-            violations.append(Violation(_g6(g), "cycle_equality_only_n6", diff, 1))
-        if n > 6 and diff < 2:
-            violations.append(Violation(_g6(g), "cycle_gap_ge_2_beyond_6", diff, 2))
-        if diff == 1:
-            minimizers.append(g)
-    return VerificationReport(
-        suite="cycle",
-        order=f"{lo}..{hi}",
-        graphs_examined=max(0, hi - lo + 1),
-        minimizers=_coded(minimizers),
-        expected_minimizers=_coded([cycle(6)] if lo <= 6 <= hi else []),
-        violations=violations,
-    )
+    graphs = [cycle(n) for n in range(lo, hi + 1)]
+    bounds = [phi(path(n - 1)) + 1 for n in range(lo, hi + 1)]
+    expected = [g for g in graphs if g.n == 6]
+    return _extremal_report("cycle", f"{lo}..{hi}", graphs, [phi(g) for g in graphs], bounds, expected)
 
 
 def check_leaf_removal_lemma(n: int) -> VerificationReport:
@@ -284,8 +243,7 @@ def check_leaf_removal_lemma(n: int) -> VerificationReport:
             for y in iter_bits(leaves(g)):
                 instances += 1
                 x = g.adj[y].bit_length() - 1
-                others = bit_list(g.adj[x] & ~(1 << y))
-                w, z = others
+                w, z = bit_list(g.adj[x] & ~(1 << y))
                 closed = closed_neighborhood(g, y)
                 u_graph, relabel = delete_vertices(g, closed)
                 phi_u = phi(u_graph)
@@ -316,11 +274,6 @@ def check_leaf_removal_lemma(n: int) -> VerificationReport:
     )
 
 
-def _add_leaves(g: Graph, w: int, k: int) -> Graph:
-    edges = g.edges() + [(w, g.n + i) for i in range(k)]
-    return from_edges(g.n + k, edges)
-
-
 def _surgery_instances(u_graph: Graph) -> tuple[list[Violation], list[dict], int]:
     """The surgery instances on one base graph: violations, equality
     observations and the number of instances."""
@@ -336,7 +289,7 @@ def _surgery_instances(u_graph: Graph) -> tuple[list[Violation], list[dict], int
             if u_graph.n + k > 64:
                 continue
             instances += 1
-            g1 = _add_leaves(u_graph, w, k)
+            g1 = from_edges(u_graph.n + k, u_graph.edges() + [(w, u_graph.n + i) for i in range(k)])
             v1 = u_graph.n
             vk = u_graph.n + k - 1
             edges2 = [e for e in g1.edges() if e != (w, vk)] + [(v1, vk)]
@@ -472,10 +425,21 @@ def check_case3_subcases(n: int) -> VerificationReport:
         if n < 9:
             raise ValueError("odd orders start at 9")
         base = U_pq((n - 5) // 2, (n - 5) // 2)
+        expected_by_role = {
+            "leaf": (3 * n - 1) // 2,
+            "triangle": (n + 5) // 2,
+            "center": n // 2 + 2,
+            "other": (n + 5) // 2,
+        }
     else:
         if n < 10:
             raise ValueError("even orders start at 10")
         base = U_pq((n - 4) // 2, (n - 6) // 2)
+        expected_by_role = {
+            "triangle": (n + 6) // 2,
+            "center": n // 2 + 2,
+            "other": (n + 6) // 2,
+        }
     center = 0
     triangle = {base.n - 2, base.n - 1}
     leaf_mask = leaves(base)
@@ -498,19 +462,6 @@ def check_case3_subcases(n: int) -> VerificationReport:
     violations = []
     observations = []
     leaf_values = set()
-    if n % 2 == 1:
-        expected_by_role = {
-            "leaf": (3 * n - 1) // 2,
-            "triangle": (n + 5) // 2,
-            "center": n // 2 + 2,
-            "other": (n + 5) // 2,
-        }
-    else:
-        expected_by_role = {
-            "triangle": (n + 6) // 2,
-            "center": n // 2 + 2,
-            "other": (n + 6) // 2,
-        }
     leaf_orbit_count = 0
     for code in sorted(orbits):
         extended, members = orbits[code]
@@ -556,15 +507,12 @@ def _identity_check(g: Graph) -> list[Violation]:
             violations.append(Violation(_g6(g), "per_vertex_decomposition", sum(parts), profile.total))
         if supports >> v & 1 and parts[1] != 0:
             violations.append(Violation(_g6(g), "support_vertex_deg0_zero", parts[1], 0))
-        if _phi_minus(g, 1 << v) < parts[0]:
-            violations.append(
-                Violation(_g6(g), "deletion_vs_excluded", _phi_minus(g, 1 << v), parts[0])
-            )
-        closed = closed_neighborhood(g, v)
-        if _phi_minus(g, closed) < parts[1]:
-            violations.append(
-                Violation(_g6(g), "deletion_vs_deg0", _phi_minus(g, closed), parts[1])
-            )
+        deleted = _phi_minus(g, 1 << v)
+        if deleted < parts[0]:
+            violations.append(Violation(_g6(g), "deletion_vs_excluded", deleted, parts[0]))
+        deleted = _phi_minus(g, closed_neighborhood(g, v))
+        if deleted < parts[1]:
+            violations.append(Violation(_g6(g), "deletion_vs_deg0", deleted, parts[1]))
     return violations
 
 
@@ -598,12 +546,17 @@ def check_identity_suite(lo: int, hi: int, corpora: CorpusStore, jobs: int = 1) 
     )
 
 
+DEFAULT_TREE_CAP = 14
+DEFAULT_UNICYCLIC_CAP = 13
+
+
 class CorpusStore:
     """The corpora of a run, by class (a key of ``canon.GENERATORS``). Each
     (class, order) is read from ``cache`` (an object with ``load(kind, n)``
     and ``store(kind, n, graphs)``, such as ``dissoc.cli.CorpusCache``) or
-    generated under its class's cap at most once, and kept. Caterpillars
-    take the tree cap. An order above its cap is an error, cached or not."""
+    generated at most once, and kept. Only the store enforces the caps: an
+    order above its class's cap is an error, cached or not (caterpillars
+    take the tree cap)."""
 
     def __init__(self, tree_cap: int = DEFAULT_TREE_CAP, unicyclic_cap: int = DEFAULT_UNICYCLIC_CAP, cache=None):
         self.caps = {"tree": tree_cap, "caterpillar": tree_cap, "unicyclic": unicyclic_cap}
@@ -620,7 +573,7 @@ class CorpusStore:
         if (kind, n) not in self.corpora:
             graphs = self.cache.load(kind, n) if self.cache else None
             if graphs is None:
-                graphs = list(GENERATORS[kind](n, cap=self.caps[kind]))
+                graphs = list(GENERATORS[kind](n))
                 if self.cache:
                     self.cache.store(kind, n, graphs)
             self.corpora[kind, n] = graphs

@@ -21,7 +21,8 @@ from dissoc import (
     tree_code,
     unicyclic_code,
 )
-from dissoc.canon import DEFAULT_TREE_CAP, DEFAULT_UNICYCLIC_CAP, GENERATOR_VERSION
+from dissoc.canon import GENERATOR_VERSION, GENERATORS
+from dissoc.suites import DEFAULT_TREE_CAP, DEFAULT_UNICYCLIC_CAP, CorpusStore
 
 from oracles import (
     IsoClassRegistry,
@@ -232,12 +233,15 @@ def test_caterpillar_stream():
 
 
 def test_generator_caps():
-    with pytest.raises(ValueError):
-        list(generate_trees(DEFAULT_TREE_CAP + 1))
-    with pytest.raises(ValueError):
-        list(generate_unicyclic(DEFAULT_UNICYCLIC_CAP + 1))
-    # explicit cap raises the limit
-    assert list(generate_trees(3, cap=DEFAULT_TREE_CAP + 1))
+    # generators take no cap and refuse only orders below 1; the store
+    # refuses an order above its class's cap before generating anything
+    for generate in GENERATORS.values():
+        with pytest.raises(ValueError, match="n >= 1"):
+            list(generate(0))
+    caps = {"tree": DEFAULT_TREE_CAP, "caterpillar": DEFAULT_TREE_CAP, "unicyclic": DEFAULT_UNICYCLIC_CAP}
+    for kind, cap in caps.items():
+        with pytest.raises(ValueError, match=f"above its cap {cap}"):
+            CorpusStore().graphs(kind, cap + 1, cap + 1)
 
 
 def test_prufer_oracle_is_a_bijection():

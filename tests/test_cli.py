@@ -213,6 +213,8 @@ def test_verify_caps_are_honoured(tmp_path, capsys):
 # ``verify --suite all --format json`` at default orders: the reports must
 # stay byte-identical across worker counts, cache use and refactors
 VERIFY_ALL_DIGEST = "7fbf6fdedf1742580c495cc539d090cc13497e5e420fee851f61df192cefe883"
+# the same run as CSV, which has no timings and reads min_phi and bound
+VERIFY_ALL_CSV_DIGEST = "5d0e58f2f3cc3ce53eec786be3ed5b7405d9eee4e68711ec46f3a3f9cb0f7fdf"
 
 
 # JSON reports of the suites that read refined counts from one profile or
@@ -232,6 +234,41 @@ VERIFY_ALL_DIGEST = "7fbf6fdedf1742580c495cc539d090cc13497e5e420fee851f61df192ce
 def test_verify_json_digest(capsys, argv, digest):
     code, out, _ = run_cli(capsys, "verify", "--suite", *argv, "--format", "json")
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_csv_digest(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--format", "csv")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_CSV_DIGEST
+
+
+@pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+@pytest.mark.parametrize("via_env", [False, True])
+def test_jobs_are_bounded_by_the_cpu_count(capsys, monkeypatch, cpus, workers, via_env):
+    # a pool forks all its workers at the first submit, so it is never asked
+    # for more than one per CPU; the recorder stands in for it and starts no
+    # process
+    built = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(suites.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", Recorder)
+    argv = ["verify", "--suite", "main", "--orders", "6"]
+    if via_env:
+        monkeypatch.setenv("DISSOC_JOBS", "100000")
+    else:
+        argv += ["--jobs", "100000"]
+    suites._pool.cache_clear()
+    try:
+        code, _, _ = run_cli(capsys, *argv)
+    finally:
+        suites._pool.cache_clear()
+    assert code == 0 and built == [workers]
 
 
 def test_verify_all_shares_one_store_and_one_pool(tmp_path, capsys, monkeypatch):

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from dissoc import from_edges, graph6_decode, path, phi, unicyclic_code
+from dissoc import cycle, from_edges, graph6_decode, path, phi, unicyclic_code
 from dissoc import suites
-from dissoc.families import U_pq, extremal_unicyclic
+from dissoc.families import U_pq, extremal_caterpillars, extremal_unicyclic
 from dissoc.mds import MdsProfile
 from dissoc.suites import (
     IDENTITY_PAIR_COUNT,
@@ -81,6 +81,42 @@ def test_cycle_lemma():
 def test_cycle_lemma_rejects_small_start():
     with pytest.raises(ValueError):
         check_cycle_lemma(3, 10)
+
+
+def _tree_bound(g):
+    return (g.n + 1) // 2 + 1
+
+
+# suite -> (run, a graph's bound, a graph off the equality set, a graph on it)
+EXTREMAL_SUITES = {
+    "paths": (lambda: check_path_corollary(3, 8), _tree_bound, path(7), path(4)),
+    "caterpillars": (
+        lambda: check_caterpillar_corollary(3, 9, CORPORA),
+        _tree_bound,
+        path(7),
+        extremal_caterpillars()[-1],
+    ),
+    "cycle": (lambda: check_cycle_lemma(4, 8), lambda g: phi(path(g.n - 1)) + 1, cycle(7), cycle(6)),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(EXTREMAL_SUITES))
+@pytest.mark.parametrize(
+    "offset, rule", [(-1, "phi_lower_bound"), (0, "unexpected_minimizer"), (1, "missing_minimizer")]
+)
+def test_extremal_suites_catch_a_moved_count(monkeypatch, suite, offset, rule):
+    # move one graph's count to one below its bound or onto it, or an
+    # expected graph's count to one above it
+    run, bound, other, expected = EXTREMAL_SUITES[suite]
+    target = expected if offset > 0 else other
+    code = suites._code(target)
+    value = bound(target) + offset
+    real = suites.phi
+    assert run().passed
+    monkeypatch.setattr(suites, "phi", lambda g: value if suites._code(g) == code else real(g))
+    report = run()
+    assert not report.passed
+    assert {v.rule for v in report.violations} == {rule}
 
 
 def test_leaf_removal_lemma():
