@@ -16,7 +16,7 @@ from bisect import bisect_left, insort
 from itertools import product
 from typing import Iterator, NamedTuple, Sequence
 
-from .graphs import Graph, _layout, _trusted, _unicyclic_cycle, from_edges, is_caterpillar, iter_bits
+from .graphs import Graph, _layout, _trusted, _unicyclic_cycle, from_edges, is_caterpillar
 
 # Keys corpus cache files. Bump it whenever a generator's output (which
 # graphs, their labels or their order) changes; a package release alone
@@ -203,20 +203,23 @@ def generate_caterpillars(n: int) -> Iterator[Graph]:
             yield g
 
 
-_rooted_tables: dict[int, dict[str, tuple[Graph, int]]] = {}
+_rooted_tables: dict[int, dict[str, tuple[int, ...]]] = {}
 
 
-def _rooted_table(size: int) -> dict[str, tuple[Graph, int]]:
-    """All rooted trees on ``size`` vertices as code -> (tree, root)."""
+def _rooted_table(size: int) -> dict[str, tuple[int, ...]]:
+    """All rooted trees on ``size`` vertices as code -> rows, relabeled
+    with the root as vertex 0 and the others after it in their order."""
     if size in _rooted_tables:
         return _rooted_tables[size]
-    table: dict[str, tuple[Graph, int]] = {}
+    table: dict[str, tuple[int, ...]] = {}
     for g in generate_trees(size):
         peel = _coded_tree(g.adj)
         for root in range(g.n):
             key = _rerooted(peel, root)
             if key not in table:
-                table[key] = (g, root)
+                rows = (g.adj[root],) + g.adj[:root] + g.adj[root + 1 :]
+                low = (1 << root) - 1  # the labels below the root move up by one
+                table[key] = tuple((row & low) << 1 | row >> root & 1 | row & ~low << 1 for row in rows)
     _rooted_tables[size] = table
     return table
 
@@ -230,30 +233,21 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _assemble_unicyclic(n: int, pieces: list[tuple[Graph, int]]) -> Graph:
-    """The cycle 0..r-1 with the rooted tree pieces[i] = (tree, root) hung
-    at position i; the other vertices are numbered from r up, tree by tree,
-    in their order inside the tree."""
+def _assemble_unicyclic(n: int, pieces: list[tuple[int, ...]]) -> Graph:
+    """The cycle 0..r-1 with the rooted tree of rows pieces[i] (root first,
+    as in ``_rooted_table``) hung at position i; the other vertices are
+    numbered from r up, tree by tree, in their order inside the tree."""
     r = len(pieces)
     rows = [0] * n
     for i in range(r):
-        j = (i + 1) % r
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-    next_label = r
-    for pos, (tree, root) in enumerate(pieces):
-        new = []
-        for v in range(tree.n):
-            if v == root:
-                new.append(pos)
-            else:
-                new.append(next_label)
-                next_label += 1
-        for v, row in enumerate(tree.adj):
-            bits = 0
-            for u in iter_bits(row):
-                bits |= 1 << new[u]
-            rows[new[v]] |= bits
+        rows[i] = 1 << (i + 1) % r | 1 << (i - 1) % r
+    start = r
+    for pos, tree in enumerate(pieces):
+        # local vertex 0 is pos, local vertex i >= 1 is start + i - 1
+        rows[pos] |= tree[0] >> 1 << start
+        for i, row in enumerate(tree[1:], start):
+            rows[i] = (row & 1) << pos | row >> 1 << start
+        start += len(tree) - 1
     return _trusted(n, tuple(rows))
 
 
@@ -271,7 +265,7 @@ def generate_unicyclic(n: int) -> Iterator[Graph]:
         return
     # rank every rooted code once: rank order is code order, so tuples of
     # ranks sort and compare like the code tuples
-    pieces: list[tuple[Graph, int]] = []
+    pieces: list[tuple[int, ...]] = []
     ranks_by_size: dict[int, list[int]] = {}
     for key, size in sorted((key, size) for size in range(1, n - 1) for key in _rooted_table(size)):
         ranks_by_size.setdefault(size, []).append(len(pieces))

@@ -35,7 +35,10 @@ product of its siblings, so only the path from the cycle down to the
 vertex is visited. Merging the context with the vertex's vector gives its
 triple; merging it with the vertex's vector minus one child's subtree gives
 the triple in the graph without that subtree, which is what the
-pendant-path suite compares.
+pendant-path suite compares. The surgery suite's graphs add k leaves at a
+vertex w, or k - 2 leaves and a path of two; those hang below w and leave
+w's context as it is, so w's triples there are its context merged with its
+vector times k leaves, or times k - 2 leaves and the path.
 
 The backtracking enumerator ``_search`` remains in two places: behind
 ``enumerate_mds``, and for graphs with a component that has two or more
@@ -249,6 +252,19 @@ def _mul(a: tuple, b: tuple) -> tuple:
     return (x0, x1, (a0 + a1 + ab) * (b0 + b1 + bb) - x0 - x1, n0, c * d - n0, c * d1 + c1 * d)
 
 
+def _step(a: tuple, b: tuple, mask: int) -> tuple:
+    """``_edge(_mul(a, b), mask)``, fused when every status is allowed."""
+    if mask != _ALL:
+        return _edge(_mul(a, b), mask)
+    a0, a1, ab, c0, cn, c1 = a
+    b0, b1, bb, d0, dn, d1 = b
+    x0 = a0 * b0
+    whole = (a0 + a1 + ab) * (b0 + b1 + bb)
+    c = c0 + cn
+    d = d0 + dn
+    return (whole - x0 - a0 * b1 - a1 * b0, c0 * d0, c * d1 + c1 * d, whole - x0, x0, c * d)
+
+
 def _edge(a: tuple, mask: int) -> tuple:
     """The demands a finished subtree with root vector ``a`` puts on the
     root's parent p, keeping only the root statuses in ``mask``."""
@@ -295,9 +311,9 @@ def _cut_context(cyc: list[int], vec: list[tuple], allowed: list[int]) -> list[t
     out = []
     for need_a, mask_a, need_b, mask_b in _CUT_CASES:
         if allowed_a & mask_a and allowed_b & mask_b:
-            e = _edge(_mul(vec_b, need_b), allowed_b & mask_b)
+            e = _step(vec_b, need_b, allowed_b & mask_b)
             for v in inner:
-                e = _edge(_mul(vec[v], e), allowed[v])
+                e = _step(vec[v], e, allowed[v])
             out.append((allowed_a & mask_a, _mul(need_a, e)))
     return out
 
@@ -316,7 +332,7 @@ def _count(g: Graph, allowed: list[int]) -> int:
         a = vec[cyc[0]]
         count = 0
         for mask, c in _cut_context(cyc, vec, allowed):
-            count += _root_value(_edge(_mul(a, c), mask))
+            count += _root_value(_step(a, c, mask))
         total *= count
     return total
 
@@ -337,9 +353,9 @@ def _cycle_contexts(cyc: list[int], vec: list[tuple]) -> list[list[tuple[int, tu
         before = [need_a] * k
         after = [need_b] * k
         for i in range(k - 1):
-            before[i + 1] = _edge(_mul(vec[cyc[i]], before[i]), masks[i])
+            before[i + 1] = _step(vec[cyc[i]], before[i], masks[i])
             j = k - 1 - i
-            after[j - 1] = _edge(_mul(vec[cyc[j]], after[j]), masks[j])
+            after[j - 1] = _step(vec[cyc[j]], after[j], masks[j])
         for i in range(k):
             sums[i].setdefault(masks[i], []).append(_mul(before[i], after[i]))
     return [[(mask, _vsum(vs)) for mask, vs in s.items()] for s in sums]
@@ -349,7 +365,7 @@ def _close(ctx: list[tuple[int, tuple]], a: tuple) -> tuple:
     """What a vertex with vector ``a`` and context ``ctx`` hands a parent
     that does not exist: its first three slots are the (excluded,
     degree-0, degree-1) counts of the vertex."""
-    return _vsum([_edge(_mul(c, a), mask) for mask, c in ctx])
+    return _vsum([_step(c, a, mask) for mask, c in ctx])
 
 
 def _profile(g: Graph, order: list[int], parent: list[int], cycles: list[list[int]]) -> MdsProfile:
@@ -396,14 +412,15 @@ def _profile(g: Graph, order: list[int], parent: list[int], cycles: list[list[in
     return MdsProfile(product, tuple(triples))
 
 
-def _detached_triples(g: Graph, pairs: Iterable[tuple[int, int]]) -> list[tuple[tuple, tuple]]:
-    """For each (w, u), where u hangs below its neighbor w in the leaf peel
-    of the connected unicyclic graph g: the (excluded, degree-0, degree-1)
-    triple at w in g, and the same triple in g minus u's subtree."""
+def _contexts(g: Graph):
+    """The top-down pass of the connected unicyclic graph g, on demand:
+    the subtree vectors, ``without(p, child)`` (p's vector with
+    ``child``'s subtree left out) and ``context_of(v)``, memoised per
+    vertex, which visits only the path from the cycle down to v."""
     layout = _layout(g.adj)
     cyc = _unicyclic_cycle(layout)
     if cyc is None:
-        raise ValueError("the pendant-path pass requires a unicyclic graph")
+        raise ValueError("the targeted counting passes require a unicyclic graph")
     order, parent, _ = layout
     allowed = [_ALL] * g.n
     vec, up = _subtrees(g, allowed, order, parent)
@@ -413,7 +430,6 @@ def _detached_triples(g: Graph, pairs: Iterable[tuple[int, int]]) -> list[tuple[
     context: dict[int, list[tuple[int, tuple]]] = {}
 
     def without(p: int, child: int) -> tuple:
-        """p's vector with ``child``'s subtree left out."""
         rest = _UNIT
         for k in children[p]:
             if k != child:
@@ -430,10 +446,39 @@ def _detached_triples(g: Graph, pairs: Iterable[tuple[int, int]]) -> list[tuple[
                 context[v] = [(_ALL, _close(context_of(p), without(p, v)))]
         return context[v]
 
+    return vec, without, context_of
+
+
+def _detached_triples(g: Graph, pairs: Iterable[tuple[int, int]]) -> list[tuple[tuple, tuple]]:
+    """For each (w, u), where u hangs below its neighbor w in the leaf peel
+    of the connected unicyclic graph g: the (excluded, degree-0, degree-1)
+    triple at w in g, and the same triple in g minus u's subtree."""
+    vec, without, context_of = _contexts(g)
     out = []
     for w, u in pairs:
         ctx = context_of(w)
         out.append((_close(ctx, vec[w])[:3], _close(ctx, without(w, u))[:3]))
+    return out
+
+
+_LEAF = _edge(_UNIT, _ALL)  # what a leaf hands its parent
+_STALK = _edge(_LEAF, _ALL)  # what a vertex with one leaf below it hands its parent
+
+
+def _surgery_triples(g: Graph, pairs: Iterable[tuple[int, int]]) -> list[tuple[tuple, tuple]]:
+    """For each (w, k), k >= 2, on the connected unicyclic graph g: the
+    (excluded, degree-0, degree-1) triple at w in g1, which is g with k new
+    leaves at w, and in g2, which is g1 with its last new leaf moved onto
+    its first. The new vertices hang below w, so w's context is its context
+    in g."""
+    vec, _, context_of = _contexts(g)
+    out = []
+    for w, k in pairs:
+        ctx = context_of(w)
+        rest = vec[w]
+        for _ in range(k - 2):
+            rest = _mul(rest, _LEAF)
+        out.append((_close(ctx, _mul(_mul(rest, _LEAF), _LEAF))[:3], _close(ctx, _mul(rest, _STALK))[:3]))
     return out
 
 

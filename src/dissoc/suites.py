@@ -38,7 +38,7 @@ from .graphs import (
     support_vertices,
     vset,
 )
-from .mds import Status, _detached_triples, mds_profile, phi, phi_refined
+from .mds import Status, _detached_triples, _surgery_triples, mds_profile, phi, phi_refined
 
 IDENTITY_PAIR_SEED = 0x1D55
 IDENTITY_PAIR_COUNT = 200
@@ -106,20 +106,22 @@ def _coded(graphs: Iterable[Graph]) -> list[tuple[str, str]]:
 
 
 @cache
-def _pool(jobs: int) -> ProcessPoolExecutor:
-    """The process's one pool of ``jobs`` workers, at most one per CPU:
-    starting workers costs more than the fan-out of many suite orders. All
-    workers are forked at first use, so they run the package as it stood
-    then, and a larger ``jobs`` would ask the OS for that many processes."""
-    return ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1))
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """The process's one pool of ``workers`` workers: starting workers costs
+    more than the fan-out of many suite orders. All workers are forked at
+    first use, so they run the package as it stood then."""
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _pmap(fn: Callable, items: Sequence, jobs: int) -> list:
-    """Order-preserving map, optionally fanned out across processes."""
+    """Order-preserving map, optionally fanned out across processes. At most
+    one worker runs per CPU: a larger ``jobs`` would ask the OS for that
+    many processes, and would cut the work into needlessly small chunks."""
     if jobs <= 1 or len(items) < 4:
         return [fn(x) for x in items]
-    chunk = max(1, len(items) // (jobs * 8))
-    return list(_pool(jobs).map(fn, items, chunksize=chunk))
+    workers = min(jobs, os.cpu_count() or 1)
+    chunk = max(1, len(items) // (workers * 8))
+    return list(_pool(workers).map(fn, items, chunksize=chunk))
 
 
 def _phi_minus(g: Graph, mask: int) -> int:
@@ -274,59 +276,58 @@ def check_leaf_removal_lemma(n: int) -> VerificationReport:
     )
 
 
+def _surgery_graphs(u_graph: Graph, w: int, k: int) -> tuple[Graph, Graph]:
+    """g1, the base graph with k new leaves at w, and g2, g1 with its last
+    new leaf moved onto its first."""
+    n = u_graph.n
+    edges = u_graph.edges()
+    g1 = from_edges(n + k, edges + [(w, n + i) for i in range(k)])
+    g2 = from_edges(n + k, edges + [(w, n + i) for i in range(k - 1)] + [(n, n + k - 1)])
+    return g1, g2
+
+
 def _surgery_instances(u_graph: Graph) -> tuple[list[Violation], list[dict], int]:
     """The surgery instances on one base graph: violations, equality
-    observations and the number of instances."""
+    observations and the number of instances. w's counts in g1 and g2 come
+    from one targeted pass; g1 and g2 are built only to be named, and to
+    cross-check the pass against their profiles on the first instance."""
+    supports = support_vertices(u_graph)
+    ws = [w for w in range(u_graph.n) if not supports >> w & 1]
+    pairs = [(w, k) for w in ws for k in range(2, SURGERY_K_MAX + 1) if u_graph.n + k <= 64]
+    if not pairs:
+        return [], [], 0
     violations = []
     observations = []
-    instances = 0
-    supports = support_vertices(u_graph)
-    for w in range(u_graph.n):
-        if supports >> w & 1:
-            continue
-        phi_u_minus_nw = _phi_minus(u_graph, closed_neighborhood(u_graph, w))
-        for k in range(2, SURGERY_K_MAX + 1):
-            if u_graph.n + k > 64:
-                continue
-            instances += 1
-            g1 = from_edges(u_graph.n + k, u_graph.edges() + [(w, u_graph.n + i) for i in range(k)])
-            v1 = u_graph.n
-            vk = u_graph.n + k - 1
-            edges2 = [e for e in g1.edges() if e != (w, vk)] + [(v1, vk)]
-            g2 = from_edges(g1.n, edges2)
-            p1 = mds_profile(g1)
-            p2 = mds_profile(g2)
-            phi1 = p1.total
-            phi2 = p2.total
-            if phi1 < phi2:
-                violations.append(Violation(_g6(g1), "surgery_phi_monotone", phi1, phi2))
-            c1_lhs = p2.per_vertex[w][0]
-            c1_rhs = p1.per_vertex[w][0]
-            if c1_lhs != c1_rhs:
-                violations.append(Violation(_g6(g1), "surgery_claim1", c1_lhs, c1_rhs))
-            c2_lhs = p2.per_vertex[w][2]
-            c2_rhs = p1.per_vertex[w][2] - phi_u_minus_nw
-            if c2_lhs != c2_rhs:
-                violations.append(Violation(_g6(g1), "surgery_claim2", c2_lhs, c2_rhs))
-            if phi1 == phi2:
-                cond_rhs = phi_refined(u_graph, [(w, Status.IN_DEGREE0)])
-                observations.append(
-                    {
-                        "g1": _g6(g1),
-                        "g2": _g6(g2),
-                        "base": _g6(u_graph),
-                        "w": w,
-                        "k": k,
-                        "phi": phi1,
-                        "phi_base_minus_nw": phi_u_minus_nw,
-                        "phi_base_w_deg0": cond_rhs,
-                    }
-                )
-                if phi_u_minus_nw != cond_rhs:
-                    violations.append(
-                        Violation(_g6(g1), "surgery_equality_condition", phi_u_minus_nw, cond_rhs)
-                    )
-    return violations, observations, instances
+    results = _surgery_triples(u_graph, pairs)
+    w = pairs[0][0]
+    for g, triple in zip(_surgery_graphs(u_graph, *pairs[0]), results[0]):
+        for lhs, rhs in zip(triple, mds_profile(g).per_vertex[w]):
+            if lhs != rhs:
+                violations.append(Violation(_g6(g), "surgery_cross_check", lhs, rhs))
+    minus_nw = {w: _phi_minus(u_graph, closed_neighborhood(u_graph, w)) for w in ws}
+    for (w, k), (t1, t2) in zip(pairs, results):
+        phi_u_minus_nw = minus_nw[w]
+        phi1, phi2 = sum(t1), sum(t2)
+        found = []
+        if phi1 < phi2:
+            found.append(("surgery_phi_monotone", phi1, phi2))
+        if t2[0] != t1[0]:
+            found.append(("surgery_claim1", t2[0], t1[0]))
+        if t2[2] != t1[2] - phi_u_minus_nw:
+            found.append(("surgery_claim2", t2[2], t1[2] - phi_u_minus_nw))
+        if not found and phi1 != phi2:
+            continue  # nothing to name
+        g1, g2 = _surgery_graphs(u_graph, w, k)
+        violations += [Violation(_g6(g1), *v) for v in found]
+        if phi1 == phi2:
+            cond_rhs = phi_refined(u_graph, [(w, Status.IN_DEGREE0)])
+            observations.append(
+                {"g1": _g6(g1), "g2": _g6(g2), "base": _g6(u_graph), "w": w, "k": k, "phi": phi1,
+                 "phi_base_minus_nw": phi_u_minus_nw, "phi_base_w_deg0": cond_rhs}
+            )
+            if phi_u_minus_nw != cond_rhs:
+                violations.append(Violation(_g6(g1), "surgery_equality_condition", phi_u_minus_nw, cond_rhs))
+    return violations, observations, len(pairs)
 
 
 def check_surgery_lemma(lo: int, hi: int, corpora: CorpusStore, jobs: int = 1) -> VerificationReport:

@@ -247,18 +247,20 @@ def test_jobs_are_bounded_by_the_cpu_count(capsys, monkeypatch, cpus, workers, v
     # a pool forks all its workers at the first submit, so it is never asked
     # for more than one per CPU; the recorder stands in for it and starts no
     # process
-    built = []
+    built, chunks = [], []
 
     class Recorder:
         def __init__(self, max_workers):
             built.append(max_workers)
 
         def map(self, fn, items, chunksize=1):
+            chunks.append(chunksize)
             return map(fn, items)
 
     monkeypatch.setattr(suites.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(suites, "ProcessPoolExecutor", Recorder)
-    argv = ["verify", "--suite", "main", "--orders", "6"]
+    # order 8 has 89 unicyclic graphs: chunks of 89 // (8 * workers)
+    argv = ["verify", "--suite", "main", "--orders", "8"]
     if via_env:
         monkeypatch.setenv("DISSOC_JOBS", "100000")
     else:
@@ -268,7 +270,7 @@ def test_jobs_are_bounded_by_the_cpu_count(capsys, monkeypatch, cpus, workers, v
         code, _, _ = run_cli(capsys, *argv)
     finally:
         suites._pool.cache_clear()
-    assert code == 0 and built == [workers]
+    assert code == 0 and built == [workers] and chunks == [89 // (8 * workers)]
 
 
 def test_verify_all_shares_one_store_and_one_pool(tmp_path, capsys, monkeypatch):

@@ -29,7 +29,7 @@ from dissoc import (
 )
 from dissoc.graphs import delete_vertices, closed_neighborhood
 from dissoc import mds
-from dissoc.suites import _pendant_path_triples
+from dissoc.suites import SURGERY_K_MAX, _pendant_path_triples, _surgery_graphs
 
 from oracles import count_mds_bruteforce, enumerate_mds_naive, random_connected_graph
 
@@ -236,6 +236,38 @@ def test_detached_triples_match_profile_and_reduced_graphs():
     # pendant-path reads its claims from this pass;
     # check_detached_triples(range(12, 14)) takes it to order 13
     assert check_detached_triples(range(5, 12)) == 2737
+
+
+def check_surgery_triples(orders):
+    """``mds._surgery_triples`` for every surgery instance (w, k) of every
+    unicyclic graph of the given orders: w's triples in g1 and g2 against
+    ``mds_profile`` of the built graphs. Returns the number of instances."""
+    checked = 0
+    for n in orders:
+        for g in generate_unicyclic(n):
+            supports = support_vertices(g)
+            pairs = [(w, k) for w in range(g.n) if not supports >> w & 1 for k in range(2, SURGERY_K_MAX + 1)]
+            for (w, k), in_g12 in zip(pairs, mds._surgery_triples(g, pairs), strict=True):
+                checked += 1
+                built = tuple(mds_profile(h).per_vertex[w] for h in _surgery_graphs(g, w, k))
+                assert in_g12 == built, (g, w, k)
+    return checked
+
+
+def test_surgery_triples_match_profiles_of_built_graphs():
+    # surgery reads its claims from this pass;
+    # check_surgery_triples(range(10, 12)) takes it to order 11
+    assert check_surgery_triples(range(3, 10)) == 4728
+
+
+VECTORS = st.tuples(*[st.integers(min_value=0, max_value=10**6)] * 6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(VECTORS, VECTORS)
+def test_step_is_the_lift_of_a_merge(a, b):
+    for mask in range(8):
+        assert mds._step(a, b, mask) == mds._edge(mds._mul(a, b), mask)
 
 
 def test_every_emitted_set_is_maximal():

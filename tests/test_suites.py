@@ -178,27 +178,21 @@ def test_pendant_path_on_U22():
         (4, 1, lambda: check_pendant_path_lemma(5, CORPORA), "pendant_path_cross_check"),
         (0, 1, lambda: check_surgery_lemma(3, 4, CORPORA), "surgery_claim1"),
         (2, 1, lambda: check_surgery_lemma(3, 4, CORPORA), "surgery_claim2"),
+        (0, 1, lambda: check_surgery_lemma(3, 4, CORPORA), "surgery_cross_check"),
         (0, 1, lambda: check_identity_suite(4, 4, CORPORA), "per_vertex_decomposition"),
         (1, 1, lambda: check_identity_suite(4, 4, CORPORA), "support_vertex_deg0_zero"),
     ],
 )
 def test_profile_checks_catch_a_skewed_profile(monkeypatch, slot, delta, run, rule):
     # shift one entry of every per-vertex triple in the first profile taken,
-    # or of every pair in the first targeted pass of pendant-path, whose
-    # slots 0..2 are w's triple in g and 3..5 its triple in g - {u, v}; a
-    # check that passes anyway does not read the counts it claims to
+    # or of every pair in the first result of a targeted pass (pendant-path
+    # or surgery), whose slots 0..2 are w's triple in g (in g1) and 3..5 its
+    # triple in g - {u, v} (in g2); a check that passes anyway does not read
+    # the counts it claims to
     calls = []
 
     def shift(row, first):
         return tuple(c + delta if first + i == slot else c for i, c in enumerate(row))
-
-    def skew_first_call(real, skew):
-        def skewed(*args):
-            result = real(*args)
-            calls.append(args)
-            return skew(result) if len(calls) == 1 else result
-
-        return skewed
 
     def skew_profile(profile):
         return MdsProfile(profile.total, tuple(shift(row, 0) for row in profile.per_vertex))
@@ -206,9 +200,21 @@ def test_profile_checks_catch_a_skewed_profile(monkeypatch, slot, delta, run, ru
     def skew_pairs(pairs):
         return [(shift(in_g, 0), shift(in_h, 3)) for in_g, in_h in pairs]
 
+    if rule.startswith("pendant_path"):
+        target, skew = "_detached_triples", skew_pairs
+    elif rule.startswith("surgery_claim"):
+        target, skew = "_surgery_triples", skew_pairs
+    else:
+        target, skew = "mds_profile", skew_profile
+    real = getattr(suites, target)
+
+    def skewed(*args):
+        result = real(*args)
+        calls.append(args)
+        return skew(result) if len(calls) == 1 else result
+
     assert run().passed
-    monkeypatch.setattr(suites, "mds_profile", skew_first_call(suites.mds_profile, skew_profile))
-    monkeypatch.setattr(suites, "_detached_triples", skew_first_call(suites._detached_triples, skew_pairs))
+    monkeypatch.setattr(suites, target, skewed)
     report = run()
     assert calls and rule in {v.rule for v in report.violations}
 
