@@ -152,15 +152,26 @@ def delete_vertices(g: Graph, s: int) -> tuple[Graph, dict[int, int]]:
         raise ValueError("set contains vertices outside the graph")
     if s == g.full_mask:
         raise ValueError("cannot remove all vertices")
-    keep = bit_list(g.full_mask & ~s)
-    relabel = {old: new for new, old in enumerate(keep)}
+    # each maximal run of kept labels moves down, in one shift, by the
+    # number of deleted labels below it
+    runs = []
+    kept: list[int] = []
+    rest = g.full_mask & ~s
+    while rest:
+        low = rest & -rest
+        run = rest & ~(rest + low)
+        start = low.bit_length() - 1
+        kept.extend(range(start, start + run.bit_count()))
+        runs.append((run, (s & (low - 1)).bit_count()))
+        rest ^= run
     rows = []
-    for old in keep:
-        row = 0
-        for u in iter_bits(g.adj[old] & ~s):
-            row |= 1 << relabel[u]
-        rows.append(row)
-    return _trusted(len(keep), tuple(rows)), relabel
+    for old in kept:
+        row = g.adj[old]
+        new = 0
+        for run, shift in runs:
+            new |= (row & run) >> shift
+        rows.append(new)
+    return _trusted(len(kept), tuple(rows)), {old: new for new, old in enumerate(kept)}
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:

@@ -35,10 +35,16 @@ product of its siblings, so only the path from the cycle down to the
 vertex is visited. Merging the context with the vertex's vector gives its
 triple; merging it with the vertex's vector minus one child's subtree gives
 the triple in the graph without that subtree, which is what the
-pendant-path suite compares. The surgery suite's graphs add k leaves at a
-vertex w, or k - 2 leaves and a path of two; those hang below w and leave
-w's context as it is, so w's triples there are its context merged with its
-vector times k leaves, or times k - 2 leaves and the path.
+pendant-path suite compares. Its pendant paths w-u-v come from the same
+peel: v is peeled with no children, v is u's only child, and u hangs below
+w. Such a u hands w the same vector whatever the path, so the paths at one
+w share both triples. A cycle vertex's context has one entry per cut case.
+``_step`` is bilinear, so the top-down passes sum the entries that put the
+same mask on the vertex, and close at most three; ``phi`` closes each cut
+case once, where summing does not pay. The surgery suite's graphs add k
+leaves at a vertex w, or k - 2 leaves and a path of two; those hang below
+w and leave w's context as it is, so w's triples there are its context
+merged with its vector times k leaves, or times k - 2 leaves and the path.
 
 The backtracking enumerator ``_search`` remains in two places: behind
 ``enumerate_mds``, and for graphs with a component that has two or more
@@ -63,6 +69,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Iterator, NamedTuple
 
 from .graphs import Graph, _layout, _unicyclic_cycle, iter_bits
@@ -259,10 +266,10 @@ def _step(a: tuple, b: tuple, mask: int) -> tuple:
     a0, a1, ab, c0, cn, c1 = a
     b0, b1, bb, d0, dn, d1 = b
     x0 = a0 * b0
-    whole = (a0 + a1 + ab) * (b0 + b1 + bb)
+    rest = (a0 + a1 + ab) * (b0 + b1 + bb) - x0
     c = c0 + cn
     d = d0 + dn
-    return (whole - x0 - a0 * b1 - a1 * b0, c0 * d0, c * d1 + c1 * d, whole - x0, x0, c * d)
+    return (rest - a0 * b1 - a1 * b0, c0 * d0, c * d1 + c1 * d, rest, x0, c * d)
 
 
 def _edge(a: tuple, mask: int) -> tuple:
@@ -284,6 +291,10 @@ def _edge(a: tuple, mask: int) -> tuple:
     return (p_out, free, blocking, p_in, p_matched, partner)
 
 
+_LEAF = _edge(_UNIT, _ALL)  # what a leaf hands its parent
+_STALK = _edge(_LEAF, _ALL)  # what a vertex with one leaf below it hands its parent
+
+
 def _subtrees(g: Graph, allowed: list[int], order: list[int], parent: list[int]):
     """Bottom-up pass: each vertex's vector over its peeled subtree, and
     the vector each peeled vertex hands its parent."""
@@ -292,7 +303,8 @@ def _subtrees(g: Graph, allowed: list[int], order: list[int], parent: list[int])
     for v in order:
         p = parent[v]
         if p >= 0:
-            up[v] = e = _edge(vec[v], allowed[v])
+            a = vec[v]
+            up[v] = e = _LEAF if a is _UNIT and allowed[v] == _ALL else _edge(a, allowed[v])
             # a first child needs no merge: _UNIT is the identity
             vec[p] = e if vec[p] is _UNIT else _mul(vec[p], e)
     return vec, up
@@ -300,6 +312,12 @@ def _subtrees(g: Graph, allowed: list[int], order: list[int], parent: list[int])
 
 def _root_value(e: tuple) -> int:
     return e[0] + e[1] + e[2]
+
+
+def _add(a: tuple, b: tuple) -> tuple:
+    a0, a1, ab, c0, cn, c1 = a
+    b0, b1, bb, d0, dn, d1 = b
+    return (a0 + b0, a1 + b1, ab + bb, c0 + d0, cn + dn, c1 + d1)
 
 
 def _cut_context(cyc: list[int], vec: list[tuple], allowed: list[int]) -> list[tuple[int, tuple]]:
@@ -316,6 +334,16 @@ def _cut_context(cyc: list[int], vec: list[tuple], allowed: list[int]) -> list[t
                 e = _step(vec[v], e, allowed[v])
             out.append((allowed_a & mask_a, _mul(need_a, e)))
     return out
+
+
+def _by_mask(ctx: list[tuple[int, tuple]]) -> list[tuple[int, tuple]]:
+    """``ctx`` with the entries that share a mask summed, at most three:
+    ``_step`` is bilinear, so closing the sums is exact. This pays where a
+    context is closed more than once."""
+    sums: dict[int, tuple] = {}
+    for mask, c in ctx:
+        sums[mask] = _add(sums[mask], c) if mask in sums else c
+    return list(sums.items())
 
 
 def _count(g: Graph, allowed: list[int]) -> int:
@@ -337,15 +365,11 @@ def _count(g: Graph, allowed: list[int]) -> int:
     return total
 
 
-def _vsum(vectors: list[tuple]) -> tuple:
-    return vectors[0] if len(vectors) == 1 else tuple(map(sum, zip(*vectors)))
-
-
 def _cycle_contexts(cyc: list[int], vec: list[tuple]) -> list[list[tuple[int, tuple]]]:
     """Per cycle vertex, (mask, vector) pairs that sum, over the six cut
     cases, the demands of everything outside its pendant trees."""
     k = len(cyc)
-    sums: list[dict[int, list[tuple]]] = [{} for _ in cyc]
+    contexts: list[list[tuple[int, tuple]]] = [[] for _ in cyc]
     for need_a, mask_a, need_b, mask_b in _CUT_CASES:
         masks = [_ALL] * k
         masks[0] &= mask_a
@@ -357,15 +381,18 @@ def _cycle_contexts(cyc: list[int], vec: list[tuple]) -> list[list[tuple[int, tu
             j = k - 1 - i
             after[j - 1] = _step(vec[cyc[j]], after[j], masks[j])
         for i in range(k):
-            sums[i].setdefault(masks[i], []).append(_mul(before[i], after[i]))
-    return [[(mask, _vsum(vs)) for mask, vs in s.items()] for s in sums]
+            contexts[i].append((masks[i], _mul(before[i], after[i])))
+    return [_by_mask(ctx) for ctx in contexts]
 
 
 def _close(ctx: list[tuple[int, tuple]], a: tuple) -> tuple:
     """What a vertex with vector ``a`` and context ``ctx`` hands a parent
     that does not exist: its first three slots are the (excluded,
     degree-0, degree-1) counts of the vertex."""
-    return _vsum([_step(c, a, mask) for mask, c in ctx])
+    if len(ctx) == 1:
+        mask, c = ctx[0]
+        return _step(c, a, mask)
+    return reduce(_add, [_step(c, a, mask) for mask, c in ctx])
 
 
 def _profile(g: Graph, order: list[int], parent: list[int], cycles: list[list[int]]) -> MdsProfile:
@@ -412,57 +439,90 @@ def _profile(g: Graph, order: list[int], parent: list[int], cycles: list[list[in
     return MdsProfile(product, tuple(triples))
 
 
-def _contexts(g: Graph):
-    """The top-down pass of the connected unicyclic graph g, on demand:
-    the subtree vectors, ``without(p, child)`` (p's vector with
-    ``child``'s subtree left out) and ``context_of(v)``, memoised per
-    vertex, which visits only the path from the cycle down to v."""
+def _unicyclic_layout(g: Graph) -> tuple[list[int], list[int], list[list[int]]]:
+    """The ``_layout`` of g, which the targeted passes require to be a
+    connected unicyclic graph."""
     layout = _layout(g.adj)
-    cyc = _unicyclic_cycle(layout)
-    if cyc is None:
+    if _unicyclic_cycle(layout) is None:
         raise ValueError("the targeted counting passes require a unicyclic graph")
-    order, parent, _ = layout
-    allowed = [_ALL] * g.n
-    vec, up = _subtrees(g, allowed, order, parent)
-    children: list[list[int]] = [[] for _ in range(g.n)]
-    for v in order:
-        children[parent[v]].append(v)
-    context: dict[int, list[tuple[int, tuple]]] = {}
+    return layout
 
-    def without(p: int, child: int) -> tuple:
+
+def _pendant_paths(parent: list[int]) -> list[tuple[int, int, int]]:
+    """(w, u, v) per pendant path w-u-v, v a leaf and u of degree 2, of a
+    graph with the peel ``parent``, by ascending v: v is peeled with no
+    children, v is u's only child, and u hangs below w."""
+    children = [0] * len(parent)
+    for p in parent:
+        if p >= 0:
+            children[p] += 1
+    return [
+        (parent[u], u, v)
+        for v, u in enumerate(parent)
+        if u >= 0 and not children[v] and children[u] == 1 and parent[u] >= 0
+    ]
+
+
+class _Contexts:
+    """The top-down pass of a connected unicyclic graph g from its
+    ``layout``, on demand: the subtree vectors, ``without(p, child)`` (p's
+    vector with ``child``'s subtree left out) and ``context_of(v)``,
+    memoised per vertex, which visits only the path from the cycle down to
+    v. Methods, not closures: a closure that calls itself is a reference
+    cycle, and only the cyclic collector frees it and all it holds."""
+
+    __slots__ = ("parent", "children", "cyc", "allowed", "vec", "up", "memo")
+
+    def __init__(self, g: Graph, layout: tuple[list[int], list[int], list[list[int]]]):
+        order, parent, (cyc,) = layout
+        children: list[list[int]] = [[] for _ in range(g.n)]
+        for v in order:
+            children[parent[v]].append(v)
+        self.parent, self.children, self.cyc = parent, children, cyc
+        self.allowed = [_ALL] * g.n
+        self.vec, self.up = _subtrees(g, self.allowed, order, parent)
+        self.memo: dict[int, list[tuple[int, tuple]]] = {}
+
+    def without(self, p: int, child: int) -> tuple:
         rest = _UNIT
-        for k in children[p]:
+        up = self.up
+        for k in self.children[p]:
             if k != child:
                 rest = _mul(rest, up[k])
         return rest
 
-    def context_of(v: int) -> list[tuple[int, tuple]]:
-        if v not in context:
-            p = parent[v]
-            if p < 0:
-                i = cyc.index(v)
-                context[v] = _cut_context(cyc[i:] + cyc[:i], vec, allowed)
-            else:
-                context[v] = [(_ALL, _close(context_of(p), without(p, v)))]
-        return context[v]
-
-    return vec, without, context_of
-
-
-def _detached_triples(g: Graph, pairs: Iterable[tuple[int, int]]) -> list[tuple[tuple, tuple]]:
-    """For each (w, u), where u hangs below its neighbor w in the leaf peel
-    of the connected unicyclic graph g: the (excluded, degree-0, degree-1)
-    triple at w in g, and the same triple in g minus u's subtree."""
-    vec, without, context_of = _contexts(g)
-    out = []
-    for w, u in pairs:
-        ctx = context_of(w)
-        out.append((_close(ctx, vec[w])[:3], _close(ctx, without(w, u))[:3]))
-    return out
+    def context_of(self, v: int) -> list[tuple[int, tuple]]:
+        memo, parent = self.memo, self.parent
+        below = []  # v and its ancestors up to the first known context
+        while v not in memo and parent[v] >= 0:
+            below.append(v)
+            v = parent[v]
+        if v not in memo:
+            i = self.cyc.index(v)
+            memo[v] = _by_mask(_cut_context(self.cyc[i:] + self.cyc[:i], self.vec, self.allowed))
+        ctx = memo[v]
+        for child in reversed(below):
+            ctx = memo[child] = [(_ALL, _close(ctx, self.without(v, child)))]
+            v = child
+        return ctx
 
 
-_LEAF = _edge(_UNIT, _ALL)  # what a leaf hands its parent
-_STALK = _edge(_LEAF, _ALL)  # what a vertex with one leaf below it hands its parent
+def _detached_triples(g: Graph) -> tuple[list[tuple[int, int, int]], list[tuple[tuple, tuple]]]:
+    """The pendant paths (w, u, v) of the connected unicyclic graph g, from
+    its leaf peel, and per path the (excluded, degree-0, degree-1) triple at
+    w in g and in g - {u, v}. Every u below w is a stalk, so the paths at
+    one w share both triples."""
+    layout = _unicyclic_layout(g)
+    paths = _pendant_paths(layout[1])
+    if not paths:
+        return [], []
+    contexts = _Contexts(g, layout)
+    at: dict[int, tuple[tuple, tuple]] = {}
+    for w, u, _ in paths:
+        if w not in at:
+            ctx = contexts.context_of(w)
+            at[w] = (_close(ctx, contexts.vec[w])[:3], _close(ctx, contexts.without(w, u))[:3])
+    return paths, [at[w] for w, _, _ in paths]
 
 
 def _surgery_triples(g: Graph, pairs: Iterable[tuple[int, int]]) -> list[tuple[tuple, tuple]]:
@@ -471,11 +531,11 @@ def _surgery_triples(g: Graph, pairs: Iterable[tuple[int, int]]) -> list[tuple[t
     leaves at w, and in g2, which is g1 with its last new leaf moved onto
     its first. The new vertices hang below w, so w's context is its context
     in g."""
-    vec, _, context_of = _contexts(g)
+    contexts = _Contexts(g, _unicyclic_layout(g))
     out = []
     for w, k in pairs:
-        ctx = context_of(w)
-        rest = vec[w]
+        ctx = contexts.context_of(w)
+        rest = contexts.vec[w]
         for _ in range(k - 2):
             rest = _mul(rest, _LEAF)
         out.append((_close(ctx, _mul(_mul(rest, _LEAF), _LEAF))[:3], _close(ctx, _mul(rest, _STALK))[:3]))

@@ -26,7 +26,6 @@ from .graphs import (
     bit_list,
     closed_neighborhood,
     cycle,
-    degree,
     delete_vertices,
     disjoint_union,
     from_edges,
@@ -40,6 +39,8 @@ from .graphs import (
 )
 from .mds import Status, _detached_triples, _surgery_triples, mds_profile, phi, phi_refined
 
+# _pmap cuts a map into this many chunks per worker
+CHUNKS_PER_WORKER = 2
 IDENTITY_PAIR_SEED = 0x1D55
 IDENTITY_PAIR_COUNT = 200
 # surgery moves the last of k = 2..SURGERY_K_MAX pendant leaves
@@ -120,7 +121,7 @@ def _pmap(fn: Callable, items: Sequence, jobs: int) -> list:
     if jobs <= 1 or len(items) < 4:
         return [fn(x) for x in items]
     workers = min(jobs, os.cpu_count() or 1)
-    chunk = max(1, len(items) // (workers * 8))
+    chunk = max(1, len(items) // (workers * CHUNKS_PER_WORKER))
     return list(_pool(workers).map(fn, items, chunksize=chunk))
 
 
@@ -350,26 +351,14 @@ def check_surgery_lemma(lo: int, hi: int, corpora: CorpusStore, jobs: int = 1) -
     )
 
 
-def _pendant_path_triples(g: Graph) -> list[tuple[int, int, int]]:
-    """(w, u, v) with v a leaf, u its degree-2 support, w the other neighbor."""
-    out = []
-    for v in iter_bits(leaves(g)):
-        u = g.adj[v].bit_length() - 1
-        if degree(g, u) != 2:
-            continue
-        w = (g.adj[u] & ~(1 << v)).bit_length() - 1
-        out.append((w, u, v))
-    return out
-
-
 def _pendant_path_check(g: Graph) -> tuple[list[Violation], int, int]:
-    triples = _pendant_path_triples(g)
+    # per pendant path (w, u, v): w's counts in g and in h = g - {u, v},
+    # from one pass
+    triples, split = _detached_triples(g)
     if not triples:
         return [], 0, 0
     violations: list[Violation] = []
     claim2_eq = 0
-    # per triple: w's counts in g and in h = g - {u, v}, from one pass
-    split = _detached_triples(g, [(w, u) for w, u, _ in triples])
     total = sum(split[0][0])
     for (c3_lhs, c1_lhs, c2_lhs), (h_excl, h_deg0, h_deg1) in split:
         # every set puts w in exactly one status

@@ -6,7 +6,8 @@ backtracking test, class counts are recomputed analytically from the
 rooted-tree recurrence, random connected graphs are built from a random
 spanning tree, and maximal dissociation sets are found by testing every
 subset against the definition (one subset at a time, or all at once with
-numpy).
+numpy). Pendant paths are found by scanning degrees rather than from the
+leaf peel, and graph6 coding and vertex deletion work one bit at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import gcd
 
 import numpy as np
 
-from dissoc import MAX_ORDER, Graph, from_edges, is_maximal_dissociation, iter_bits
+from dissoc import MAX_ORDER, Graph, bit_list, degree, from_edges, is_maximal_dissociation, iter_bits, leaves
 
 BRUTEFORCE_ISO_CAP = 10
 NAIVE_ORDER_CAP = 24
@@ -383,3 +384,33 @@ def graph6_decode_bitwise(data: bytes | str) -> Graph:
                 rows[j] |= 1 << i
             pos += 1
     return Graph(n, rows)
+
+
+def pendant_path_triples(g: Graph) -> list[tuple[int, int, int]]:
+    """(w, u, v) with v a leaf, u its degree-2 support and w the other
+    neighbor of u, by ascending v, found by scanning the degrees."""
+    out = []
+    for v in iter_bits(leaves(g)):
+        u = g.adj[v].bit_length() - 1
+        if degree(g, u) != 2:
+            continue
+        w = (g.adj[u] & ~(1 << v)).bit_length() - 1
+        out.append((w, u, v))
+    return out
+
+
+def delete_vertices_bitwise(g: Graph, s: int) -> tuple[Graph, dict[int, int]]:
+    """``dissoc.delete_vertices``, relabelling one neighbor bit at a time."""
+    if s & ~g.full_mask:
+        raise ValueError("set contains vertices outside the graph")
+    if s == g.full_mask:
+        raise ValueError("cannot remove all vertices")
+    keep = bit_list(g.full_mask & ~s)
+    relabel = {old: new for new, old in enumerate(keep)}
+    rows = []
+    for old in keep:
+        row = 0
+        for u in iter_bits(g.adj[old] & ~s):
+            row |= 1 << relabel[u]
+        rows.append(row)
+    return Graph(len(keep), rows), relabel

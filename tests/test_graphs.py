@@ -25,7 +25,7 @@ from dissoc import (
 )
 
 from dissoc.graphs import _layout, _unicyclic_cycle
-from oracles import graph6_decode_bitwise, graph6_encode_bitwise, random_connected_graph
+from oracles import delete_vertices_bitwise, graph6_decode_bitwise, graph6_encode_bitwise, random_connected_graph
 import random
 
 
@@ -112,6 +112,24 @@ def test_trusted_builders_keep_graph_invariants():
         _assert_validated(h)
         if n < 64:
             _assert_validated(disjoint_union(g, _random_graph(rng, rng.randint(1, 64 - n))))
+
+
+def test_delete_vertices_matches_bitwise_relabelling():
+    # empty, single-vertex and random sets of every density, orders 1..64
+    rng = random.Random(13)
+    for i in range(600):
+        n = rng.randint(1, 64)
+        g = _random_graph(rng, n)
+        density = rng.random()
+        s = [0, 1 << rng.randrange(n), vset(v for v in range(n) if rng.random() < density)][i % 3]
+        if s == g.full_mask:
+            for delete in (delete_vertices, delete_vertices_bitwise):
+                with pytest.raises(ValueError):
+                    delete(g, s)
+            continue
+        h, relabel = delete_vertices(g, s)
+        want, want_relabel = delete_vertices_bitwise(g, s)
+        assert (h.n, h.adj, relabel) == (want.n, want.adj, want_relabel), (g.adj, s)
 
 
 def test_path_and_cycle_basics():

@@ -29,9 +29,9 @@ from dissoc import (
 )
 from dissoc.graphs import delete_vertices, closed_neighborhood
 from dissoc import mds
-from dissoc.suites import SURGERY_K_MAX, _pendant_path_triples, _surgery_graphs
+from dissoc.suites import SURGERY_K_MAX, _surgery_graphs
 
-from oracles import count_mds_bruteforce, enumerate_mds_naive, random_connected_graph
+from oracles import count_mds_bruteforce, enumerate_mds_naive, pendant_path_triples, random_connected_graph
 
 K1 = from_edges(1, [])
 
@@ -214,16 +214,18 @@ def test_refined_counts_match_search_sets_on_corpora():
 
 def check_detached_triples(orders):
     """``mds._detached_triples`` for every pendant-path triple (w, u, v) of
-    every unicyclic graph of the given orders: w's triple in g against
-    ``mds_profile``, and w's triple in g - {u, v} against three
-    ``phi_refined`` calls on that graph. Returns the number of triples."""
+    every unicyclic graph of the given orders, as the scanning oracle finds
+    them: w's triple in g against ``mds_profile``, and w's triple in
+    g - {u, v} against three ``phi_refined`` calls on that graph. Returns
+    the number of triples."""
     statuses = (Status.EXCLUDED, Status.IN_DEGREE0, Status.IN_DEGREE1)
     checked = 0
     for n in orders:
         for g in generate_unicyclic(n):
-            triples = _pendant_path_triples(g)
+            triples = pendant_path_triples(g)
             profile = mds_profile(g)
-            pairs = mds._detached_triples(g, [(w, u) for w, u, _ in triples])
+            paths, pairs = mds._detached_triples(g)
+            assert paths == triples, g
             for (w, u, v), (in_g, in_h) in zip(triples, pairs, strict=True):
                 checked += 1
                 h, relabel = delete_vertices(g, vset([u, v]))
@@ -236,6 +238,13 @@ def test_detached_triples_match_profile_and_reduced_graphs():
     # pendant-path reads its claims from this pass;
     # check_detached_triples(range(12, 14)) takes it to order 13
     assert check_detached_triples(range(5, 12)) == 2737
+
+
+def test_pendant_paths_from_the_peel_match_the_scan():
+    # the pass finds its paths in the leaf peel; the oracle scans degrees
+    graphs = [U_pq(2, 2)] + [g for n in range(3, 13) for g in generate_unicyclic(n)]
+    for g in graphs:
+        assert mds._pendant_paths(mds._layout(g.adj)[1]) == pendant_path_triples(g), g
 
 
 def check_surgery_triples(orders):

@@ -159,10 +159,10 @@ def test_pendant_path_lemma():
 def test_pendant_path_on_U22():
     # U(2,2) itself carries a degree-2-support pendant path on each long leg
     from dissoc import delete_vertices, vset
-    from dissoc.suites import _pendant_path_triples
+    from oracles import pendant_path_triples
 
     g = U_pq(2, 2)
-    triples = _pendant_path_triples(g)
+    triples = pendant_path_triples(g)
     assert triples
     for w, u, v in triples:
         h, _ = delete_vertices(g, vset([u, v]))
@@ -185,10 +185,11 @@ def test_pendant_path_on_U22():
 )
 def test_profile_checks_catch_a_skewed_profile(monkeypatch, slot, delta, run, rule):
     # shift one entry of every per-vertex triple in the first profile taken,
-    # or of every pair in the first result of a targeted pass (pendant-path
-    # or surgery), whose slots 0..2 are w's triple in g (in g1) and 3..5 its
-    # triple in g - {u, v} (in g2); a check that passes anyway does not read
-    # the counts it claims to
+    # or of every pair in the first result of a targeted pass (pendant-path,
+    # which returns its paths beside the pairs, or surgery), whose slots
+    # 0..2 are w's triple in g (in g1) and 3..5 its triple in g - {u, v}
+    # (in g2); a check that passes anyway does not read the counts it
+    # claims to
     calls = []
 
     def shift(row, first):
@@ -201,7 +202,7 @@ def test_profile_checks_catch_a_skewed_profile(monkeypatch, slot, delta, run, ru
         return [(shift(in_g, 0), shift(in_h, 3)) for in_g, in_h in pairs]
 
     if rule.startswith("pendant_path"):
-        target, skew = "_detached_triples", skew_pairs
+        target, skew = "_detached_triples", lambda result: (result[0], skew_pairs(result[1]))
     elif rule.startswith("surgery_claim"):
         target, skew = "_surgery_triples", skew_pairs
     else:
