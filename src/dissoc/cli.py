@@ -46,11 +46,7 @@ def _parse_constraint(text: str) -> tuple[int, Status]:
 
 
 def _load_graph(args) -> Graph:
-    if getattr(args, "family", None):
-        return parse_family(args.family)
-    if getattr(args, "graph6", None):
-        return graph6_decode(args.graph6)
-    raise ValueError("provide a graph via --family or --graph6")
+    return parse_family(args.family) if args.family is not None else graph6_decode(args.graph6)
 
 
 class CorpusCache:
@@ -228,8 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_graph_args(p):
-        p.add_argument("--family", help='family spec, e.g. "U(2,2)", "T(3,1)", "Urt(5,2)", "P(7)", "C(6)"')
-        p.add_argument("--graph6", help="graph6 string")
+        graph = p.add_mutually_exclusive_group(required=True)
+        graph.add_argument("--family", help='family spec, e.g. "U(2,2)", "T(3,1)", "Urt(5,2)", "P(7)", "C(6)"')
+        graph.add_argument("--graph6", help="graph6 string")
 
     p_phi = sub.add_parser("phi", help="count maximal dissociation sets")
     add_graph_args(p_phi)

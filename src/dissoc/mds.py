@@ -7,7 +7,7 @@ neighbor that already has a partner inside.
 
 Counting (``phi``, ``phi_refined``, ``mds_profile``) runs a subtree-vector
 dynamic program whenever every component of the graph is a tree or
-unicyclic, in time linear in the order. The graph is peeled leaf by leaf;
+unicyclic. The graph is peeled leaf by leaf;
 each peeled vertex hangs below its last neighbor, which leaves one root per
 tree component and one cycle per unicyclic component. Per vertex ``v`` the
 DP keeps a six-slot vector of what the neighbors merged so far demand of
@@ -23,23 +23,25 @@ cycle is cut at one edge (a, b) and counted as six cases over the statuses
 of a and b (both out; both in and matched to each other; one in with
 degree 0 or 1 and the other out), each a chain over the cycle vertices;
 the pendant-tree vectors are computed once and shared by every case.
-``mds_profile`` adds a top-down pass: a vertex's context is everything
-outside its subtree, and it depends on the cut cases only through the sum
-of the cycle contexts, so each pendant tree is visited once.
+``phi`` and ``phi_refined`` take time linear in the order.
 
-The context of a single vertex needs no top-down pass. For a cycle vertex
-it is the cut-case chains with the cut placed beside it and the vertex's
-own vector left out; ``phi`` counts a cycle by merging that vector back in.
-Below the cycle, a child's context follows from its parent's and the
-product of its siblings, so only the path from the cycle down to the
-vertex is visited. Merging the context with the vertex's vector gives its
-triple; merging it with the vertex's vector minus one child's subtree gives
-the triple in the graph without that subtree, which is what the
+A vertex's context is everything outside its subtree. One on-demand
+top-down pass, ``_Contexts``, serves every reader of contexts. A tree
+root's context is empty. A cycle vertex's is the cut-case chains with the
+cut placed beside it and the vertex's own vector left out; ``phi`` counts a
+cycle by merging that vector back in. Below the root or cycle, a child's
+context follows from its parent's and the product of its siblings, so only
+the path down to the vertex is visited. ``mds_profile`` asks for every
+vertex's context, so each cycle vertex runs its own chains: it takes time
+quadratic in the cycle length and in a vertex's number of children.
+Merging the context with the vertex's vector gives its triple; merging it
+with the vertex's vector minus one child's subtree gives the triple in the
+graph without that subtree, which is what the
 pendant-path suite compares. Its pendant paths w-u-v come from the same
 peel: v is peeled with no children, v is u's only child, and u hangs below
 w. Such a u hands w the same vector whatever the path, so the paths at one
 w share both triples. A cycle vertex's context has one entry per cut case.
-``_step`` is bilinear, so the top-down passes sum the entries that put the
+``_step`` is bilinear, so ``_Contexts`` sums the entries that put the
 same mask on the vertex, and close at most three; ``phi`` closes each cut
 case once, where summing does not pay. The surgery suite's graphs add k
 leaves at a vertex w, or k - 2 leaves and a path of two; those hang below
@@ -70,6 +72,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import reduce
+from math import prod
 from typing import Iterable, Iterator, NamedTuple
 
 from .graphs import Graph, _layout, _unicyclic_cycle, iter_bits
@@ -365,26 +368,6 @@ def _count(g: Graph, allowed: list[int]) -> int:
     return total
 
 
-def _cycle_contexts(cyc: list[int], vec: list[tuple]) -> list[list[tuple[int, tuple]]]:
-    """Per cycle vertex, (mask, vector) pairs that sum, over the six cut
-    cases, the demands of everything outside its pendant trees."""
-    k = len(cyc)
-    contexts: list[list[tuple[int, tuple]]] = [[] for _ in cyc]
-    for need_a, mask_a, need_b, mask_b in _CUT_CASES:
-        masks = [_ALL] * k
-        masks[0] &= mask_a
-        masks[-1] &= mask_b
-        before = [need_a] * k
-        after = [need_b] * k
-        for i in range(k - 1):
-            before[i + 1] = _step(vec[cyc[i]], before[i], masks[i])
-            j = k - 1 - i
-            after[j - 1] = _step(vec[cyc[j]], after[j], masks[j])
-        for i in range(k):
-            contexts[i].append((masks[i], _mul(before[i], after[i])))
-    return [_by_mask(ctx) for ctx in contexts]
-
-
 def _close(ctx: list[tuple[int, tuple]], a: tuple) -> tuple:
     """What a vertex with vector ``a`` and context ``ctx`` hands a parent
     that does not exist: its first three slots are the (excluded,
@@ -393,50 +376,6 @@ def _close(ctx: list[tuple[int, tuple]], a: tuple) -> tuple:
         mask, c = ctx[0]
         return _step(c, a, mask)
     return reduce(_add, [_step(c, a, mask) for mask, c in ctx])
-
-
-def _profile(g: Graph, order: list[int], parent: list[int], cycles: list[list[int]]) -> MdsProfile:
-    vec, up = _subtrees(g, [_ALL] * g.n, order, parent)
-    children: list[list[int]] = [[] for _ in range(g.n)]
-    # context[v]: (mask on v, vector) pairs summing the demands of
-    # everything outside v's subtree
-    context: list[list[tuple[int, tuple]]] = [[]] * g.n
-    components = []
-    for v in order:
-        if parent[v] >= 0:
-            children[parent[v]].append(v)
-        else:
-            context[v] = [(_ALL, _UNIT)]
-            components.append([v])
-    for cyc in cycles:
-        for v, ctx in zip(cyc, _cycle_contexts(cyc, vec)):
-            context[v] = ctx
-        components.append(list(cyc))
-    triples: list[tuple[int, int, int]] = [(0, 0, 0)] * g.n
-    totals = []
-    for component in components:
-        for p in component:  # children are appended as their parent is reached
-            kids = children[p]
-            component.extend(kids)
-            ctx = context[p]
-            triples[p] = _close(ctx, vec[p])[:3]
-            # each child's context: the parent with every other child
-            before = [_UNIT] * len(kids)
-            for i in range(1, len(kids)):
-                before[i] = _mul(before[i - 1], up[kids[i - 1]])
-            after = _UNIT
-            for i in range(len(kids) - 1, -1, -1):
-                context[kids[i]] = [(_ALL, _close(ctx, _mul(before[i], after)))]
-                after = _mul(after, up[kids[i]])
-        totals.append(sum(triples[component[0]]))
-    product = 1
-    for t in totals:
-        product *= t
-    for component, t in zip(components, totals):
-        if t != product:
-            for v in component:
-                triples[v] = tuple(x * (product // t) for x in triples[v])
-    return MdsProfile(product, tuple(triples))
 
 
 def _unicyclic_layout(g: Graph) -> tuple[list[int], list[int], list[list[int]]]:
@@ -464,21 +403,25 @@ def _pendant_paths(parent: list[int]) -> list[tuple[int, int, int]]:
 
 
 class _Contexts:
-    """The top-down pass of a connected unicyclic graph g from its
-    ``layout``, on demand: the subtree vectors, ``without(p, child)`` (p's
-    vector with ``child``'s subtree left out) and ``context_of(v)``,
-    memoised per vertex, which visits only the path from the cycle down to
-    v. Methods, not closures: a closure that calls itself is a reference
+    """The top-down pass of a graph g from its ``layout``, a forest of tree
+    and unicyclic components, on demand: the subtree vectors,
+    ``without(p, child)`` (p's vector with ``child``'s subtree left out)
+    and ``context_of(v)``, memoised per vertex, which visits only the path
+    from v's tree root or cycle down to v. A tree root's context is empty;
+    a cycle vertex's is the cut-case chains of its own cycle, cut beside
+    it. Methods, not closures: a closure that calls itself is a reference
     cycle, and only the cyclic collector frees it and all it holds."""
 
-    __slots__ = ("parent", "children", "cyc", "allowed", "vec", "up", "memo")
+    __slots__ = ("parent", "children", "cycle_of", "allowed", "vec", "up", "memo")
 
     def __init__(self, g: Graph, layout: tuple[list[int], list[int], list[list[int]]]):
-        order, parent, (cyc,) = layout
+        order, parent, cycles = layout
         children: list[list[int]] = [[] for _ in range(g.n)]
         for v in order:
-            children[parent[v]].append(v)
-        self.parent, self.children, self.cyc = parent, children, cyc
+            if parent[v] >= 0:
+                children[parent[v]].append(v)
+        self.parent, self.children = parent, children
+        self.cycle_of = {v: cyc for cyc in cycles for v in cyc}
         self.allowed = [_ALL] * g.n
         self.vec, self.up = _subtrees(g, self.allowed, order, parent)
         self.memo: dict[int, list[tuple[int, tuple]]] = {}
@@ -498,13 +441,32 @@ class _Contexts:
             below.append(v)
             v = parent[v]
         if v not in memo:
-            i = self.cyc.index(v)
-            memo[v] = _by_mask(_cut_context(self.cyc[i:] + self.cyc[:i], self.vec, self.allowed))
+            cyc = self.cycle_of.get(v)
+            if cyc is None:
+                memo[v] = [(_ALL, _UNIT)]
+            else:
+                i = cyc.index(v)
+                memo[v] = _by_mask(_cut_context(cyc[i:] + cyc[:i], self.vec, self.allowed))
         ctx = memo[v]
         for child in reversed(below):
             ctx = memo[child] = [(_ALL, _close(ctx, self.without(v, child)))]
             v = child
         return ctx
+
+
+def _profile(g: Graph, layout: tuple[list[int], list[int], list[list[int]]]) -> MdsProfile:
+    order, parent, _ = layout
+    contexts = _Contexts(g, layout)
+    # each vertex's component, named by its tree root or its cycle's first vertex
+    name = [contexts.cycle_of[v][0] if v in contexts.cycle_of else v for v in range(g.n)]
+    for v in reversed(order):  # parents before children
+        if parent[v] >= 0:
+            name[v] = name[parent[v]]
+    triples = [_close(contexts.context_of(v), contexts.vec[v])[:3] for v in range(g.n)]
+    totals = {c: sum(triples[c]) for c in name}
+    product = prod(totals.values())
+    # a vertex's counts in g are its counts in its component times the others' totals
+    return MdsProfile(product, tuple(tuple(x * (product // totals[c]) for x in t) for t, c in zip(triples, name)))
 
 
 def _detached_triples(g: Graph) -> tuple[list[tuple[int, int, int]], list[tuple[tuple, tuple]]]:
@@ -586,7 +548,7 @@ def mds_profile(g: Graph) -> MdsProfile:
     """
     layout = _layout(g.adj)
     if layout is not None:
-        return _profile(g, *layout)
+        return _profile(g, layout)
     sets: list[int] = []
     _search(g, [_ALL] * g.n, sets)
     triples = []

@@ -488,7 +488,7 @@ def check_case3_subcases(n: int) -> VerificationReport:
     )
 
 
-def _identity_check(g: Graph) -> list[Violation]:
+def _identity_check(g: Graph) -> tuple[list[Violation], int]:
     violations = []
     profile = mds_profile(g)
     supports = support_vertices(g)
@@ -503,7 +503,7 @@ def _identity_check(g: Graph) -> list[Violation]:
         deleted = _phi_minus(g, closed_neighborhood(g, v))
         if deleted < parts[1]:
             violations.append(Violation(_g6(g), "deletion_vs_deg0", deleted, parts[1]))
-    return violations
+    return violations, profile.total
 
 
 def check_identity_suite(lo: int, hi: int, corpora: CorpusStore, jobs: int = 1) -> VerificationReport:
@@ -512,17 +512,19 @@ def check_identity_suite(lo: int, hi: int, corpora: CorpusStore, jobs: int = 1) 
     multiplicativity on seeded random disjoint-union pairs drawn from them."""
     graphs = corpora.graphs("unicyclic", lo, hi)
     results = _pmap(_identity_check, graphs, jobs)
-    violations = [v for vs in results for v in vs]
+    violations = [v for vs, _ in results for v in vs]
+    # each graph with its total, read from its profile
+    counted = [(g, total) for g, (_, total) in zip(graphs, results)]
     rng = random.Random(IDENTITY_PAIR_SEED)
     pairs_done = 0
-    while pairs_done < IDENTITY_PAIR_COUNT and graphs:
-        g = rng.choice(graphs)
-        h = rng.choice(graphs)
+    while pairs_done < IDENTITY_PAIR_COUNT and counted:
+        g, phi_g = rng.choice(counted)
+        h, phi_h = rng.choice(counted)
         if g.n + h.n > 64:
             continue
         pairs_done += 1
         joint = phi(disjoint_union(g, h))
-        separate = phi(g) * phi(h)
+        separate = phi_g * phi_h
         if joint != separate:
             violations.append(
                 Violation(_g6(disjoint_union(g, h)), "union_multiplicativity", joint, separate)

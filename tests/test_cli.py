@@ -18,7 +18,11 @@ CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.e
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    # a usage error exits from the parser; every other outcome is returned
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -50,6 +54,14 @@ def test_phi_parse_error_exit_2(capsys):
 def test_phi_requires_some_graph(capsys):
     code, _, err = run_cli(capsys, "phi")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["phi", "mds"])
+@pytest.mark.parametrize("graph_args", [[], ["--family", "P(3)", "--graph6", "D~{"]], ids=["neither", "both"])
+def test_graph_commands_take_exactly_one_graph(capsys, command, graph_args):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *graph_args])
+    assert exc.value.code == 2 and "--family" in capsys.readouterr().err
 
 
 def test_mds_p4(capsys):

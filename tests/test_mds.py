@@ -20,6 +20,7 @@ from dissoc import (
     is_maximal_dissociation,
     iter_bits,
     mds_profile,
+    parse_family,
     path,
     phi,
     phi_refined,
@@ -153,12 +154,14 @@ def test_mds_profile_rows_sum_to_total():
 def test_mds_profile_matches_refined_counts_on_corpora():
     # the per-graph suites read their refined counts from the profile
     statuses = (Status.EXCLUDED, Status.IN_DEGREE0, Status.IN_DEGREE1)
-    for n in range(1, 10):
-        for g in [*generate_trees(n), *generate_unicyclic(n)]:
-            prof = mds_profile(g)
-            assert prof.total == phi(g)
-            for v in range(g.n):
-                assert prof.per_vertex[v] == tuple(phi_refined(g, [(v, s)]) for s in statuses)
+    graphs = [g for n in range(1, 10) for g in [*generate_trees(n), *generate_unicyclic(n)]]
+    # long cycles: every vertex of a 64-cycle reads its own rotated context
+    graphs += [parse_family(spec) for spec in ("C(64)", "P(64)", "Urt(40,24)")]
+    for g in graphs:
+        prof = mds_profile(g)
+        assert prof.total == phi(g)
+        for v in range(g.n):
+            assert prof.per_vertex[v] == tuple(phi_refined(g, [(v, s)]) for s in statuses)
 
 
 def _status_codes(g, s) -> list[int]:
@@ -423,14 +426,16 @@ def test_stream_is_sorted_ascending():
 
 
 def test_counts_on_disjoint_unions_match_search_sets():
-    # the DP takes a graph whose components are all trees or unicyclic;
-    # a component with two cycles sends the whole graph to the search
+    # the DP takes a graph whose components are all trees or unicyclic,
+    # two cycles among them; a component with two cycles sends the whole
+    # graph to the search
     rng = random.Random(59)
     two_cycles = from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
     trees = list(generate_trees(5))
     unicyclic = list(generate_unicyclic(5))
     for i in range(40):
-        parts = [rng.choice(trees), rng.choice(unicyclic), K1] + ([two_cycles] if i % 2 else [])
+        parts = [rng.choice(trees), rng.choice(unicyclic), rng.choice(unicyclic), K1]
+        parts += [two_cycles] if i % 2 else []
         rng.shuffle(parts)
         g = parts[0]
         for h in parts[1:]:

@@ -261,6 +261,31 @@ def test_identity_suite():
     assert report.observations[0]["union_pairs"] == IDENTITY_PAIR_COUNT
 
 
+def test_identity_suite_counts_each_graph_once(monkeypatch):
+    # multiplicativity reads each graph's total from its profile: outside
+    # the deletion checks, phi runs once per union pair, on the union
+    calls, deleting = [], []
+    real_phi, real_phi_minus = suites.phi, suites._phi_minus
+
+    def counting_phi(g):
+        if not deleting:
+            calls.append(g)
+        return real_phi(g)
+
+    def phi_minus(g, mask):
+        deleting.append(mask)
+        try:
+            return real_phi_minus(g, mask)
+        finally:
+            deleting.pop()
+
+    monkeypatch.setattr(suites, "phi", counting_phi)
+    monkeypatch.setattr(suites, "_phi_minus", phi_minus)
+    report = check_identity_suite(3, 6, CORPORA, jobs=1)
+    assert report.passed
+    assert len(calls) == report.observations[0]["union_pairs"] == IDENTITY_PAIR_COUNT
+
+
 def test_main_theorem_detects_missing_minimizer():
     # drop the extremal graph from the corpus: the bound is no longer attained
     from dissoc import unicyclic_code as ucode
