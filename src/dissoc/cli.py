@@ -13,15 +13,15 @@ import io
 import json
 import os
 import sys
-import tempfile
-import zlib
 
 from ._version import __version__
-from .canon import GENERATOR_VERSION, GENERATORS
+from .canon import GENERATORS
+# CorpusCache is imported for its users that look it up as dissoc.cli.CorpusCache
+from .corpus import DEFAULT_TREE_CAP, DEFAULT_UNICYCLIC_CAP, CorpusCache, CorpusStore, format_corpus
 from .families import parse_family
-from .graphs import Graph, bit_list, graph6_decode, graph6_encode
+from .graphs import Graph, bit_list, graph6_decode
 from .mds import Status, enumerate_mds, phi, phi_refined
-from .suites import DEFAULT_TREE_CAP, DEFAULT_UNICYCLIC_CAP, SUITES, CorpusStore, run_suite, suite_orders
+from .suites import SUITES, run_suite, suite_orders
 
 ENV_CACHE_DIR = "DISSOC_CACHE_DIR"
 ENV_JOBS = "DISSOC_JOBS"
@@ -49,82 +49,6 @@ def _load_graph(args) -> Graph:
     return parse_family(args.family) if args.family is not None else graph6_decode(args.graph6)
 
 
-class CorpusCache:
-    """graph6 corpus files keyed by (class, order, generator version)."""
-
-    def __init__(self, directory: str):
-        self.directory = directory
-        os.makedirs(directory, exist_ok=True)
-
-    def _path(self, kind: str, n: int) -> str:
-        return os.path.join(self.directory, f"{kind}_{n}_v{GENERATOR_VERSION}.g6")
-
-    def load(self, kind: str, n: int) -> list[Graph] | None:
-        """The cached corpus, or None if absent. A file whose header is
-        missing or malformed, disagrees with the request or with the
-        number of graphs it holds, or lacks or fails its ``crc32=``
-        checksum of the graph6 lines raises ValueError."""
-        path = self._path(kind, n)
-        if not os.path.exists(path):
-            return None
-        try:
-            with open(path, "r", encoding="ascii") as fh:
-                header, _, body = fh.read().partition("\n")
-            graphs = [graph6_decode(line) for line in body.splitlines() if line]
-        except ValueError as exc:
-            raise ValueError(f"corrupt corpus cache file {path}: {exc}") from None
-        header = header if header.startswith("#") else "#"
-        fields = dict(item.partition("=")[::2] for item in header[1:].split())
-        want = {"class": kind, "order": str(n), "count": str(len(graphs))}
-        found = {key: fields.get(key) for key in want}
-        if found != want:
-            raise ValueError(
-                f"corrupt corpus cache file {path}: header says {found}, request and contents say {want}"
-            )
-        if "crc32" not in fields:
-            raise ValueError(
-                f"corpus cache file {path} has no crc32= checksum, so its contents cannot be "
-                "checked (older dissoc versions wrote none); delete it to rebuild it"
-            )
-        if fields["crc32"] != _checksum(body):
-            raise ValueError(
-                f"corrupt corpus cache file {path}: its graphs do not match the crc32= checksum "
-                "in its header; delete it to rebuild it"
-            )
-        return graphs
-
-    def store(self, kind: str, n: int, graphs: list[Graph]) -> None:
-        # a private temporary file renamed into place: concurrent writers
-        # write identical content, so whichever rename lands last is correct
-        path = self._path(kind, n)
-        fd, tmp = tempfile.mkstemp(
-            dir=self.directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="ascii") as fh:
-                fh.write(format_corpus(kind, n, graphs))
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-
-
-def _checksum(body: str) -> str:
-    # CRC-32, not a hashlib digest: hashlib loads OpenSSL, which adds about
-    # 4 MB of peak RSS to every process that imports it
-    return f"{zlib.crc32(body.encode('ascii')):08x}"
-
-
-def format_corpus(kind: str, n: int, graphs: list[Graph]) -> str:
-    """A header line, whose ``crc32=`` covers the lines after it, and one
-    graph6 line per graph."""
-    body = "".join(graph6_encode(g).decode("ascii") + "\n" for g in graphs)
-    return (
-        f"# class={kind} order={n} count={len(graphs)} generator={GENERATOR_VERSION} "
-        f"crc32={_checksum(body)}\n" + body
-    )
-
-
 def cmd_phi(args) -> int:
     g = _load_graph(args)
     constraints = [_parse_constraint(c) for c in args.constraint or []]
@@ -145,16 +69,20 @@ def cmd_mds(args) -> int:
     return 0
 
 
+def _emit(text: str, path: str | None) -> None:
+    """Write text to the file at path, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_gen(args) -> int:
     kind = args.klass
     n = args.order
     graphs = CorpusStore(args.tree_cap, args.unicyclic_cap).graphs(kind, n, n)
-    text = format_corpus(kind, n, graphs)
-    if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(format_corpus(kind, n, graphs), args.output)
     print(f"count {len(graphs)}", file=sys.stderr)
     return 0
 
@@ -195,8 +123,7 @@ def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     orders = _parse_orders(args.orders) if args.orders else None
-    cache = CorpusCache(args.cache_dir) if args.cache_dir else None
-    corpora = CorpusStore(args.tree_cap, args.unicyclic_cap, cache)
+    corpora = CorpusStore(args.tree_cap, args.unicyclic_cap, args.cache_dir)
     # every domain is resolved before any suite runs, so an empty one fails
     # at once
     names = list(SUITES) if args.suite == "all" else [args.suite]
@@ -204,13 +131,9 @@ def cmd_verify(args) -> int:
     reports = []
     for name, resolved in ranges.items():
         reports += run_suite(name, resolved, args.jobs, corpora)
-    text = _FORMATS[args.format](reports)
+    _emit(_FORMATS[args.format](reports), args.output)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
         print(f"report written to {args.output}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -227,6 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
         graph = p.add_mutually_exclusive_group(required=True)
         graph.add_argument("--family", help='family spec, e.g. "U(2,2)", "T(3,1)", "Urt(5,2)", "P(7)", "C(6)"')
         graph.add_argument("--graph6", help="graph6 string")
+
+    def add_cap_args(p):
+        p.add_argument("--tree-cap", type=int, default=DEFAULT_TREE_CAP)
+        p.add_argument("--unicyclic-cap", type=int, default=DEFAULT_UNICYCLIC_CAP)
 
     p_phi = sub.add_parser("phi", help="count maximal dissociation sets")
     add_graph_args(p_phi)
@@ -246,8 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--class", dest="klass", required=True, choices=sorted(GENERATORS))
     p_gen.add_argument("--order", type=int, required=True)
     p_gen.add_argument("--output", help="output path (default stdout)")
-    p_gen.add_argument("--tree-cap", type=int, default=DEFAULT_TREE_CAP)
-    p_gen.add_argument("--unicyclic-cap", type=int, default=DEFAULT_UNICYCLIC_CAP)
+    add_cap_args(p_gen)
     p_gen.set_defaults(func=cmd_gen)
 
     p_ver = sub.add_parser("verify", help="run verification suites")
@@ -268,8 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=os.environ.get(ENV_CACHE_DIR),
         help="corpus cache directory (env DISSOC_CACHE_DIR)",
     )
-    p_ver.add_argument("--tree-cap", type=int, default=DEFAULT_TREE_CAP)
-    p_ver.add_argument("--unicyclic-cap", type=int, default=DEFAULT_UNICYCLIC_CAP)
+    add_cap_args(p_ver)
     p_ver.set_defaults(func=cmd_verify)
     return parser
 

@@ -13,7 +13,7 @@ import re
 from itertools import combinations
 
 from .canon import _dihedral_min, tree_code
-from .graphs import Graph, cycle, from_edges
+from .graphs import Graph, cycle, from_edges, path
 
 
 def spider_T(p: int, q: int) -> Graph:
@@ -113,37 +113,28 @@ _FAMILY_RE = re.compile(
 )
 
 
+# kind -> (builder, number of integer arguments, not counting Urt's pattern)
+_FAMILIES = {"T": (spider_T, 2), "U": (U_pq, 2), "Urt": (U_rt, 2), "P": (path, 1), "C": (cycle, 1)}
+
+
 def parse_family(text: str) -> Graph:
-    """Parse a family spec string: T(p,q), U(p,q), Urt(r,t[,[i,...]]), P(n), C(n)."""
+    """Parse a family spec string: T(p,q), U(p,q), Urt(r,t[,[i,...]]), P(n), C(n).
+    Every error is a ValueError naming the spec."""
     m = _FAMILY_RE.match(text)
     if not m:
         raise ValueError(f"unrecognized family spec: {text!r}")
-    kind = m.group("kind")
-    args = m.group("args")
-    if kind == "Urt":
-        pat_match = re.search(r"\[([^\]]*)\]", args)
-        pattern = None
-        if pat_match:
-            inner = pat_match.group(1).strip()
-            pattern = tuple(int(x) for x in inner.split(",")) if inner else ()
-            args = args[: pat_match.start()].rstrip().rstrip(",")
+    kind, args = m.group("kind"), m.group("args")
+    builder, arity = _FAMILIES[kind]
+    try:
+        extra = ()
+        pattern = re.search(r"\[([^\]]*)\]", args) if kind == "Urt" else None
+        if pattern:
+            inner = pattern.group(1).strip()
+            extra = (tuple(int(x) for x in inner.split(",")) if inner else (),)
+            args = args[: pattern.start()].rstrip().rstrip(",")
         nums = [int(x) for x in args.split(",") if x.strip()]
-        if len(nums) != 2:
-            raise ValueError(f"Urt needs (r,t[,[pattern]]): {text!r}")
-        return U_rt(nums[0], nums[1], pattern)
-    nums = [int(x) for x in args.split(",") if x.strip()]
-    if kind == "T":
-        if len(nums) != 2:
-            raise ValueError(f"T needs (p,q): {text!r}")
-        return spider_T(*nums)
-    if kind == "U":
-        if len(nums) != 2:
-            raise ValueError(f"U needs (p,q): {text!r}")
-        return U_pq(*nums)
-    if len(nums) != 1:
-        raise ValueError(f"{kind} needs a single order: {text!r}")
-    if kind == "P":
-        from .graphs import path
-
-        return path(nums[0])
-    return cycle(nums[0])
+        if len(nums) != arity:
+            raise ValueError(f"{kind} takes {arity} integer argument(s)")
+        return builder(*nums, *extra)
+    except ValueError as exc:
+        raise ValueError(f"bad family spec {text!r}: {exc}") from None

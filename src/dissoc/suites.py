@@ -13,14 +13,15 @@ from __future__ import annotations
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ._version import __version__
-from .canon import GENERATORS, _tree_text, unicyclic_code
-from .families import U_pq, enumerate_U_rt_class, extremal_caterpillars, extremal_trees, extremal_unicyclic
+from .canon import _tree_text, unicyclic_code
+from .corpus import CorpusStore
+from .families import enumerate_U_rt_class, extremal_caterpillars, extremal_trees, extremal_unicyclic
 from .graphs import (
     Graph,
     bit_list,
@@ -122,7 +123,12 @@ def _pmap(fn: Callable, items: Sequence, jobs: int) -> list:
         return [fn(x) for x in items]
     workers = min(jobs, os.cpu_count() or 1)
     chunk = max(1, len(items) // (workers * CHUNKS_PER_WORKER))
-    return list(_pool(workers).map(fn, items, chunksize=chunk))
+    try:
+        return list(_pool(workers).map(fn, items, chunksize=chunk))
+    except BrokenProcessPool:
+        # a dead worker breaks the pool for good; the next map starts a new one
+        _pool.cache_clear()
+        raise
 
 
 def _phi_minus(g: Graph, mask: int) -> int:
@@ -236,11 +242,9 @@ def check_leaf_removal_lemma(n: int) -> VerificationReport:
     violations = []
     examined = 0
     instances = 0
-    for r in range(3, n):
-        t = n - r
-        if not 1 <= t <= r:
-            continue
-        for g in enumerate_U_rt_class(r, t):
+    # a cycle of order r >= 3 with t = n - r pendants, 1 <= t <= r
+    for r in range(max(3, (n + 1) // 2), n):
+        for g in enumerate_U_rt_class(r, n - r):
             examined += 1
             phi_g = phi(g)
             for y in iter_bits(leaves(g)):
@@ -410,39 +414,20 @@ def check_pendant_path_lemma(n: int, corpora: CorpusStore, jobs: int = 1) -> Ver
 
 def check_case3_subcases(n: int) -> VerificationReport:
     """Attaching a pendant path at each vertex orbit of the order-(n-2)
-    extremal graph reproduces the closed-form counts for every orbit."""
-    if n % 2 == 1:
-        if n < 9:
-            raise ValueError("odd orders start at 9")
-        base = U_pq((n - 5) // 2, (n - 5) // 2)
-        expected_by_role = {
-            "leaf": (3 * n - 1) // 2,
-            "triangle": (n + 5) // 2,
-            "center": n // 2 + 2,
-            "other": (n + 5) // 2,
-        }
-    else:
-        if n < 10:
-            raise ValueError("even orders start at 10")
-        base = U_pq((n - 4) // 2, (n - 6) // 2)
-        expected_by_role = {
-            "triangle": (n + 6) // 2,
-            "center": n // 2 + 2,
-            "other": (n + 6) // 2,
-        }
-    center = 0
-    triangle = {base.n - 2, base.n - 1}
+    extremal graph reproduces the closed-form counts: the orbits of each
+    vertex role take exactly that role's set of counts."""
+    if n < 9:
+        raise ValueError("subcases start at order 9")
+    base = extremal_unicyclic(n - 2)[0]
+    expected_by_role = {
+        "center": {n // 2 + 2},
+        "triangle": {(n + 6) // 2},
+        "other": {(n + 6) // 2},
+        "leaf": {(3 * n - 1) // 2} if n % 2 else {(3 * n + 2) // 2, (n + 6) // 2},
+    }
+    # U_pq labels its center 0 and its triangle's other two vertices last
     leaf_mask = leaves(base)
-
-    def role(w: int) -> str:
-        if w == center:
-            return "center"
-        if w in triangle:
-            return "triangle"
-        if leaf_mask >> w & 1:
-            return "leaf"
-        return "other"
-
+    role = ["center"] + ["leaf" if leaf_mask >> w & 1 else "other" for w in range(1, base.n - 2)] + ["triangle"] * 2
     # code -> (the graph extended at the orbit's first vertex, the orbit)
     orbits: dict[str, tuple[Graph, list[int]]] = {}
     for w in range(base.n):
@@ -451,11 +436,9 @@ def check_case3_subcases(n: int) -> VerificationReport:
 
     violations = []
     observations = []
-    leaf_values = set()
-    leaf_orbit_count = 0
     for code in sorted(orbits):
         extended, members = orbits[code]
-        roles = {role(w) for w in members}
+        roles = {role[w] for w in members}
         value = phi(extended)
         if len(roles) != 1:
             violations.append(Violation(_g6(extended), "orbit_role_mixed", len(roles), 1))
@@ -464,21 +447,10 @@ def check_case3_subcases(n: int) -> VerificationReport:
         observations.append(
             {"role": orbit_role, "orbit_size": len(members), "phi": value, "graph6": _g6(extended)}
         )
-        if orbit_role == "leaf" and n % 2 == 0:
-            leaf_orbit_count += 1
-            leaf_values.add(value)
-            continue
-        expect = expected_by_role[orbit_role]
-        if value != expect:
-            violations.append(Violation(_g6(extended), f"subcase_{orbit_role}", value, expect))
-    if n % 2 == 0:
-        want = {(3 * n + 2) // 2, (n + 6) // 2}
-        if leaf_orbit_count != 2:
-            violations.append(Violation(_g6(base), "even_leaf_orbit_count", leaf_orbit_count, 2))
-        if leaf_values != want:
-            violations.append(
-                Violation(_g6(base), "even_leaf_values", sum(sorted(leaf_values)), sum(sorted(want)))
-            )
+    for orbit_role, want in expected_by_role.items():
+        have = {o["phi"] for o in observations if o["role"] == orbit_role}
+        if have != want:
+            violations.append(Violation(_g6(base), f"subcase_{orbit_role}", sum(have), sum(want)))
     return VerificationReport(
         suite="subcases",
         order=str(n),
@@ -536,40 +508,6 @@ def check_identity_suite(lo: int, hi: int, corpora: CorpusStore, jobs: int = 1) 
         violations=violations,
         observations=[{"union_pairs": pairs_done, "seed": IDENTITY_PAIR_SEED}],
     )
-
-
-DEFAULT_TREE_CAP = 14
-DEFAULT_UNICYCLIC_CAP = 13
-
-
-class CorpusStore:
-    """The corpora of a run, by class (a key of ``canon.GENERATORS``). Each
-    (class, order) is read from ``cache`` (an object with ``load(kind, n)``
-    and ``store(kind, n, graphs)``, such as ``dissoc.cli.CorpusCache``) or
-    generated at most once, and kept. Only the store enforces the caps: an
-    order above its class's cap is an error, cached or not (caterpillars
-    take the tree cap)."""
-
-    def __init__(self, tree_cap: int = DEFAULT_TREE_CAP, unicyclic_cap: int = DEFAULT_UNICYCLIC_CAP, cache=None):
-        self.caps = {"tree": tree_cap, "caterpillar": tree_cap, "unicyclic": unicyclic_cap}
-        self.cache = cache
-        self.corpora: dict[tuple[str, int], list[Graph]] = {}
-
-    def graphs(self, kind: str, lo: int, hi: int) -> list[Graph]:
-        """The corpora of orders lo..hi, in order of order."""
-        return [g for n in range(lo, hi + 1) for g in self._corpus(kind, n)]
-
-    def _corpus(self, kind: str, n: int) -> list[Graph]:
-        if n > self.caps[kind]:
-            raise ValueError(f"{kind} corpus of order {n} is above its cap {self.caps[kind]}")
-        if (kind, n) not in self.corpora:
-            graphs = self.cache.load(kind, n) if self.cache else None
-            if graphs is None:
-                graphs = list(GENERATORS[kind](n))
-                if self.cache:
-                    self.cache.store(kind, n, graphs)
-            self.corpora[kind, n] = graphs
-        return self.corpora[kind, n]
 
 
 class Suite(NamedTuple):

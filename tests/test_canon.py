@@ -22,7 +22,7 @@ from dissoc import (
     unicyclic_code,
 )
 from dissoc.canon import GENERATOR_VERSION, GENERATORS
-from dissoc.suites import DEFAULT_TREE_CAP, DEFAULT_UNICYCLIC_CAP, CorpusStore
+from dissoc.corpus import DEFAULT_TREE_CAP, DEFAULT_UNICYCLIC_CAP, CorpusStore
 
 from oracles import (
     IsoClassRegistry,

@@ -390,7 +390,7 @@ def test_cache_is_keyed_on_the_generator_version(tmp_path, monkeypatch):
     assert cache.load("unicyclic", 5) == graphs
     assert "generator=" in (tmp_path / "unicyclic_5_v0.1.0.g6").read_text().splitlines()[0]
     # a new generator version misses it
-    monkeypatch.setattr("dissoc.cli.GENERATOR_VERSION", "0.1.0-next")
+    monkeypatch.setattr("dissoc.corpus.GENERATOR_VERSION", "0.1.0-next")
     assert cache.load("unicyclic", 5) is None
 
 

@@ -1,9 +1,10 @@
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from dissoc import cycle, from_edges, graph6_decode, path, phi, unicyclic_code
-from dissoc import suites
+from dissoc import corpus, suites
 from dissoc.families import U_pq, extremal_caterpillars, extremal_unicyclic
 from dissoc.mds import MdsProfile
 from dissoc.suites import (
@@ -248,6 +249,23 @@ def test_case3_subcases_even():
     assert center == [10 // 2 + 2]
 
 
+@pytest.mark.parametrize("n", [9, 10])
+@pytest.mark.parametrize("role", ["center", "triangle", "other", "leaf"])
+def test_case3_subcases_catch_an_off_by_one_count(monkeypatch, n, role):
+    # one orbit of the role counts one more: only that role's rule fires,
+    # on the base graph, with the sums of the counts found and expected
+    report = check_case3_subcases(n)
+    assert report.passed
+    target = next(o for o in report.observations if o["role"] == role)
+    real = suites.phi
+    monkeypatch.setattr(suites, "phi", lambda g: real(g) + (suites._g6(g) == target["graph6"]))
+    failed = check_case3_subcases(n)
+    have = sum({o["phi"] + (o is target) for o in report.observations if o["role"] == role})
+    want = sum({o["phi"] for o in report.observations if o["role"] == role})
+    base = suites._g6(extremal_unicyclic(n - 2)[0])
+    assert [(v.graph6, v.rule, v.lhs, v.rhs) for v in failed.violations] == [(base, f"subcase_{role}", have, want)]
+
+
 def test_case3_rejects_invalid_orders():
     with pytest.raises(ValueError):
         check_case3_subcases(7)
@@ -351,6 +369,30 @@ def test_run_suite_dispatch():
         run_suite("nonsense")
 
 
+def test_pmap_drops_a_broken_pool(monkeypatch):
+    # a pool broken by a dead worker is not reused: the next map builds a
+    # new one (no process is started here)
+    built = []
+
+    class Broken:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def map(self, fn, items, chunksize=1):
+            raise BrokenProcessPool("a worker died")
+
+    monkeypatch.setattr(suites.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", Broken)
+    suites._pool.cache_clear()
+    try:
+        for _ in range(2):
+            with pytest.raises(BrokenProcessPool):
+                suites._pmap(abs, list(range(8)), 2)
+    finally:
+        suites._pool.cache_clear()
+    assert built == [2, 2]
+
+
 def test_run_suite_uses_supplied_corpora(monkeypatch):
     # a store that already holds part of the corpus a suite needs hands
     # exactly that part on, and never generates
@@ -370,7 +412,7 @@ def test_run_suite_uses_supplied_corpora(monkeypatch):
         store.corpora[kind, n] = graphs
         mapped.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(suites, "GENERATORS", dict.fromkeys(suites.GENERATORS, refuse))
+            patch.setattr(corpus, "GENERATORS", dict.fromkeys(corpus.GENERATORS, refuse))
             run_suite(name, orders=(n, n), corpora=store)
         assert mapped == graphs, name
         assert store.corpora == {(kind, n): graphs}, name
