@@ -39,7 +39,7 @@ def _coded_tree(adj: Sequence[int]) -> tuple | None:
     children.
     """
     layout = _layout(adj)
-    if layout is None or layout[2] or layout[1].count(-1) != 1:
+    if layout[2] or layout[1].count(-1) != 1:
         return None
     order, parent, _ = layout
     return (order, parent, *_subtree_codes(order, parent))

@@ -207,6 +207,18 @@ class Classification(NamedTuple):
     components: int
 
 
+def _component(adj: Sequence[int], v: int) -> int:
+    """The vertices of v's component, as a bitmask."""
+    comp = frontier = 1 << v
+    while frontier:
+        nxt = 0
+        for u in iter_bits(frontier):
+            nxt |= adj[u]
+        frontier = nxt & ~comp
+        comp |= frontier
+    return comp
+
+
 def classify(g: Graph) -> Classification:
     """Classify as tree, unicyclic, or other, with component count.
 
@@ -215,17 +227,9 @@ def classify(g: Graph) -> Classification:
     seen = 0
     components = 0
     for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        components += 1
-        frontier = 1 << v
-        seen |= frontier
-        while frontier:
-            nxt = 0
-            for u in iter_bits(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~seen
-            seen |= frontier
+        if not seen >> v & 1:
+            components += 1
+            seen |= _component(g.adj, v)
     m = g.edge_count
     if components == 1 and m == g.n - 1:
         kind = "tree"
@@ -236,14 +240,17 @@ def classify(g: Graph) -> Classification:
     return Classification(kind, components)
 
 
-def _layout(adj: Sequence[int]) -> tuple[list[int], list[int], list[list[int]]] | None:
-    """Peel leaves, oldest first, until only cycles remain.
+def _layout(adj: Sequence[int]) -> tuple[list[int], list[int], list[tuple[list[int], list[tuple[int, int]]]]]:
+    """Peel leaves, oldest first, then walk what remains.
 
-    Returns (peel order, parent per vertex, cycles in cyclic order); every
-    peeled vertex comes after its peeled neighbors (its children), a tree
-    component's last vertex has parent -1, and a pendant tree's top vertex
-    has a cycle vertex as parent. None when some component has two or more
-    cycles.
+    Returns (peel order, parent per vertex, one core per component with a
+    cycle). Every peeled vertex comes after its peeled neighbors (its
+    children), a tree component's last vertex has parent -1, and a pendant
+    tree's top vertex has a core vertex as parent. A core is (walk, cuts):
+    its vertices from the lowest, and the edges left out of a spanning tree,
+    m - n + 1 of them for the component. A unicyclic component's walk is
+    its cycle in cyclic order, cut at (walk[0], walk[-1]); any other's is
+    breadth first.
     """
     n = len(adj)
     deg = [row.bit_count() for row in adj]
@@ -259,31 +266,40 @@ def _layout(adj: Sequence[int]) -> tuple[list[int], list[int], list[list[int]]] 
             deg[u] -= 1
             if deg[u] == 1:
                 order.append(u)
-    core = alive
-    cycles = []
+    cores = []
     while alive:
-        v = (alive & -alive).bit_length() - 1
-        cyc = []
-        while v >= 0:
-            if (adj[v] & core).bit_count() != 2:
-                return None
-            cyc.append(v)
-            alive ^= 1 << v
-            v = (adj[v] & alive).bit_length() - 1
-        cycles.append(cyc)
-    return order, parent, cycles
+        p = (alive & -alive).bit_length() - 1
+        walk, before = [], alive
+        while p >= 0 and deg[p] == 2:  # every core degree 2: a cycle, walked in order
+            walk.append(p)
+            alive ^= 1 << p
+            p = (adj[p] & alive).bit_length() - 1
+        if p < 0:
+            cores.append((walk, [(walk[0], walk[-1])]))
+            continue
+        # more cycles: a breadth-first spanning tree, and the edges it leaves
+        p = (before & -before).bit_length() - 1
+        alive = before ^ 1 << p
+        walk, tree = [p], {p: -1}
+        for v in walk:  # grows
+            for u in iter_bits(adj[v] & alive):
+                alive ^= 1 << u
+                tree[u] = v
+                walk.append(u)
+        core = before & ~alive
+        cuts = [(u, v) for v in walk for u in iter_bits(adj[v] & core) if u < v and u != tree[v] and v != tree[u]]
+        cores.append((walk, cuts))
+    return order, parent, cores
 
 
-def _unicyclic_cycle(layout: tuple | None) -> list[int] | None:
+def _unicyclic_cycle(layout: tuple) -> list[int] | None:
     """The cycle of a unicyclic graph from its ``_layout``, else None: the
-    graph is unicyclic iff it has one cycle and every peeled vertex hangs
-    below it."""
-    if layout is None:
+    graph is unicyclic iff it has one core, with one cut edge, and every
+    peeled vertex hangs below it."""
+    _, parent, cores = layout
+    if len(cores) != 1 or len(cores[0][1]) != 1 or parent.count(-1) != len(cores[0][0]):
         return None
-    _, parent, cycles = layout
-    if len(cycles) != 1 or parent.count(-1) != len(cycles[0]):
-        return None
-    return cycles[0]
+    return cores[0][0]
 
 
 def cycle_vertices(g: Graph) -> int:

@@ -6,10 +6,9 @@ every outside vertex is blocked: it has two neighbors in the set, or one
 neighbor that already has a partner inside.
 
 Counting (``phi``, ``phi_refined``, ``mds_profile``) runs a subtree-vector
-dynamic program whenever every component of the graph is a tree or
-unicyclic. The graph is peeled leaf by leaf;
-each peeled vertex hangs below its last neighbor, which leaves one root per
-tree component and one cycle per unicyclic component. Per vertex ``v`` the
+dynamic program. The graph is peeled leaf by leaf; each peeled vertex hangs
+below its last neighbor, which leaves one root per tree component and one
+core per component with cycles (``graphs._layout``). Per vertex ``v`` the
 DP keeps a six-slot vector of what the neighbors merged so far demand of
 ``v``: with ``v`` out of the set, that it has no in-neighbor yet, exactly
 one in-neighbor of induced degree 0, or is already blocked; with ``v`` in,
@@ -18,39 +17,47 @@ neighbor relies on ``v`` being matched), or is matched to one of them.
 Merging a neighbor is a product of two such vectors. ``_edge`` turns a
 finished subtree into the vector its parent sees, applying the subtree
 root's allowed statuses; each allowed bit (out, in with degree 0, in with
-degree 1) gates its own slots, so refined counts pin vertices for free. A
-cycle is cut at one edge (a, b) and counted as six cases over the statuses
-of a and b (both out; both in and matched to each other; one in with
-degree 0 or 1 and the other out), each a chain over the cycle vertices;
-the pendant-tree vectors are computed once and shared by every case.
-``phi`` and ``phi_refined`` take time linear in the order.
+degree 1) gates its own slots, so refined counts pin vertices for free.
+
+A core is cut at the k = m - n + 1 edges that a spanning tree leaves out:
+the usual parameterization by feedback edge number, of which the paper's
+cut of its one cycle is k = 1. A cut edge (a, b) is counted as six cases
+over the statuses of a and b (both out; both in and matched to each other;
+one in with degree 0 or 1 and the other out); a case merges a demand into
+the vectors of a and b and narrows their statuses, and every maximal set
+falls in exactly one. A cycle (k = 1) is one chain over its vertices per
+case, and the pendant-tree vectors are shared by every case. A component
+with k > 1 is the sum over the cases of one cut edge of the graph without
+that edge, down to one cycle: 6^(k-1) linear passes, so ``phi`` and
+``phi_refined`` take linear time on graphs with few cycles. Above
+``_MAX_CUTS`` cut edges the search counts the component instead.
 
 A vertex's context is everything outside its subtree. One on-demand
 top-down pass, ``_Contexts``, serves every reader of contexts. A tree
-root's context is empty. A cycle vertex's is the cut-case chains with the
-cut placed beside it and the vertex's own vector left out; ``phi`` counts a
-cycle by merging that vector back in. Below the root or cycle, a child's
-context follows from its parent's and the product of its siblings, so only
-the path down to the vertex is visited. ``mds_profile`` asks for every
-vertex's context, so each cycle vertex runs its own chains: it takes time
-quadratic in the cycle length and in a vertex's number of children.
-Merging the context with the vertex's vector gives its triple; merging it
-with the vertex's vector minus one child's subtree gives the triple in the
-graph without that subtree, which is what the
-pendant-path suite compares. Its pendant paths w-u-v come from the same
-peel: v is peeled with no children, v is u's only child, and u hangs below
-w. Such a u hands w the same vector whatever the path, so the paths at one
-w share both triples. A cycle vertex's context has one entry per cut case.
-``_step`` is bilinear, so ``_Contexts`` sums the entries that put the
-same mask on the vertex, and close at most three; ``phi`` closes each cut
-case once, where summing does not pay. The surgery suite's graphs add k
-leaves at a vertex w, or k - 2 leaves and a path of two; those hang below
-w and leave w's context as it is, so w's triples there are its context
-merged with its vector times k leaves, or times k - 2 leaves and the path.
+root's context is empty. A cycle vertex's is what its cycle neighbors hand
+it, per case: one chain from b back to a and one from a on to b give every
+cycle vertex its context, and the chains with the cut beside a neighbor of
+a vertex give its own. Below the root or cycle, a child's context follows from its
+parent's and the product of its siblings, from prefix and suffix products
+when there are three or more, so only the path down to the vertex is
+visited and ``mds_profile`` takes linear time too. Merging the context
+with the vertex's vector gives its triple; merging it with the vertex's
+vector minus one child's subtree gives the triple in the graph without that
+subtree, which is what the pendant-path suite compares. Its pendant paths
+w-u-v come from the same peel: v is peeled with no children, v is u's only
+child, and u hangs below w. Such a u hands w the same vector whatever the
+path, so the paths at one w share both triples. ``_step`` is bilinear, so
+a context sums the cut cases that put the same mask on the vertex: at most
+three entries at a cut end and one elsewhere, which is why ``phi`` and a
+single context cut the cycle beside a neighbor of the vertex. The surgery
+suite's graphs add k leaves at a vertex w, or k - 2 leaves and a path of
+two; those hang below w and leave w's context as it is, so w's triples
+there are its context merged with its vector times k leaves, or times
+k - 2 leaves and the path.
 
-The backtracking enumerator ``_search`` remains in two places: behind
-``enumerate_mds``, and for graphs with a component that has two or more
-cycles. It assigns each vertex, in label order, one of three states:
+The backtracking enumerator ``_search`` lists the sets behind
+``enumerate_mds`` and counts a component with more than ``_MAX_CUTS`` cut
+edges. It assigns each vertex, in label order, one of three states:
 
 * ``out``        - not in the set;
 * ``in-free``    - in the set with induced degree 0 (never gains a partner);
@@ -75,7 +82,7 @@ from functools import reduce
 from math import prod
 from typing import Iterable, Iterator, NamedTuple
 
-from .graphs import Graph, _layout, _unicyclic_cycle, iter_bits
+from .graphs import Graph, _component, _layout, _trusted, _unicyclic_cycle, delete_vertices, iter_bits
 
 _OUT, _FREE, _MATCHED = 1, 2, 4
 _ALL = _OUT | _FREE | _MATCHED
@@ -232,6 +239,7 @@ def _search(g: Graph, allowed: list[int], sink: list[int] | None) -> int:
 # matching required, n1 matched to a neighbor already merged.
 
 _UNIT = (1, 0, 0, 1, 0, 0)
+_ZERO = (0,) * 6
 # what the far end of the cut edge (a, b) asks of its near end
 _DEMAND_OUT = (1, 0, 0, 0, 0, 0)  # out: the near end must be out too
 _DEMAND_FREE = (0, 1, 0, 0, 0, 0)  # in with degree 0: the near end is out
@@ -264,6 +272,8 @@ def _mul(a: tuple, b: tuple) -> tuple:
 
 def _step(a: tuple, b: tuple, mask: int) -> tuple:
     """``_edge(_mul(a, b), mask)``, fused when every status is allowed."""
+    if a is _UNIT:  # a vertex with nothing below it but b
+        return _edge(b, mask)
     if mask != _ALL:
         return _edge(_mul(a, b), mask)
     a0, a1, ab, c0, cn, c1 = a
@@ -294,23 +304,38 @@ def _edge(a: tuple, mask: int) -> tuple:
     return (p_out, free, blocking, p_in, p_matched, partner)
 
 
+# A component with more cut edges is counted by ``_search``. The cut-case
+# passes cost about 6x more per cut edge and the search about 20x more per
+# eight vertices; with six cut edges the passes cost no more than the search
+# from order 24 on (CHANGES.md has the measurement).
+_MAX_CUTS = 6
 _LEAF = _edge(_UNIT, _ALL)  # what a leaf hands its parent
 _STALK = _edge(_LEAF, _ALL)  # what a vertex with one leaf below it hands its parent
 
 
-def _subtrees(g: Graph, allowed: list[int], order: list[int], parent: list[int]):
-    """Bottom-up pass: each vertex's vector over its peeled subtree, and
-    the vector each peeled vertex hands its parent."""
+def _subtrees(g: Graph, allowed: list[int], order: list[int], parent: list[int], need: dict[int, tuple]):
+    """Bottom-up pass: each vertex's vector over its peeled subtree, from
+    the demands ``need`` of cut edges at it, the vector each peeled vertex
+    hands its parent, and the product of the tree components' counts."""
     vec = [_UNIT] * g.n
+    for v, x in need.items():
+        vec[v] = x
     up = [_UNIT] * g.n
+    trees = 1
     for v in order:
         p = parent[v]
-        if p >= 0:
-            a = vec[v]
-            up[v] = e = _LEAF if a is _UNIT and allowed[v] == _ALL else _edge(a, allowed[v])
-            # a first child needs no merge: _UNIT is the identity
-            vec[p] = e if vec[p] is _UNIT else _mul(vec[p], e)
-    return vec, up
+        a = vec[v]
+        if p < 0:  # a tree component's last vertex
+            trees *= _root_value(_edge(a, allowed[v]))
+            continue
+        if allowed[v] != _ALL:
+            e = _edge(a, allowed[v])
+        else:  # a leaf, or a vertex with a leaf alone below it, hands on a constant
+            e = _LEAF if a is _UNIT else _STALK if a is _LEAF else _edge(a, _ALL)
+        up[v] = e
+        # a first child needs no merge: _UNIT is the identity
+        vec[p] = e if vec[p] is _UNIT else _mul(vec[p], e)
+    return vec, up, trees
 
 
 def _root_value(e: tuple) -> int:
@@ -323,20 +348,40 @@ def _add(a: tuple, b: tuple) -> tuple:
     return (a0 + b0, a1 + b1, ab + bb, c0 + d0, cn + dn, c1 + d1)
 
 
-def _cut_context(cyc: list[int], vec: list[tuple], allowed: list[int]) -> list[tuple[int, tuple]]:
-    """Context of a = cyc[0] with the cycle cut at the edge (a, cyc[-1]):
-    per live cut case, the mask it puts on a and the demands on a of
-    everything outside a's pendant trees."""
-    allowed_a, allowed_b, inner = allowed[cyc[0]], allowed[cyc[-1]], cyc[-2:0:-1]
-    vec_b = vec[cyc[-1]]
-    out = []
+def _cycle_contexts(cyc: list[int], vec: list[tuple], allowed: list[int], every: bool) -> dict[int, list]:
+    """Contexts on the cycle ``cyc`` cut at (a, b) = (cyc[0], cyc[-1]), of
+    c = cyc[1] alone or of ``every`` cycle vertex: per mask on the vertex,
+    summed over the live cut cases, the demands on it of everything outside
+    its pendant trees. Each case runs one chain from b back to c, on to a
+    for every vertex, and one from a on to b. c's mask is the same in every
+    case, so its context is one entry."""
+    a, c, b = cyc[0], cyc[1], cyc[-1]
+    inner = cyc[-2:1:-1]  # from b back to c, both left out
+    allowed_a, allowed_b, vec_a, vec_b = allowed[a], allowed[b], vec[a], vec[b]
+    out: dict[int, list[tuple[int, tuple]]] = {v: [] for v in cyc} if every else {}
+    at_c = None
     for need_a, mask_a, need_b, mask_b in _CUT_CASES:
         if allowed_a & mask_a and allowed_b & mask_b:
             e = _step(vec_b, need_b, allowed_b & mask_b)
-            for v in inner:
+            if not every:
+                for v in inner:
+                    e = _step(vec[v], e, allowed[v])
+                x = _mul(_step(vec_a, need_a, allowed_a & mask_a), e)
+                at_c = x if at_c is None else _add(at_c, x)
+                continue
+            back = [e]  # what each vertex hands the one before it, from b back
+            for v in cyc[-2:0:-1]:
+                back.append(_step(vec[v], back[-1], allowed[v]))
+            out[a].append((allowed_a & mask_a, _mul(need_a, back[-1])))
+            e = _step(vec_a, need_a, allowed_a & mask_a)  # what each hands the one after it
+            for v in cyc[1:-1]:
+                back.pop()
+                out[v].append((allowed[v], _mul(e, back[-1])))
                 e = _step(vec[v], e, allowed[v])
-            out.append((allowed_a & mask_a, _mul(need_a, e)))
-    return out
+            out[b].append((allowed_b & mask_b, _mul(need_b, e)))
+    if not every:
+        return {c: [(allowed[c], at_c)]}
+    return {v: _by_mask(ctx) for v, ctx in out.items()}
 
 
 def _by_mask(ctx: list[tuple[int, tuple]]) -> list[tuple[int, tuple]]:
@@ -349,22 +394,58 @@ def _by_mask(ctx: list[tuple[int, tuple]]) -> list[tuple[int, tuple]]:
     return list(sums.items())
 
 
-def _count(g: Graph, allowed: list[int]) -> int:
-    layout = _layout(g.adj)
-    if layout is None:
-        return _search(g, allowed, None)
-    order, parent, cycles = layout
-    vec, _ = _subtrees(g, allowed, order, parent)
-    total = 1
-    for v in order:
-        if parent[v] < 0:
-            total *= _root_value(_edge(vec[v], allowed[v]))
-    for cyc in cycles:
-        a = vec[cyc[0]]
-        count = 0
-        for mask, c in _cut_context(cyc, vec, allowed):
-            count += _root_value(_step(a, c, mask))
-        total *= count
+def _all_but_one(vs: list[tuple], base: tuple) -> list[tuple]:
+    """Per position i, ``base`` times every vector of ``vs`` but ``vs[i]``,
+    from prefix and suffix products; ``_UNIT`` is never multiplied."""
+    out = [base]
+    for x in vs[:-1]:
+        out.append(x if out[-1] is _UNIT else _mul(out[-1], x))
+    rest = vs[-1]
+    for i in range(len(vs) - 2, -1, -1):
+        out[i] = rest if out[i] is _UNIT else _mul(out[i], rest)
+        if i:
+            rest = _mul(rest, vs[i])
+    return out
+
+
+def _conditioned(g: Graph, cut: tuple[int, int], allowed: list[int], need: dict[int, tuple]):
+    """Per live cut case of the edge ``cut`` = (a, b): g without that edge,
+    with ``allowed`` narrowed by the case's masks and its demands merged
+    into ``need``. Every maximal set of g lies in exactly one case."""
+    a, b = cut
+    rows = list(g.adj)
+    rows[a] ^= 1 << b
+    rows[b] ^= 1 << a
+    h = _trusted(g.n, tuple(rows))
+    for need_a, mask_a, need_b, mask_b in _CUT_CASES:
+        cased = allowed[:]
+        cased[a] &= mask_a
+        cased[b] &= mask_b
+        merged = {**need, a: _mul(need.get(a, _UNIT), need_a), b: _mul(need.get(b, _UNIT), need_b)}
+        # a case that leaves an end no status, or clashes with an earlier
+        # cut edge's demands on it, holds no set
+        if cased[a] and cased[b] and merged[a] != _ZERO and merged[b] != _ZERO:
+            yield h, cased, merged
+
+
+def _count(g: Graph, allowed: list[int], need: dict[int, tuple]) -> int:
+    order, parent, cores = _layout(g.adj)
+    vec, _, total = _subtrees(g, allowed, order, parent, need)
+    for cyc, cuts in cores:
+        if len(cuts) == 1:
+            total *= _root_value(_close(_cycle_contexts(cyc, vec, allowed, False)[cyc[1]], vec[cyc[1]]))
+            continue
+        # a component with more cut edges, on its own: by the search above
+        # the cap, else one cut edge at a time (each split leaves one cut
+        # edge fewer, so no demands ever reach the search)
+        h, relabel = delete_vertices(g, g.full_mask & ~_component(g.adj, cyc[0]))
+        sub = [allowed[v] for v in relabel]
+        if len(cuts) > _MAX_CUTS:
+            total *= _search(h, sub, None)
+        else:
+            cut = (relabel[cuts[0][0]], relabel[cuts[0][1]])
+            moved = {relabel[v]: x for v, x in need.items() if v in relabel}
+            total *= sum(_count(*case) for case in _conditioned(h, cut, sub, moved))
     return total
 
 
@@ -378,7 +459,7 @@ def _close(ctx: list[tuple[int, tuple]], a: tuple) -> tuple:
     return reduce(_add, [_step(c, a, mask) for mask, c in ctx])
 
 
-def _unicyclic_layout(g: Graph) -> tuple[list[int], list[int], list[list[int]]]:
+def _unicyclic_layout(g: Graph) -> tuple[list[int], list[int], list]:
     """The ``_layout`` of g, which the targeted passes require to be a
     connected unicyclic graph."""
     layout = _layout(g.adj)
@@ -404,32 +485,42 @@ def _pendant_paths(parent: list[int]) -> list[tuple[int, int, int]]:
 
 class _Contexts:
     """The top-down pass of a graph g from its ``layout``, a forest of tree
-    and unicyclic components, on demand: the subtree vectors,
-    ``without(p, child)`` (p's vector with ``child``'s subtree left out)
-    and ``context_of(v)``, memoised per vertex, which visits only the path
-    from v's tree root or cycle down to v. A tree root's context is empty;
-    a cycle vertex's is the cut-case chains of its own cycle, cut beside
-    it. Methods, not closures: a closure that calls itself is a reference
-    cycle, and only the cyclic collector frees it and all it holds."""
+    and unicyclic components, under ``allowed`` and the cut demands
+    ``need``, on demand: the subtree vectors, ``without(p, child)`` (p's
+    vector with ``child``'s subtree left out, from prefix and suffix
+    products of p's children) and ``context_of(v)``, memoised per vertex. A
+    tree root's context is empty. The first ``singles`` contexts asked on
+    cycles cost six chains each, with the cycle cut beside a neighbor of the
+    vertex; any later one computes every context of its cycle, from two
+    chains per case. Below a root or a cycle, only the path down to v is
+    visited. Methods, not closures: a closure that calls itself is a
+    reference cycle, and only the cyclic collector frees it and all it
+    holds."""
 
-    __slots__ = ("parent", "children", "cycle_of", "allowed", "vec", "up", "memo")
+    __slots__ = ("parent", "children", "cycle_of", "allowed", "need", "vec", "up", "memo", "others", "singles")
 
-    def __init__(self, g: Graph, layout: tuple[list[int], list[int], list[list[int]]]):
-        order, parent, cycles = layout
+    def __init__(self, g: Graph, layout: tuple, allowed: list[int], need: dict[int, tuple], singles: int = 2):
+        order, parent, cores = layout
         children: list[list[int]] = [[] for _ in range(g.n)]
         for v in order:
             if parent[v] >= 0:
                 children[parent[v]].append(v)
         self.parent, self.children = parent, children
-        self.cycle_of = {v: cyc for cyc in cycles for v in cyc}
-        self.allowed = [_ALL] * g.n
-        self.vec, self.up = _subtrees(g, self.allowed, order, parent)
+        self.cycle_of = {v: cyc for cyc, _ in cores for v in cyc}
+        self.allowed, self.need = allowed, need
+        self.vec, self.up, _ = _subtrees(g, allowed, order, parent, need)
         self.memo: dict[int, list[tuple[int, tuple]]] = {}
+        self.others: dict[int, dict[int, tuple]] = {}
+        self.singles = singles
 
     def without(self, p: int, child: int) -> tuple:
-        rest = _UNIT
-        up = self.up
-        for k in self.children[p]:
+        kids, up = self.children[p], self.up
+        if len(kids) > 2:  # all at once, from prefix and suffix products
+            if p not in self.others:
+                self.others[p] = dict(zip(kids, _all_but_one([up[k] for k in kids], self.need.get(p, _UNIT))))
+            return self.others[p][child]
+        rest = self.need.get(p, _UNIT)
+        for k in kids:
             if k != child:
                 rest = _mul(rest, up[k])
         return rest
@@ -443,20 +534,30 @@ class _Contexts:
         if v not in memo:
             cyc = self.cycle_of.get(v)
             if cyc is None:
-                memo[v] = [(_ALL, _UNIT)]
+                memo[v] = [(self.allowed[v], _UNIT)]
+            elif self.singles:
+                self.singles -= 1
+                i = cyc.index(v) - 1
+                memo[v] = _cycle_contexts(cyc[i:] + cyc[:i], self.vec, self.allowed, False)[v]
             else:
-                i = cyc.index(v)
-                memo[v] = _by_mask(_cut_context(cyc[i:] + cyc[:i], self.vec, self.allowed))
+                memo.update(_cycle_contexts(cyc, self.vec, self.allowed, True))
         ctx = memo[v]
+        allowed = self.allowed
         for child in reversed(below):
-            ctx = memo[child] = [(_ALL, _close(ctx, self.without(v, child)))]
+            ctx = memo[child] = [(allowed[child], _close(ctx, self.without(v, child)))]
             v = child
         return ctx
 
 
-def _profile(g: Graph, layout: tuple[list[int], list[int], list[list[int]]]) -> MdsProfile:
-    order, parent, _ = layout
-    contexts = _Contexts(g, layout)
+def _profile(g: Graph, allowed: list[int], need: dict[int, tuple]) -> MdsProfile:
+    layout = _layout(g.adj)
+    order, parent, cores = layout
+    for cyc, cuts in cores:
+        if len(cuts) > 1:  # the sum over the cut cases of one cut edge of g
+            parts = [_profile(*case) for case in _conditioned(g, cuts[0], allowed, need)]
+            triples = [p.per_vertex for p in parts] or [((0, 0, 0),) * g.n]
+            return MdsProfile(sum(p.total for p in parts), tuple(tuple(map(sum, zip(*t))) for t in zip(*triples)))
+    contexts = _Contexts(g, layout, allowed, need, singles=0)
     # each vertex's component, named by its tree root or its cycle's first vertex
     name = [contexts.cycle_of[v][0] if v in contexts.cycle_of else v for v in range(g.n)]
     for v in reversed(order):  # parents before children
@@ -464,9 +565,9 @@ def _profile(g: Graph, layout: tuple[list[int], list[int], list[list[int]]]) -> 
             name[v] = name[parent[v]]
     triples = [_close(contexts.context_of(v), contexts.vec[v])[:3] for v in range(g.n)]
     totals = {c: sum(triples[c]) for c in name}
-    product = prod(totals.values())
     # a vertex's counts in g are its counts in its component times the others' totals
-    return MdsProfile(product, tuple(tuple(x * (product // totals[c]) for x in t) for t, c in zip(triples, name)))
+    others = {c: prod(t for d, t in totals.items() if d != c) for c in totals}
+    return MdsProfile(prod(totals.values()), tuple(tuple(x * others[c] for x in t) for t, c in zip(triples, name)))
 
 
 def _detached_triples(g: Graph) -> tuple[list[tuple[int, int, int]], list[tuple[tuple, tuple]]]:
@@ -478,7 +579,7 @@ def _detached_triples(g: Graph) -> tuple[list[tuple[int, int, int]], list[tuple[
     paths = _pendant_paths(layout[1])
     if not paths:
         return [], []
-    contexts = _Contexts(g, layout)
+    contexts = _Contexts(g, layout, [_ALL] * g.n, {})
     at: dict[int, tuple[tuple, tuple]] = {}
     for w, u, _ in paths:
         if w not in at:
@@ -493,7 +594,7 @@ def _surgery_triples(g: Graph, pairs: Iterable[tuple[int, int]]) -> list[tuple[t
     leaves at w, and in g2, which is g1 with its last new leaf moved onto
     its first. The new vertices hang below w, so w's context is its context
     in g."""
-    contexts = _Contexts(g, _unicyclic_layout(g))
+    contexts = _Contexts(g, _unicyclic_layout(g), [_ALL] * g.n, {})
     out = []
     for w, k in pairs:
         ctx = contexts.context_of(w)
@@ -519,7 +620,7 @@ def _allowed(g: Graph, constraints: Iterable[Constraint | tuple]) -> list[int]:
 
 def phi(g: Graph) -> int:
     """Number of maximal dissociation sets of g."""
-    return _count(g, [_ALL] * g.n)
+    return _count(g, [_ALL] * g.n, {})
 
 
 def phi_refined(g: Graph, constraints: Iterable[Constraint | tuple]) -> int:
@@ -529,7 +630,7 @@ def phi_refined(g: Graph, constraints: Iterable[Constraint | tuple]) -> int:
     EXCLUDED keeps the vertex out, IN_ANY requires membership, IN_DEGREE0 /
     IN_DEGREE1 additionally pin its induced degree inside the set.
     """
-    return _count(g, _allowed(g, constraints))
+    return _count(g, _allowed(g, constraints), {})
 
 
 def enumerate_mds(g: Graph) -> Iterator[int]:
@@ -546,22 +647,8 @@ def mds_profile(g: Graph) -> MdsProfile:
     For every vertex the triple (excluded, in with induced degree 0, in
     with induced degree 1) sums to the total.
     """
-    layout = _layout(g.adj)
-    if layout is not None:
-        return _profile(g, layout)
-    sets: list[int] = []
-    _search(g, [_ALL] * g.n, sets)
-    triples = []
-    for v in range(g.n):
-        bit = 1 << v
-        row = g.adj[v]
-        excluded = deg0 = deg1 = 0
-        for s in sets:
-            if not s & bit:
-                excluded += 1
-            elif row & s:
-                deg1 += 1
-            else:
-                deg0 += 1
-        triples.append((excluded, deg0, deg1))
-    return MdsProfile(len(sets), tuple(triples))
+    if all(len(cuts) <= _MAX_CUTS for _, cuts in _layout(g.adj)[2]):
+        return _profile(g, [_ALL] * g.n, {})
+    pins = [[_ALL] * v + [bit] + [_ALL] * (g.n - v - 1) for v in range(g.n) for bit in (_OUT, _FREE, _MATCHED)]
+    counts = [_count(g, allowed, {}) for allowed in pins]
+    return MdsProfile(_count(g, [_ALL] * g.n, {}), tuple(zip(counts[::3], counts[1::3], counts[2::3])))

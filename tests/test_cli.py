@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dissoc import cycle, generate_unicyclic, graph6_decode, graph6_encode, suites
+from dissoc import __version__, cycle, from_edges, generate_unicyclic, graph6_decode, graph6_encode, path, suites
 from dissoc.cli import CorpusCache, main
 from dissoc.suites import SUITES
 
@@ -382,15 +382,18 @@ def test_cache_store_over_stale_lock(tmp_path):
 
 
 def test_cache_is_keyed_on_the_generator_version(tmp_path, monkeypatch):
+    # the file name and header carry the generator version and nothing of
+    # the package version, so a package release alone keeps cached corpora
     cache = CorpusCache(str(tmp_path))
     graphs = list(generate_unicyclic(5))
+    monkeypatch.setattr("dissoc.corpus.GENERATOR_VERSION", "gen-7")
     cache.store("unicyclic", 5, graphs)
-    # a package release alone keeps the cached corpus
-    monkeypatch.setattr("dissoc.cli.__version__", "9.9.9")
+    assert [p.name for p in tmp_path.iterdir()] == ["unicyclic_5_vgen-7.g6"]
+    header = (tmp_path / "unicyclic_5_vgen-7.g6").read_text().splitlines()[0]
+    assert " generator=gen-7 " in header and __version__ not in header
     assert cache.load("unicyclic", 5) == graphs
-    assert "generator=" in (tmp_path / "unicyclic_5_v0.1.0.g6").read_text().splitlines()[0]
     # a new generator version misses it
-    monkeypatch.setattr("dissoc.corpus.GENERATOR_VERSION", "0.1.0-next")
+    monkeypatch.setattr("dissoc.corpus.GENERATOR_VERSION", "gen-8")
     assert cache.load("unicyclic", 5) is None
 
 
@@ -420,6 +423,20 @@ def test_phi_order_64_families_subprocess(family, count):
         env=CHILD_ENV,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == str(count)
+
+
+def test_phi_of_a_path_with_two_chords_returns_subprocess():
+    # two cycles in one component: the cut-case DP counts it in
+    # milliseconds, where the backtracking search would run for hours
+    g = from_edges(64, path(64).edges() + [(0, 21), (63, 42)])
+    proc = subprocess.run(
+        [sys.executable, "-m", "dissoc", "phi", "--graph6", graph6_encode(g).decode("ascii")],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "2119629337"
 
 
 @pytest.mark.parametrize("suite, orders", [("paths", "3..64"), ("cycle", "4..64")])

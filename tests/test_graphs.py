@@ -224,9 +224,10 @@ def test_cycle_vertices():
 
 
 def test_layout_matches_component_cycle_counts():
-    # the shared leaf peel: None iff some component has more edges than
-    # vertices; else its cycles are the cycles of the graph, in cyclic order,
-    # and every peeled vertex comes after its children
+    # the shared leaf peel and core walk: one core per component with a
+    # cycle, cut at the m - n + 1 edges a spanning tree leaves; every vertex
+    # is peeled or walked once; a unicyclic graph's walk is its cycle, in
+    # cyclic order; every peeled vertex comes after its children
     rng = random.Random(23)
     for _ in range(300):
         n = rng.randint(1, 12)
@@ -245,9 +246,9 @@ def test_layout_matches_component_cycle_counts():
                     comp |= frontier
                 seen |= comp
                 components.append(comp)
-        excess = [sum((g.adj[u] & comp).bit_count() for u in iter_bits(comp)) // 2 - comp.bit_count() for comp in components]
+        # m - n + 1 per component
+        excess = {c: sum((g.adj[u] & c).bit_count() for u in iter_bits(c)) // 2 - c.bit_count() + 1 for c in components}
         layout = _layout(g.adj)
-        assert (layout is None) == any(e > 0 for e in excess)
         unicyclic = classify(g).kind == "unicyclic"
         if unicyclic:
             assert cycle_vertices(g) == vset(_unicyclic_cycle(layout))
@@ -255,15 +256,26 @@ def test_layout_matches_component_cycle_counts():
             assert _unicyclic_cycle(layout) is None
             with pytest.raises(ValueError, match="^cycle_vertices requires a unicyclic graph$"):
                 cycle_vertices(g)
-        if layout is None:
-            continue
-        order, parent, cycles = layout
-        assert len(cycles) == sum(e == 0 for e in excess)
-        assert sorted(order + [v for cyc in cycles for v in cyc]) == list(range(n))
-        for cyc in cycles:
-            assert len(cyc) >= 3
-            for i, v in enumerate(cyc):
-                assert g.adj[v] >> cyc[i - 1] & 1
+        order, parent, cores = layout
+        assert sorted(order + [v for walk, _ in cores for v in walk]) == list(range(n))
+        assert sorted(len(cuts) for _, cuts in cores) == sorted(e for e in excess.values() if e)
+        for walk, cuts in cores:
+            core = vset(walk)
+            assert len(cuts) == excess[next(c for c in components if c & core)]
+            assert walk[0] == (core & -core).bit_length() - 1
+            within = {frozenset((u, v)) for v in walk for u in iter_bits(g.adj[v] & core)}
+            cut = {frozenset(e) for e in cuts}
+            # the rest is a spanning tree of the core
+            assert cut <= within and len(within - cut) == len(walk) - 1
+            reached = 1 << walk[0]
+            for _ in walk:
+                for e in within - cut:
+                    if vset(e) & reached:
+                        reached |= vset(e)
+            assert reached == core
+            if len(cuts) == 1:
+                assert len(walk) >= 3 and cuts == [(walk[0], walk[-1])]
+                assert all(g.adj[u] >> v & 1 for u, v in zip(walk, walk[1:]))
         position = {v: i for i, v in enumerate(order)}
         for v in order:
             if parent[v] >= 0:

@@ -155,8 +155,10 @@ def test_mds_profile_matches_refined_counts_on_corpora():
     # the per-graph suites read their refined counts from the profile
     statuses = (Status.EXCLUDED, Status.IN_DEGREE0, Status.IN_DEGREE1)
     graphs = [g for n in range(1, 10) for g in [*generate_trees(n), *generate_unicyclic(n)]]
-    # long cycles: every vertex of a 64-cycle reads its own rotated context
-    graphs += [parse_family(spec) for spec in ("C(64)", "P(64)", "Urt(40,24)")]
+    # long cycles, whose contexts come from two chains per cut case, and a
+    # vertex with 63 children, whose siblings' products come from prefixes
+    # and suffixes
+    graphs += [parse_family(spec) for spec in ("C(64)", "P(64)", "Urt(40,24)", "T(63,0)")]
     for g in graphs:
         prof = mds_profile(g)
         assert prof.total == phi(g)
@@ -169,11 +171,12 @@ def _status_codes(g, s) -> list[int]:
     return [0 if not s >> v & 1 else 1 if not g.adj[v] & s else 2 for v in range(g.n)]
 
 
-def _check_counts_against_search(g, rng, pairs):
+def _check_counts_against_search(g, rng, pairs, sets=None):
     """phi, every mds_profile triple, phi_refined for every (vertex,
     Status) and for each vertex pair in ``pairs`` under random statuses,
-    against counts derived from the sets of enumerate_mds (the search)."""
-    sets = list(enumerate_mds(g))
+    against counts derived from ``sets``, by default the sets of
+    enumerate_mds (the search)."""
+    sets = list(enumerate_mds(g)) if sets is None else sets
     codes = [_status_codes(g, s) for s in sets]
     triples = tuple(tuple(sum(1 for c in codes if c[v] == k) for k in range(3)) for v in range(g.n))
     assert phi(g) == len(sets)
@@ -425,10 +428,30 @@ def test_stream_is_sorted_ascending():
         assert len(out) == len(set(out))
 
 
-def test_counts_on_disjoint_unions_match_search_sets():
-    # the DP takes a graph whose components are all trees or unicyclic,
-    # two cycles among them; a component with two cycles sends the whole
-    # graph to the search
+def _search_fails(*args):
+    raise AssertionError("the search ran")
+
+
+def _parts_and_pairs(rng, parts):
+    """The disjoint union of ``parts`` and eight vertex pairs, each across
+    two different parts."""
+    g = parts[0]
+    for h in parts[1:]:
+        g = disjoint_union(g, h)
+    starts = [0]
+    for h in parts:
+        starts.append(starts[-1] + h.n)
+    pairs = []
+    for _ in range(8 if len(parts) > 1 else 0):
+        x, y = rng.sample(range(len(parts)), 2)
+        pairs.append((rng.randrange(starts[x], starts[x + 1]), rng.randrange(starts[y], starts[y + 1])))
+    return g, pairs
+
+
+def test_counts_on_disjoint_unions_match_search_sets(monkeypatch):
+    # trees, unicyclic graphs and, every other time, a component with two
+    # cycles; the sets come from the search first, and then the search
+    # fails, so every count goes through the DP
     rng = random.Random(59)
     two_cycles = from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
     trees = list(generate_trees(5))
@@ -437,19 +460,47 @@ def test_counts_on_disjoint_unions_match_search_sets():
         parts = [rng.choice(trees), rng.choice(unicyclic), rng.choice(unicyclic), K1]
         parts += [two_cycles] if i % 2 else []
         rng.shuffle(parts)
-        g = parts[0]
-        for h in parts[1:]:
-            g = disjoint_union(g, h)
-        assert (mds._layout(g.adj) is None) == bool(i % 2)
-        # each pair pins vertices of two different components
-        starts = [0]
-        for h in parts:
-            starts.append(starts[-1] + h.n)
-        pairs = []
-        for _ in range(8):
-            x, y = rng.sample(range(len(parts)), 2)
-            pairs.append((rng.randrange(starts[x], starts[x + 1]), rng.randrange(starts[y], starts[y + 1])))
-        _check_counts_against_search(g, rng, pairs)
+        g, pairs = _parts_and_pairs(rng, parts)
+        sets = list(enumerate_mds(g))
+        with monkeypatch.context() as patch:
+            patch.setattr(mds, "_search", _search_fails)
+            _check_counts_against_search(g, rng, pairs, sets)
+
+
+def _with_cut_edges(rng, n, k):
+    """A random connected graph of order n with k edges more than a tree."""
+    edges = {frozenset((v, rng.randrange(v))) for v in range(1, n)}
+    while len(edges) < n - 1 + k:
+        edges.add(frozenset(rng.sample(range(n), 2)))
+    return from_edges(n, [tuple(e) for e in edges])
+
+
+def test_counts_with_several_cut_edges_match_search_sets(monkeypatch):
+    # components with 2..6 cut edges take the DP, one cut edge at a time,
+    # and the search fails; above the cap the component is searched
+    rng = random.Random(67)
+    shared = from_edges(7, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (0, 5), (5, 6), (6, 0)])
+    bridged = from_edges(9, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 4), (6, 7), (7, 8)])
+    graphs = [(shared, []), (bridged, [])]
+    for k, n, count in ((2, 12, 4), (3, 12, 3), (4, 11, 2), (5, 10, 1), (6, 9, 1)):
+        graphs += [(_with_cut_edges(rng, rng.randint(k + 2, n), k), []) for _ in range(count)]
+    graphs.append(_parts_and_pairs(rng, [shared, K1, _with_cut_edges(rng, 6, 2), cycle(4)]))
+    graphs.append(_parts_and_pairs(rng, [_with_cut_edges(rng, 5, 3), bridged]))
+    for g, pairs in graphs:
+        assert any(len(cuts) > 1 for _, cuts in mds._layout(g.adj)[2]), g
+        assert all(len(cuts) <= mds._MAX_CUTS for _, cuts in mds._layout(g.adj)[2]), g
+        sets = list(enumerate_mds(g))
+        with monkeypatch.context() as patch:
+            patch.setattr(mds, "_search", _search_fails)
+            _check_counts_against_search(g, rng, pairs, sets)
+    # above the cap: the search counts that component, the DP the rest
+    dense = _with_cut_edges(rng, 9, mds._MAX_CUTS + 2)
+    g, pairs = _parts_and_pairs(rng, [dense, bridged])
+    searched = []
+    search = mds._search
+    monkeypatch.setattr(mds, "_search", lambda h, *args: searched.append(h.n) or search(h, *args))
+    _check_counts_against_search(g, rng, pairs)
+    assert set(searched) == {dense.n, g.n}  # the component, and enumerate_mds
 
 
 def test_counts_invariant_under_relabeling_on_corpora():
