@@ -27,37 +27,40 @@ one in with degree 0 or 1 and the other out); a case merges a demand into
 the vectors of a and b and narrows their statuses, and every maximal set
 falls in exactly one. A cycle (k = 1) is one chain over its vertices per
 case, and the pendant-tree vectors are shared by every case. A component
-with k > 1 is the sum over the cases of one cut edge of the graph without
-that edge, down to one cycle: 6^(k-1) linear passes, so ``phi`` and
-``phi_refined`` take linear time on graphs with few cycles. Above
-``_MAX_CUTS`` cut edges the search counts the component instead.
+with k > 1 is taken out on its own (``_split``, for ``_count`` and
+``_profile`` alike) and is the sum over the cases of one cut edge of the
+component without that edge, down to one cycle: 6^(k-1) linear passes.
+``_searched`` sends it to the search instead when that costs less at its
+order, so ``phi``, ``phi_refined`` and ``mds_profile`` take linear time on
+graphs with few cycles and stay near the search's cost on small dense
+ones.
 
 A vertex's context is everything outside its subtree. One on-demand
 top-down pass, ``_Contexts``, serves every reader of contexts. A tree
-root's context is empty. A cycle vertex's is what its cycle neighbors hand
-it, per case: one chain from b back to a and one from a on to b give every
-cycle vertex its context, and the chains with the cut beside a neighbor of
-a vertex give its own. Below the root or cycle, a child's context follows from its
-parent's and the product of its siblings, from prefix and suffix products
-when there are three or more, so only the path down to the vertex is
-visited and ``mds_profile`` takes linear time too. Merging the context
-with the vertex's vector gives its triple; merging it with the vertex's
-vector minus one child's subtree gives the triple in the graph without that
-subtree, which is what the pendant-path suite compares. Its pendant paths
-w-u-v come from the same peel: v is peeled with no children, v is u's only
-child, and u hangs below w. Such a u hands w the same vector whatever the
-path, so the paths at one w share both triples. ``_step`` is bilinear, so
-a context sums the cut cases that put the same mask on the vertex: at most
-three entries at a cut end and one elsewhere, which is why ``phi`` and a
-single context cut the cycle beside a neighbor of the vertex. The surgery
-suite's graphs add k leaves at a vertex w, or k - 2 leaves and a path of
-two; those hang below w and leave w's context as it is, so w's triples
-there are its context merged with its vector times k leaves, or times
-k - 2 leaves and the path.
+root's context is empty. A cycle vertex c's is what its cycle neighbors
+hand it: with the cycle cut beside c, one chain per case from the far end
+of the cut back to c (``_context``), and c's mask is the same in every
+case, so the sum is one entry; ``_count`` closes it at the vertex next to
+the cut. ``mds_profile`` asks for every context, so it takes them all at
+once, from one chain from b back to a and one from a on to b per case
+(``_every_context``), at most three entries per vertex since ``_step`` is
+bilinear, and runs in linear time. Below the root or cycle, a child's
+context follows from its parent's and the product of its siblings, from
+prefix and suffix products when there are three or more, so only the path
+down to the vertex is visited. Merging the context with the vertex's
+vector gives its triple; merging it with the vertex's vector minus one
+child's subtree gives the triple in the graph without that subtree, which
+is what the pendant-path suite compares. Its pendant paths w-u-v come from
+the same peel: v is peeled with no children, v is u's only child, and u
+hangs below w. Such a u hands w the same vector whatever the path, so the
+paths at one w share both triples. The surgery suite's graphs add k leaves
+at a vertex w, or k - 2 leaves and a path of two; those hang below w and
+leave w's context as it is, so w's triples there are its context merged
+with its vector times k leaves, or times k - 2 leaves and the path.
 
 The backtracking enumerator ``_search`` lists the sets behind
-``enumerate_mds`` and counts a component with more than ``_MAX_CUTS`` cut
-edges. It assigns each vertex, in label order, one of three states:
+``enumerate_mds`` and counts the components ``_searched`` sends it. It
+assigns each vertex, in label order, one of three states:
 
 * ``out``        - not in the set;
 * ``in-free``    - in the set with induced degree 0 (never gains a partner);
@@ -304,11 +307,13 @@ def _edge(a: tuple, mask: int) -> tuple:
     return (p_out, free, blocking, p_in, p_matched, partner)
 
 
-# A component with more cut edges is counted by ``_search``. The cut-case
-# passes cost about 6x more per cut edge and the search about 20x more per
-# eight vertices; with six cut edges the passes cost no more than the search
-# from order 24 on (CHANGES.md has the measurement).
-_MAX_CUTS = 6
+def _searched(order: int, k: int) -> bool:
+    """Whether the search counts a component of this order with k cut
+    edges: the cut cases cost about 50 us a pass and 6^(k-1) passes, the
+    search about 11 us times 2^(order/2) (CHANGES.md has the measurement)."""
+    return 50 * 6 ** (k - 1) > 11 * 2 ** (order / 2)
+
+
 _LEAF = _edge(_UNIT, _ALL)  # what a leaf hands its parent
 _STALK = _edge(_LEAF, _ALL)  # what a vertex with one leaf below it hands its parent
 
@@ -328,11 +333,7 @@ def _subtrees(g: Graph, allowed: list[int], order: list[int], parent: list[int],
         if p < 0:  # a tree component's last vertex
             trees *= _root_value(_edge(a, allowed[v]))
             continue
-        if allowed[v] != _ALL:
-            e = _edge(a, allowed[v])
-        else:  # a leaf, or a vertex with a leaf alone below it, hands on a constant
-            e = _LEAF if a is _UNIT else _STALK if a is _LEAF else _edge(a, _ALL)
-        up[v] = e
+        e = up[v] = _LEAF if a is _UNIT and allowed[v] == _ALL else _edge(a, allowed[v])
         # a first child needs no merge: _UNIT is the identity
         vec[p] = e if vec[p] is _UNIT else _mul(vec[p], e)
     return vec, up, trees
@@ -348,50 +349,49 @@ def _add(a: tuple, b: tuple) -> tuple:
     return (a0 + b0, a1 + b1, ab + bb, c0 + d0, cn + dn, c1 + d1)
 
 
-def _cycle_contexts(cyc: list[int], vec: list[tuple], allowed: list[int], every: bool) -> dict[int, list]:
-    """Contexts on the cycle ``cyc`` cut at (a, b) = (cyc[0], cyc[-1]), of
-    c = cyc[1] alone or of ``every`` cycle vertex: per mask on the vertex,
-    summed over the live cut cases, the demands on it of everything outside
-    its pendant trees. Each case runs one chain from b back to c, on to a
-    for every vertex, and one from a on to b. c's mask is the same in every
-    case, so its context is one entry."""
-    a, c, b = cyc[0], cyc[1], cyc[-1]
-    inner = cyc[-2:1:-1]  # from b back to c, both left out
-    allowed_a, allowed_b, vec_a, vec_b = allowed[a], allowed[b], vec[a], vec[b]
-    out: dict[int, list[tuple[int, tuple]]] = {v: [] for v in cyc} if every else {}
+def _context(cyc: list[int], vec: list[tuple], allowed: list[int]) -> list[tuple[int, tuple]]:
+    """The context of c = cyc[1] on the cycle ``cyc`` cut at (a, b) =
+    (cyc[0], cyc[-1]): per live cut case, one chain from b back to c, merged
+    with what a hands c. Every case leaves c's mask as it is, so the context
+    is one entry, summed over the cases."""
+    a, b = cyc[0], cyc[-1]
     at_c = None
     for need_a, mask_a, need_b, mask_b in _CUT_CASES:
-        if allowed_a & mask_a and allowed_b & mask_b:
-            e = _step(vec_b, need_b, allowed_b & mask_b)
-            if not every:
-                for v in inner:
-                    e = _step(vec[v], e, allowed[v])
-                x = _mul(_step(vec_a, need_a, allowed_a & mask_a), e)
-                at_c = x if at_c is None else _add(at_c, x)
-                continue
-            back = [e]  # what each vertex hands the one before it, from b back
+        if allowed[a] & mask_a and allowed[b] & mask_b:
+            e = _step(vec[b], need_b, allowed[b] & mask_b)
+            for v in cyc[-2:1:-1]:
+                e = _step(vec[v], e, allowed[v])
+            x = _mul(_step(vec[a], need_a, allowed[a] & mask_a), e)
+            at_c = x if at_c is None else _add(at_c, x)
+    return [(allowed[cyc[1]], at_c)]
+
+
+def _every_context(cyc: list[int], vec: list[tuple], allowed: list[int]) -> dict[int, list]:
+    """Every context on the cycle ``cyc`` cut at (a, b) = (cyc[0], cyc[-1]),
+    from one chain from b back to a and one from a on to b per live case:
+    per mask on the vertex, the demands on it of everything outside its
+    pendant trees, summed over the cases (``_step`` is bilinear). About
+    three to six single contexts' cost, so only ``mds_profile``, which asks
+    for every vertex, takes it."""
+    a, b = cyc[0], cyc[-1]
+    out: dict[int, dict[int, tuple]] = {v: {} for v in cyc}
+
+    def put(v: int, mask: int, x: tuple) -> None:
+        out[v][mask] = _add(out[v][mask], x) if mask in out[v] else x
+
+    for need_a, mask_a, need_b, mask_b in _CUT_CASES:
+        if allowed[a] & mask_a and allowed[b] & mask_b:
+            back = [_step(vec[b], need_b, allowed[b] & mask_b)]  # what each vertex hands the one before it
             for v in cyc[-2:0:-1]:
                 back.append(_step(vec[v], back[-1], allowed[v]))
-            out[a].append((allowed_a & mask_a, _mul(need_a, back[-1])))
-            e = _step(vec_a, need_a, allowed_a & mask_a)  # what each hands the one after it
+            put(a, allowed[a] & mask_a, _mul(need_a, back[-1]))
+            e = _step(vec[a], need_a, allowed[a] & mask_a)  # what each hands the one after it
             for v in cyc[1:-1]:
                 back.pop()
-                out[v].append((allowed[v], _mul(e, back[-1])))
+                put(v, allowed[v], _mul(e, back[-1]))
                 e = _step(vec[v], e, allowed[v])
-            out[b].append((allowed_b & mask_b, _mul(need_b, e)))
-    if not every:
-        return {c: [(allowed[c], at_c)]}
-    return {v: _by_mask(ctx) for v, ctx in out.items()}
-
-
-def _by_mask(ctx: list[tuple[int, tuple]]) -> list[tuple[int, tuple]]:
-    """``ctx`` with the entries that share a mask summed, at most three:
-    ``_step`` is bilinear, so closing the sums is exact. This pays where a
-    context is closed more than once."""
-    sums: dict[int, tuple] = {}
-    for mask, c in ctx:
-        sums[mask] = _add(sums[mask], c) if mask in sums else c
-    return list(sums.items())
+            put(b, allowed[b] & mask_b, _mul(need_b, e))
+    return {v: list(ctx.items()) for v, ctx in out.items()}
 
 
 def _all_but_one(vs: list[tuple], base: tuple) -> list[tuple]:
@@ -408,44 +408,45 @@ def _all_but_one(vs: list[tuple], base: tuple) -> list[tuple]:
     return out
 
 
-def _conditioned(g: Graph, cut: tuple[int, int], allowed: list[int], need: dict[int, tuple]):
-    """Per live cut case of the edge ``cut`` = (a, b): g without that edge,
-    with ``allowed`` narrowed by the case's masks and its demands merged
-    into ``need``. Every maximal set of g lies in exactly one case."""
-    a, b = cut
-    rows = list(g.adj)
+def _split(g: Graph, walk: list[int], cuts: list[tuple[int, int]], allowed: list[int], need: dict[int, tuple]):
+    """The component of ``walk``, whose core has the cut edges ``cuts``, on
+    its own: ``relabel`` (its vertices to their labels there), the
+    component h and its ``allowed``, and the live cases of its first cut
+    edge, or None when the search costs less (``_searched``). A case is h
+    without that edge, with ``allowed`` narrowed by the case's masks and its
+    demands merged into ``need``; every maximal set lies in exactly one."""
+    h, relabel = delete_vertices(g, g.full_mask & ~_component(g.adj, walk[0]))
+    sub = [allowed[v] for v in relabel]
+    if _searched(h.n, len(cuts)):
+        return relabel, h, sub, None
+    need = {relabel[v]: x for v, x in need.items()}
+    a, b = relabel[cuts[0][0]], relabel[cuts[0][1]]
+    rows = list(h.adj)
     rows[a] ^= 1 << b
     rows[b] ^= 1 << a
-    h = _trusted(g.n, tuple(rows))
+    cut = _trusted(h.n, tuple(rows))
+    cases = []
     for need_a, mask_a, need_b, mask_b in _CUT_CASES:
-        cased = allowed[:]
+        cased = sub[:]
         cased[a] &= mask_a
         cased[b] &= mask_b
         merged = {**need, a: _mul(need.get(a, _UNIT), need_a), b: _mul(need.get(b, _UNIT), need_b)}
         # a case that leaves an end no status, or clashes with an earlier
         # cut edge's demands on it, holds no set
         if cased[a] and cased[b] and merged[a] != _ZERO and merged[b] != _ZERO:
-            yield h, cased, merged
+            cases.append((cut, cased, merged))
+    return relabel, h, sub, cases
 
 
 def _count(g: Graph, allowed: list[int], need: dict[int, tuple]) -> int:
     order, parent, cores = _layout(g.adj)
     vec, _, total = _subtrees(g, allowed, order, parent, need)
-    for cyc, cuts in cores:
+    for walk, cuts in cores:
         if len(cuts) == 1:
-            total *= _root_value(_close(_cycle_contexts(cyc, vec, allowed, False)[cyc[1]], vec[cyc[1]]))
+            total *= _root_value(_close(_context(walk, vec, allowed), vec[walk[1]]))
             continue
-        # a component with more cut edges, on its own: by the search above
-        # the cap, else one cut edge at a time (each split leaves one cut
-        # edge fewer, so no demands ever reach the search)
-        h, relabel = delete_vertices(g, g.full_mask & ~_component(g.adj, cyc[0]))
-        sub = [allowed[v] for v in relabel]
-        if len(cuts) > _MAX_CUTS:
-            total *= _search(h, sub, None)
-        else:
-            cut = (relabel[cuts[0][0]], relabel[cuts[0][1]])
-            moved = {relabel[v]: x for v, x in need.items() if v in relabel}
-            total *= sum(_count(*case) for case in _conditioned(h, cut, sub, moved))
+        _, h, sub, cases = _split(g, walk, cuts, allowed, need)
+        total *= _search(h, sub, None) if cases is None else sum(_count(*case) for case in cases)
     return total
 
 
@@ -484,22 +485,20 @@ def _pendant_paths(parent: list[int]) -> list[tuple[int, int, int]]:
 
 
 class _Contexts:
-    """The top-down pass of a graph g from its ``layout``, a forest of tree
-    and unicyclic components, under ``allowed`` and the cut demands
-    ``need``, on demand: the subtree vectors, ``without(p, child)`` (p's
-    vector with ``child``'s subtree left out, from prefix and suffix
-    products of p's children) and ``context_of(v)``, memoised per vertex. A
-    tree root's context is empty. The first ``singles`` contexts asked on
-    cycles cost six chains each, with the cycle cut beside a neighbor of the
-    vertex; any later one computes every context of its cycle, from two
-    chains per case. Below a root or a cycle, only the path down to v is
-    visited. Methods, not closures: a closure that calls itself is a
-    reference cycle, and only the cyclic collector frees it and all it
-    holds."""
+    """The top-down pass of a graph g from its ``layout`` under ``allowed``
+    and the cut demands ``need``, on demand: the subtree vectors,
+    ``without(p, child)`` (p's vector with ``child``'s subtree left out,
+    from prefix and suffix products of p's children) and ``context_of(v)``,
+    memoised per vertex. A tree root's context is empty, a cycle vertex's
+    is ``_context`` with the cycle cut beside it; ``memo`` may be filled
+    first, as ``mds_profile`` does with ``_every_context``. Below a root or
+    a cycle, only the path down to v is visited. Methods, not closures: a
+    closure that calls itself is a reference cycle, and only the cyclic
+    collector frees it and all it holds."""
 
-    __slots__ = ("parent", "children", "cycle_of", "allowed", "need", "vec", "up", "memo", "others", "singles")
+    __slots__ = ("parent", "children", "cycle_of", "allowed", "need", "vec", "up", "memo", "others")
 
-    def __init__(self, g: Graph, layout: tuple, allowed: list[int], need: dict[int, tuple], singles: int = 2):
+    def __init__(self, g: Graph, layout: tuple, allowed: list[int], need: dict[int, tuple]):
         order, parent, cores = layout
         children: list[list[int]] = [[] for _ in range(g.n)]
         for v in order:
@@ -511,7 +510,6 @@ class _Contexts:
         self.vec, self.up, _ = _subtrees(g, allowed, order, parent, need)
         self.memo: dict[int, list[tuple[int, tuple]]] = {}
         self.others: dict[int, dict[int, tuple]] = {}
-        self.singles = singles
 
     def without(self, p: int, child: int) -> tuple:
         kids, up = self.children[p], self.up
@@ -535,12 +533,9 @@ class _Contexts:
             cyc = self.cycle_of.get(v)
             if cyc is None:
                 memo[v] = [(self.allowed[v], _UNIT)]
-            elif self.singles:
-                self.singles -= 1
-                i = cyc.index(v) - 1
-                memo[v] = _cycle_contexts(cyc[i:] + cyc[:i], self.vec, self.allowed, False)[v]
             else:
-                memo.update(_cycle_contexts(cyc, self.vec, self.allowed, True))
+                i = cyc.index(v) - 1
+                memo[v] = _context(cyc[i:] + cyc[:i], self.vec, self.allowed)
         ctx = memo[v]
         allowed = self.allowed
         for child in reversed(below):
@@ -552,18 +547,30 @@ class _Contexts:
 def _profile(g: Graph, allowed: list[int], need: dict[int, tuple]) -> MdsProfile:
     layout = _layout(g.adj)
     order, parent, cores = layout
-    for cyc, cuts in cores:
-        if len(cuts) > 1:  # the sum over the cut cases of one cut edge of g
-            parts = [_profile(*case) for case in _conditioned(g, cuts[0], allowed, need)]
-            triples = [p.per_vertex for p in parts] or [((0, 0, 0),) * g.n]
-            return MdsProfile(sum(p.total for p in parts), tuple(tuple(map(sum, zip(*t))) for t in zip(*triples)))
-    contexts = _Contexts(g, layout, allowed, need, singles=0)
-    # each vertex's component, named by its tree root or its cycle's first vertex
+    contexts = _Contexts(g, layout, allowed, need)
+    triples: list = [None] * g.n
+    for walk, cuts in cores:
+        if len(cuts) == 1:
+            contexts.memo.update(_every_context(walk, contexts.vec, allowed))
+            continue
+        relabel, h, sub, cases = _split(g, walk, cuts, allowed, need)
+        if cases is None:  # the component's triples from its listed sets
+            sets: list[int] = []
+            _search(h, sub, sets)
+            for v, u in relabel.items():
+                ins = [s for s in sets if s >> u & 1]
+                free = sum(1 for s in ins if not h.adj[u] & s)
+                triples[v] = (len(sets) - len(ins), free, len(ins) - free)
+            continue
+        parts = [_profile(*case).per_vertex for case in cases]
+        for v, u in relabel.items():
+            triples[v] = tuple(sum(p[u][i] for p in parts) for i in range(3))
+    triples = [t or _close(contexts.context_of(v), contexts.vec[v])[:3] for v, t in enumerate(triples)]
+    # each vertex's component, named by its tree root or its core's first vertex
     name = [contexts.cycle_of[v][0] if v in contexts.cycle_of else v for v in range(g.n)]
     for v in reversed(order):  # parents before children
         if parent[v] >= 0:
             name[v] = name[parent[v]]
-    triples = [_close(contexts.context_of(v), contexts.vec[v])[:3] for v in range(g.n)]
     totals = {c: sum(triples[c]) for c in name}
     # a vertex's counts in g are its counts in its component times the others' totals
     others = {c: prod(t for d, t in totals.items() if d != c) for c in totals}
@@ -647,8 +654,4 @@ def mds_profile(g: Graph) -> MdsProfile:
     For every vertex the triple (excluded, in with induced degree 0, in
     with induced degree 1) sums to the total.
     """
-    if all(len(cuts) <= _MAX_CUTS for _, cuts in _layout(g.adj)[2]):
-        return _profile(g, [_ALL] * g.n, {})
-    pins = [[_ALL] * v + [bit] + [_ALL] * (g.n - v - 1) for v in range(g.n) for bit in (_OUT, _FREE, _MATCHED)]
-    counts = [_count(g, allowed, {}) for allowed in pins]
-    return MdsProfile(_count(g, [_ALL] * g.n, {}), tuple(zip(counts[::3], counts[1::3], counts[2::3])))
+    return _profile(g, [_ALL] * g.n, {})

@@ -451,7 +451,8 @@ def _parts_and_pairs(rng, parts):
 def test_counts_on_disjoint_unions_match_search_sets(monkeypatch):
     # trees, unicyclic graphs and, every other time, a component with two
     # cycles; the sets come from the search first, and then the search
-    # fails, so every count goes through the DP
+    # fails and no component is routed to it, so every count goes through
+    # the DP
     rng = random.Random(59)
     two_cycles = from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
     trees = list(generate_trees(5))
@@ -464,6 +465,7 @@ def test_counts_on_disjoint_unions_match_search_sets(monkeypatch):
         sets = list(enumerate_mds(g))
         with monkeypatch.context() as patch:
             patch.setattr(mds, "_search", _search_fails)
+            patch.setattr(mds, "_searched", lambda order, k: False)
             _check_counts_against_search(g, rng, pairs, sets)
 
 
@@ -476,8 +478,8 @@ def _with_cut_edges(rng, n, k):
 
 
 def test_counts_with_several_cut_edges_match_search_sets(monkeypatch):
-    # components with 2..6 cut edges take the DP, one cut edge at a time,
-    # and the search fails; above the cap the component is searched
+    # components with 2..6 cut edges, on the DP one cut edge at a time, with
+    # the search failing and no component routed to it
     rng = random.Random(67)
     shared = from_edges(7, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (0, 5), (5, 6), (6, 0)])
     bridged = from_edges(9, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 4), (6, 7), (7, 8)])
@@ -488,19 +490,29 @@ def test_counts_with_several_cut_edges_match_search_sets(monkeypatch):
     graphs.append(_parts_and_pairs(rng, [_with_cut_edges(rng, 5, 3), bridged]))
     for g, pairs in graphs:
         assert any(len(cuts) > 1 for _, cuts in mds._layout(g.adj)[2]), g
-        assert all(len(cuts) <= mds._MAX_CUTS for _, cuts in mds._layout(g.adj)[2]), g
         sets = list(enumerate_mds(g))
         with monkeypatch.context() as patch:
             patch.setattr(mds, "_search", _search_fails)
+            patch.setattr(mds, "_searched", lambda order, k: False)
             _check_counts_against_search(g, rng, pairs, sets)
-    # above the cap: the search counts that component, the DP the rest
-    dense = _with_cut_edges(rng, 9, mds._MAX_CUTS + 2)
-    g, pairs = _parts_and_pairs(rng, [dense, bridged])
+
+
+def test_search_takes_the_components_it_counts_faster(monkeypatch):
+    # a component goes to the search iff 6^(k-1) passes cost more than the
+    # search at its order; the search then sees that component alone
+    assert not mds._searched(9, 1) and not mds._searched(12, 2) and not mds._searched(24, 4)
+    assert mds._searched(9, 2) and mds._searched(12, 3) and mds._searched(24, 5)
+    assert not mds._searched(64, 6) and mds._searched(64, 13)
+    rng = random.Random(71)
+    dense = _with_cut_edges(rng, 9, 8)
+    sparse = _with_cut_edges(rng, 12, 2)
+    g, pairs = _parts_and_pairs(rng, [dense, sparse, cycle(5)])
     searched = []
     search = mds._search
-    monkeypatch.setattr(mds, "_search", lambda h, *args: searched.append(h.n) or search(h, *args))
+    monkeypatch.setattr(mds, "_search", lambda h, *args: searched.append(h.edge_count) or search(h, *args))
     _check_counts_against_search(g, rng, pairs)
-    assert set(searched) == {dense.n, g.n}  # the component, and enumerate_mds
+    # dense alone, for every count, and all of g once, for enumerate_mds
+    assert set(searched) == {dense.edge_count, g.edge_count}
 
 
 def test_counts_invariant_under_relabeling_on_corpora():
