@@ -59,8 +59,9 @@ leave w's context as it is, so w's triples there are its context merged
 with its vector times k leaves, or times k - 2 leaves and the path.
 
 The backtracking enumerator ``_search`` lists the sets behind
-``enumerate_mds`` and counts the components ``_searched`` sends it. It
-assigns each vertex, in label order, one of three states:
+``enumerate_mds``, and counts (or, for ``mds_profile``, lists) the sets
+of the components ``_searched`` sends it. It assigns each vertex, in label
+order, one of three states:
 
 * ``out``        - not in the set;
 * ``in-free``    - in the set with induced degree 0 (never gains a partner);
