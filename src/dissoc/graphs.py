@@ -207,14 +207,15 @@ class Classification(NamedTuple):
     components: int
 
 
-def _component(adj: Sequence[int], v: int) -> int:
-    """The vertices of v's component, as a bitmask."""
+def _component(adj: Sequence[int], v: int, within: int = -1) -> int:
+    """The vertices of v's component in the subgraph induced by ``within``
+    (by default the whole graph), as a bitmask."""
     comp = frontier = 1 << v
     while frontier:
         nxt = 0
         for u in iter_bits(frontier):
             nxt |= adj[u]
-        frontier = nxt & ~comp
+        frontier = nxt & within & ~comp
         comp |= frontier
     return comp
 
@@ -240,17 +241,16 @@ def classify(g: Graph) -> Classification:
     return Classification(kind, components)
 
 
-def _layout(adj: Sequence[int]) -> tuple[list[int], list[int], list[tuple[list[int], list[tuple[int, int]]]]]:
+def _layout(adj: Sequence[int]) -> tuple[list[int], list[int], list[tuple[list[int], int]]]:
     """Peel leaves, oldest first, then walk what remains.
 
     Returns (peel order, parent per vertex, one core per component with a
     cycle). Every peeled vertex comes after its peeled neighbors (its
     children), a tree component's last vertex has parent -1, and a pendant
-    tree's top vertex has a core vertex as parent. A core is (walk, cuts):
-    its vertices from the lowest, and the edges left out of a spanning tree,
-    m - n + 1 of them for the component. A unicyclic component's walk is
-    its cycle in cyclic order, cut at (walk[0], walk[-1]); any other's is
-    breadth first.
+    tree's top vertex has a core vertex as parent. A core is (walk, k): its
+    vertices from the lowest, and k = m - n + 1 for the component. A
+    unicyclic component's walk is its cycle in cyclic order (k = 1); any
+    other's is ascending.
     """
     n = len(adj)
     deg = [row.bit_count() for row in adj]
@@ -275,29 +275,21 @@ def _layout(adj: Sequence[int]) -> tuple[list[int], list[int], list[tuple[list[i
             alive ^= 1 << p
             p = (adj[p] & alive).bit_length() - 1
         if p < 0:
-            cores.append((walk, [(walk[0], walk[-1])]))
+            cores.append((walk, 1))
             continue
-        # more cycles: a breadth-first spanning tree, and the edges it leaves
-        p = (before & -before).bit_length() - 1
-        alive = before ^ 1 << p
-        walk, tree = [p], {p: -1}
-        for v in walk:  # grows
-            for u in iter_bits(adj[v] & alive):
-                alive ^= 1 << u
-                tree[u] = v
-                walk.append(u)
-        core = before & ~alive
-        cuts = [(u, v) for v in walk for u in iter_bits(adj[v] & core) if u < v and u != tree[v] and v != tree[u]]
-        cores.append((walk, cuts))
+        core = _component(adj, (before & -before).bit_length() - 1, before)
+        alive = before & ~core
+        walk = bit_list(core)
+        cores.append((walk, sum(deg[v] for v in walk) // 2 - len(walk) + 1))
     return order, parent, cores
 
 
 def _unicyclic_cycle(layout: tuple) -> list[int] | None:
     """The cycle of a unicyclic graph from its ``_layout``, else None: the
-    graph is unicyclic iff it has one core, with one cut edge, and every
-    peeled vertex hangs below it."""
+    graph is unicyclic iff it has one core, with k = 1, and every peeled
+    vertex hangs below it."""
     _, parent, cores = layout
-    if len(cores) != 1 or len(cores[0][1]) != 1 or parent.count(-1) != len(cores[0][0]):
+    if len(cores) != 1 or cores[0][1] != 1 or parent.count(-1) != len(cores[0][0]):
         return None
     return cores[0][0]
 

@@ -19,21 +19,18 @@ finished subtree into the vector its parent sees, applying the subtree
 root's allowed statuses; each allowed bit (out, in with degree 0, in with
 degree 1) gates its own slots, so refined counts pin vertices for free.
 
-A core is cut at the k = m - n + 1 edges that a spanning tree leaves out:
-the usual parameterization by feedback edge number, of which the paper's
-cut of its one cycle is k = 1. A cut edge (a, b) is counted as six cases
-over the statuses of a and b (both out; both in and matched to each other;
-one in with degree 0 or 1 and the other out); a case merges a demand into
-the vectors of a and b and narrows their statuses, and every maximal set
-falls in exactly one. A cycle (k = 1) is one chain over its vertices per
-case, and the pendant-tree vectors are shared by every case. A component
-with k > 1 is taken out on its own (``_split``, for ``_count`` and
-``_profile`` alike) and is the sum over the cases of one cut edge of the
-component without that edge, down to one cycle: 6^(k-1) linear passes.
-``_searched`` sends it to the search instead when that costs less at its
-order, so ``phi``, ``phi_refined`` and ``mds_profile`` take linear time on
-graphs with few cycles and stay near the search's cost on small dense
-ones.
+A core with k = m - n + 1 = 1 is a cycle, cut as the paper cuts it at one
+edge (a, b) into six cases over the statuses of a and b (both out; both in
+and each other's partner; one in with degree 0 or 1, the other out): one
+chain over the cycle per case, all sharing the pendant-tree vectors. A core
+with k >= 2 is swept once (``_sweep``), in a greedy order that keeps its
+frontier small. A state gives each frontier vertex one slot of its vector,
+and a table maps states to counts. A vertex comes in at its slots, weighted
+by its pendant-tree vector; each edge back to the frontier updates the
+slots of both ends; and a vertex leaves, blocked, in-free or matched, once
+its last core neighbor is in. The cost follows the live states, not k: the
+ladder of order 64 (k = 31) keeps a frontier of width 2. A sweep that would
+hold more than ``_MAX_STATES`` states raises ``ValueError`` instead.
 
 A vertex's context is everything outside its subtree. One on-demand
 top-down pass, ``_Contexts``, serves every reader of contexts. A tree
@@ -44,7 +41,10 @@ case, so the sum is one entry; ``_count`` closes it at the vertex next to
 the cut. ``mds_profile`` asks for every context, so it takes them all at
 once, from one chain from b back to a and one from a on to b per case
 (``_every_context``), at most three entries per vertex since ``_step`` is
-bilinear, and runs in linear time. Below the root or cycle, a child's
+bilinear, and runs in linear time. On a core with k >= 2, a vertex's count
+is linear in the weights of its slots; one backward pass over the kept
+tables gives, per slot, the count with the vertex at that slot alone, and
+so its context (``_sweep_contexts``). Below the root or core, a child's
 context follows from its parent's and the product of its siblings, from
 prefix and suffix products when there are three or more, so only the path
 down to the vertex is visited. Merging the context with the vertex's
@@ -59,23 +59,13 @@ leave w's context as it is, so w's triples there are its context merged
 with its vector times k leaves, or times k - 2 leaves and the path.
 
 The backtracking enumerator ``_search`` lists the sets behind
-``enumerate_mds``, and counts (or, for ``mds_profile``, lists) the sets
-of the components ``_searched`` sends it. It assigns each vertex, in label
-order, one of three states:
-
-* ``out``        - not in the set;
-* ``in-free``    - in the set with induced degree 0 (never gains a partner);
-* ``in-matched`` - in the set with induced degree exactly 1.
-
-A state assignment is consistent iff every in-free vertex ends with zero
-in-neighbors and every in-matched vertex pairs with exactly one. Consistent
-assignments correspond bijectively to dissociation sets, so no deduplication
-is needed. Two pruning rules fire whenever a vertex's neighborhood becomes
-fully assigned: a still-unpaired in-matched vertex kills the branch, and an
-out vertex that is already addable kills the branch (its addability can no
-longer change, so no completion is maximal). Each surviving leaf is
-re-checked for maximality independently of the search path before being
-counted.
+``enumerate_mds``. It assigns each vertex, in label order, out, in-free (in
+with induced degree 0, never gaining a partner) or in-matched (in with
+induced degree exactly 1). The consistent assignments, where every in-free
+vertex ends with no in-neighbor and every in-matched one with exactly one,
+are the dissociation sets, one each. A branch dies once a vertex's
+neighborhood is assigned and it is an unpaired in-matched vertex or an
+addable out vertex; each surviving leaf is re-checked for maximality.
 """
 
 from __future__ import annotations
@@ -86,7 +76,7 @@ from functools import reduce
 from math import prod
 from typing import Iterable, Iterator, NamedTuple
 
-from .graphs import Graph, _component, _layout, _trusted, _unicyclic_cycle, delete_vertices, iter_bits
+from .graphs import Graph, _layout, _unicyclic_cycle, iter_bits, vset
 
 _OUT, _FREE, _MATCHED = 1, 2, 4
 _ALL = _OUT | _FREE | _MATCHED
@@ -164,29 +154,16 @@ def is_maximal_dissociation(g: Graph, s: int) -> bool:
     return True
 
 
-def _closers(g: Graph) -> list[int]:
-    """closers[v] = bitmask of vertices whose neighborhood closes at step v."""
-    out = [0] * g.n
-    for u in range(g.n):
-        row = g.adj[u]
-        last = u if row == 0 else max(u, row.bit_length() - 1)
-        out[last] |= 1 << u
-    return out
+def _search(g: Graph) -> list[int]:
+    """Every maximal dissociation set, in the order the search finds it."""
+    n, adj, full = g.n, g.adj, g.full_mask
+    closers = [0] * n  # per v, the vertices whose neighborhood is assigned with v
+    for u in range(n):
+        closers[max(u, adj[u].bit_length() - 1)] |= 1 << u
+    sink: list[int] = []
 
-
-def _search(g: Graph, allowed: list[int], sink: list[int] | None) -> int:
-    """Core state-assignment search; returns the number of maximal
-    dissociation sets whose states are permitted by ``allowed``."""
-    n = g.n
-    adj = g.adj
-    closers = _closers(g)
-    full = g.full_mask
-
-    def closure_ok(v: int, s: int, free: int, pending: int) -> bool:
-        cl = closers[v]
-        if pending & cl:
-            return False
-        cc = cl & ~s
+    def blocked(cc: int, s: int, free: int) -> bool:
+        """Whether no vertex of cc, all outside s, is addable to s."""
         while cc:
             low = cc & -cc
             cc ^= low
@@ -195,44 +172,24 @@ def _search(g: Graph, allowed: list[int], sink: list[int] | None) -> int:
                 return False
         return True
 
-    def rec(v: int, s: int, free: int, pending: int) -> int:
+    def rec(v: int, s: int, free: int, pending: int) -> None:
         if v == n:
-            # construction-independent maximality re-check
-            outside = full & ~s
-            while outside:
-                low = outside & -outside
-                outside ^= low
-                m = adj[low.bit_length() - 1] & s
-                if m == 0 or (m & (m - 1) == 0 and m & free):
-                    return 0
-            if sink is not None:
+            if blocked(full & ~s, s, free):  # construction-independent re-check
                 sink.append(s)
-            return 1
-        count = 0
-        opts = allowed[v]
-        bit = 1 << v
-        row = adj[v]
-        if opts & _OUT and closure_ok(v, s, free, pending):
-            count += rec(v + 1, s, free, pending)
-        if opts & (_FREE | _MATCHED) and not row & free:
-            inb = row & s
-            ns = s | bit
-            if opts & _FREE and inb == 0:
-                nf = free | bit
-                if closure_ok(v, ns, nf, pending):
-                    count += rec(v + 1, ns, nf, pending)
-            if opts & _MATCHED:
-                if inb == 0:
-                    npend = pending | bit
-                    if closure_ok(v, ns, free, npend):
-                        count += rec(v + 1, ns, free, npend)
-                elif inb & (inb - 1) == 0 and inb & pending:
-                    npend = pending & ~inb
-                    if closure_ok(v, ns, free, npend):
-                        count += rec(v + 1, ns, free, npend)
-        return count
+            return
+        row, bit = adj[v], 1 << v
+        inb = row & s
+        options = [(s, free, pending)]  # out
+        if not row & free and inb == 0:  # in-free, or in-matched to a later vertex
+            options += [(s | bit, free | bit, pending), (s | bit, free, pending | bit)]
+        elif not row & free and inb & (inb - 1) == 0 and inb & pending:  # in-matched to its in-neighbor
+            options.append((s | bit, free, pending & ~inb))
+        for ns, nf, npend in options:
+            if not npend & closers[v] and blocked(closers[v] & ~ns, ns, nf):
+                rec(v + 1, ns, nf, npend)
 
-    return rec(0, 0, 0, 0)
+    rec(0, 0, 0, 0)
+    return sink
 
 
 # --- subtree-vector DP --------------------------------------------------------
@@ -243,7 +200,6 @@ def _search(g: Graph, allowed: list[int], sink: list[int] | None) -> int:
 # matching required, n1 matched to a neighbor already merged.
 
 _UNIT = (1, 0, 0, 1, 0, 0)
-_ZERO = (0,) * 6
 # what the far end of the cut edge (a, b) asks of its near end
 _DEMAND_OUT = (1, 0, 0, 0, 0, 0)  # out: the near end must be out too
 _DEMAND_FREE = (0, 1, 0, 0, 0, 0)  # in with degree 0: the near end is out
@@ -308,24 +264,15 @@ def _edge(a: tuple, mask: int) -> tuple:
     return (p_out, free, blocking, p_in, p_matched, partner)
 
 
-def _searched(order: int, k: int) -> bool:
-    """Whether the search counts a component of this order with k cut
-    edges: the cut cases cost about 50 us a pass and 6^(k-1) passes, the
-    search about 11 us times 2^(order/2) (CHANGES.md has the measurement)."""
-    return 50 * 6 ** (k - 1) > 11 * 2 ** (order / 2)
-
-
 _LEAF = _edge(_UNIT, _ALL)  # what a leaf hands its parent
 _STALK = _edge(_LEAF, _ALL)  # what a vertex with one leaf below it hands its parent
 
 
-def _subtrees(g: Graph, allowed: list[int], order: list[int], parent: list[int], need: dict[int, tuple]):
-    """Bottom-up pass: each vertex's vector over its peeled subtree, from
-    the demands ``need`` of cut edges at it, the vector each peeled vertex
-    hands its parent, and the product of the tree components' counts."""
+def _subtrees(g: Graph, allowed: list[int], order: list[int], parent: list[int]):
+    """Bottom-up pass: each vertex's vector over its peeled subtree, the
+    vector each peeled vertex hands its parent, and the product of the tree
+    components' counts."""
     vec = [_UNIT] * g.n
-    for v, x in need.items():
-        vec[v] = x
     up = [_UNIT] * g.n
     trees = 1
     for v in order:
@@ -409,45 +356,134 @@ def _all_but_one(vs: list[tuple], base: tuple) -> list[tuple]:
     return out
 
 
-def _split(g: Graph, walk: list[int], cuts: list[tuple[int, int]], allowed: list[int], need: dict[int, tuple]):
-    """The component of ``walk``, whose core has the cut edges ``cuts``, on
-    its own: ``relabel`` (its vertices to their labels there), the
-    component h and its ``allowed``, and the live cases of its first cut
-    edge, or None when the search costs less (``_searched``). A case is h
-    without that edge, with ``allowed`` narrowed by the case's masks and its
-    demands merged into ``need``; every maximal set lies in exactly one."""
-    h, relabel = delete_vertices(g, g.full_mask & ~_component(g.adj, walk[0]))
-    sub = [allowed[v] for v in relabel]
-    if _searched(h.n, len(cuts)):
-        return relabel, h, sub, None
-    need = {relabel[v]: x for v, x in need.items()}
-    a, b = relabel[cuts[0][0]], relabel[cuts[0][1]]
-    rows = list(h.adj)
-    rows[a] ^= 1 << b
-    rows[b] ^= 1 << a
-    cut = _trusted(h.n, tuple(rows))
-    cases = []
-    for need_a, mask_a, need_b, mask_b in _CUT_CASES:
-        cased = sub[:]
-        cased[a] &= mask_a
-        cased[b] &= mask_b
-        merged = {**need, a: _mul(need.get(a, _UNIT), need_a), b: _mul(need.get(b, _UNIT), need_b)}
-        # a case that leaves an end no status, or clashes with an earlier
-        # cut edge's demands on it, holds no set
-        if cased[a] and cased[b] and merged[a] != _ZERO and merged[b] != _ZERO:
-            cases.append((cut, cased, merged))
-    return relabel, h, sub, cases
+# --- frontier sweep over a core with k >= 2 ----------------------------------
+#
+# A frontier vertex is in one slot of its vector: out with no in-neighbor,
+# one in-neighbor of degree 0, or blocked; in with degree 0, in and still
+# needing a partner, or in and matched. A state gives each frontier
+# position 6 bits, one per slot; a table maps states to counts.
+
+_O0, _O1, _OB, _IF, _IP, _IM = range(6)
+_SLOT_BITS = (_OUT, _OUT, _OUT, _FREE, _MATCHED, _MATCHED)
+# the most states a sweep may hold, summed over its tables for a profile:
+# about a second of work (CHANGES.md has the graphs on each side)
+_MAX_STATES = 60_000
 
 
-def _count(g: Graph, allowed: list[int], need: dict[int, tuple]) -> int:
-    order, parent, cores = _layout(g.adj)
-    vec, _, total = _subtrees(g, allowed, order, parent, need)
-    for walk, cuts in cores:
-        if len(cuts) == 1:
-            total *= _root_value(_close(_context(walk, vec, allowed), vec[walk[1]]))
+def _plan(adj: tuple[int, ...], core: list[int], vec: list[tuple]) -> tuple[list[tuple], int]:
+    """The steps of a sweep over ``core``, and its frontier width. The next
+    vertex leaves the smallest frontier; ties go to the most edges to the
+    vertices taken, then the lowest label. A step is (v, its slots' weights,
+    its position's shift, the low bits of its taken neighbors' positions and
+    of those that leave after it, the mask of all three)."""
+    rest, taken, border = vset(core), 0, 0
+    rows = {v: adj[v] & rest for v in core}
+    at: dict[int, int] = {}  # the frontier's positions
+    steps, width = [], 0
+    while rest:
+        v = min(
+            iter_bits(rest & border or rest),  # a vertex beside the taken ones ranks first
+            key=lambda u: (
+                bool(rows[u] & rest) - sum(rows[w] & rest == 1 << u for w in at),
+                -(rows[u] & taken).bit_count(),
+                u,
+            ),
+        )
+        rest ^= 1 << v
+        taken |= 1 << v
+        border |= rows[v]
+        at[v] = q = min(set(range(0, 6 * len(at) + 6, 6)) - set(at.values()))
+        width = max(width, len(at))
+        near = sum(1 << at[u] for u in iter_bits(rows[v] & taken))
+        gone = sum(1 << at.pop(u) for u in list(at) if not rows[u] & rest)
+        x0, x1, xb, n0, nn, n1 = vec[v]
+        steps.append((v, (x0, x1, xb, n0, n0 + nn, n1), q, near, gone, (1 << q | near | gone) * 63))
+    return steps, width
+
+
+def _moves(step: tuple, slots, memo: dict, s: int) -> list[tuple[int, int]]:
+    """(t, the positions ``step`` reads after it) per slot t in ``slots``
+    from which those positions s go on, memoised in ``memo``. Per edge to a
+    taken neighbor, an out end gains an in-neighbor, blocked unless it is
+    its first, of degree 0; two in ends must both be waiting for a partner,
+    and become each other's."""
+    if s in memo:
+        return memo[s]
+    _, _, at, near, gone, _ = step
+    free, waiting, matched = s >> _IF & near, s >> _IP & near, s >> _IM & near
+    out0, out1 = s & near, s >> _O1 & near
+    moves = memo[s] = []
+    for t in slots:
+        x = s
+        if t < _IF:
+            u = _OB if waiting or matched else min(t + free.bit_count(), _OB)
+        elif free or matched or waiting and (t != _IP or waiting & (waiting - 1)):
             continue
-        _, h, sub, cases = _split(g, walk, cuts, allowed, need)
-        total *= _search(h, sub, None) if cases is None else sum(_count(*case) for case in cases)
+        else:  # out neighbors: O0 -> O1 and O1 -> OB beside an in-free vertex, else blocked
+            x ^= out0 * 3 | out1 * 6 if t == _IF else out0 * 5 | out1 * 6
+            u = _IM if waiting else t
+            x ^= waiting << _IP | waiting << _IM
+        x |= 1 << at + u
+        # a vertex leaves only blocked, in-free or matched
+        if not x & gone * (1 << _O0 | 1 << _O1 | 1 << _IP):
+            moves.append((t, x & ~(gone * 63)))
+    return moves
+
+
+def _sweep(adj: tuple[int, ...], core: list[int], vec: list[tuple], allowed: list[int], keep: bool = False):
+    """The steps of a sweep over ``core`` and its tables, the first {0: 1}
+    and the last {0: count}; without ``keep``, only the last."""
+    steps, width = _plan(adj, core, vec)
+    tables, held = [{0: 1}], 0
+    for step in steps:
+        v, weights, read = step[0], step[1], step[5]
+        slots = [t for t, w in enumerate(weights) if w and allowed[v] & _SLOT_BITS[t]]
+        memo, table = {}, {}  # the moves per the positions read, and the next table
+        for s, c in tables[-1].items():
+            key = s & read
+            for t, x in _moves(step, slots, memo, key):
+                x |= s ^ key
+                table[x] = table.get(x, 0) + c * weights[t]
+            if held + len(table) > _MAX_STATES:
+                raise ValueError(f"a sweep of frontier width {width} would hold over {_MAX_STATES} live states")
+        if keep:
+            tables.append(table)
+            held += len(table)
+        else:
+            tables = [table]
+    return steps, tables
+
+
+def _sweep_contexts(g: Graph, core: list[int], contexts: _Contexts) -> dict[int, list]:
+    """Every context on ``core``, from the kept tables of a sweep and one
+    backward pass. A vertex's count is linear in its slots' weights, w[t]
+    the count with it at slot t alone, and so is the merge of its context
+    with its vector. w[t] is exact where that vector weighs slot t, and no
+    count of the vertex or its pendant trees reads it elsewhere."""
+    steps, tables = _sweep(g.adj, core, contexts.vec, contexts.allowed, True)
+    back, out = {0: 1}, {}  # back: per state, the count of its completions
+    for step, table in zip(reversed(steps), reversed(tables[:-1])):
+        v, weights, read = step[0], step[1], step[5]
+        memo, w, prev = {}, [0] * 6, {}
+        for s, c in table.items():
+            key, prev[s] = s & read, 0
+            for t, x in _moves(step, range(6), memo, key):
+                x = back.get(x | s ^ key, 0)
+                prev[s] += weights[t] * x
+                w[t] += c * x
+        back = prev
+        out[v] = [(_ALL, (w[_OB] - w[_O1], w[_O1] - w[_O0], w[_O0], w[_IF], w[_IM] - w[_IF], w[_IP]))]
+    return out
+
+
+def _count(g: Graph, allowed: list[int]) -> int:
+    order, parent, cores = _layout(g.adj)
+    vec, _, total = _subtrees(g, allowed, order, parent)
+    for walk, k in cores:
+        if k == 1:
+            total *= _root_value(_close(_context(walk, vec, allowed), vec[walk[1]]))
+        else:
+            total *= _sweep(g.adj, walk, vec, allowed)[1][-1].get(0, 0)
     return total
 
 
@@ -486,29 +522,29 @@ def _pendant_paths(parent: list[int]) -> list[tuple[int, int, int]]:
 
 
 class _Contexts:
-    """The top-down pass of a graph g from its ``layout`` under ``allowed``
-    and the cut demands ``need``, on demand: the subtree vectors,
-    ``without(p, child)`` (p's vector with ``child``'s subtree left out,
-    from prefix and suffix products of p's children) and ``context_of(v)``,
-    memoised per vertex. A tree root's context is empty, a cycle vertex's
+    """The top-down pass of a graph g from its ``layout``, on demand: the
+    subtree vectors, ``without(p, child)`` (p's vector with ``child``'s
+    subtree left out, from prefix and suffix products of p's children) and
+    ``context_of(v)``, memoised per vertex. A tree root's context is empty, a cycle vertex's
     is ``_context`` with the cycle cut beside it; ``memo`` may be filled
-    first, as ``mds_profile`` does with ``_every_context``. Below a root or
-    a cycle, only the path down to v is visited. Methods, not closures: a
+    first, as ``mds_profile`` does with ``_every_context`` and, on a core
+    with k >= 2, ``_sweep_contexts``. Below a root or a core, only the path
+    down to v is visited. Methods, not closures: a
     closure that calls itself is a reference cycle, and only the cyclic
     collector frees it and all it holds."""
 
-    __slots__ = ("parent", "children", "cycle_of", "allowed", "need", "vec", "up", "memo", "others")
+    __slots__ = ("parent", "children", "cycle_of", "allowed", "vec", "up", "memo", "others")
 
-    def __init__(self, g: Graph, layout: tuple, allowed: list[int], need: dict[int, tuple]):
+    def __init__(self, g: Graph, layout: tuple):
         order, parent, cores = layout
         children: list[list[int]] = [[] for _ in range(g.n)]
         for v in order:
             if parent[v] >= 0:
                 children[parent[v]].append(v)
         self.parent, self.children = parent, children
-        self.cycle_of = {v: cyc for cyc, _ in cores for v in cyc}
-        self.allowed, self.need = allowed, need
-        self.vec, self.up, _ = _subtrees(g, allowed, order, parent, need)
+        self.cycle_of = {v: cyc for cyc, k in cores if k == 1 for v in cyc}
+        self.allowed = [_ALL] * g.n
+        self.vec, self.up, _ = _subtrees(g, self.allowed, order, parent)
         self.memo: dict[int, list[tuple[int, tuple]]] = {}
         self.others: dict[int, dict[int, tuple]] = {}
 
@@ -516,9 +552,9 @@ class _Contexts:
         kids, up = self.children[p], self.up
         if len(kids) > 2:  # all at once, from prefix and suffix products
             if p not in self.others:
-                self.others[p] = dict(zip(kids, _all_but_one([up[k] for k in kids], self.need.get(p, _UNIT))))
+                self.others[p] = dict(zip(kids, _all_but_one([up[k] for k in kids], _UNIT)))
             return self.others[p][child]
-        rest = self.need.get(p, _UNIT)
+        rest = _UNIT
         for k in kids:
             if k != child:
                 rest = _mul(rest, up[k])
@@ -545,30 +581,18 @@ class _Contexts:
         return ctx
 
 
-def _profile(g: Graph, allowed: list[int], need: dict[int, tuple]) -> MdsProfile:
+def _profile(g: Graph) -> MdsProfile:
     layout = _layout(g.adj)
     order, parent, cores = layout
-    contexts = _Contexts(g, layout, allowed, need)
-    triples: list = [None] * g.n
-    for walk, cuts in cores:
-        if len(cuts) == 1:
-            contexts.memo.update(_every_context(walk, contexts.vec, allowed))
-            continue
-        relabel, h, sub, cases = _split(g, walk, cuts, allowed, need)
-        if cases is None:  # the component's triples from its listed sets
-            sets: list[int] = []
-            _search(h, sub, sets)
-            for v, u in relabel.items():
-                ins = [s for s in sets if s >> u & 1]
-                free = sum(1 for s in ins if not h.adj[u] & s)
-                triples[v] = (len(sets) - len(ins), free, len(ins) - free)
-            continue
-        parts = [_profile(*case).per_vertex for case in cases]
-        for v, u in relabel.items():
-            triples[v] = tuple(sum(p[u][i] for p in parts) for i in range(3))
-    triples = [t or _close(contexts.context_of(v), contexts.vec[v])[:3] for v, t in enumerate(triples)]
+    contexts = _Contexts(g, layout)
     # each vertex's component, named by its tree root or its core's first vertex
-    name = [contexts.cycle_of[v][0] if v in contexts.cycle_of else v for v in range(g.n)]
+    name = list(range(g.n))
+    for walk, k in cores:
+        every = _every_context(walk, contexts.vec, contexts.allowed) if k == 1 else _sweep_contexts(g, walk, contexts)
+        contexts.memo.update(every)
+        for v in walk:
+            name[v] = walk[0]
+    triples = [_close(contexts.context_of(v), contexts.vec[v])[:3] for v in range(g.n)]
     for v in reversed(order):  # parents before children
         if parent[v] >= 0:
             name[v] = name[parent[v]]
@@ -587,7 +611,7 @@ def _detached_triples(g: Graph) -> tuple[list[tuple[int, int, int]], list[tuple[
     paths = _pendant_paths(layout[1])
     if not paths:
         return [], []
-    contexts = _Contexts(g, layout, [_ALL] * g.n, {})
+    contexts = _Contexts(g, layout)
     at: dict[int, tuple[tuple, tuple]] = {}
     for w, u, _ in paths:
         if w not in at:
@@ -602,7 +626,7 @@ def _surgery_triples(g: Graph, pairs: Iterable[tuple[int, int]]) -> list[tuple[t
     leaves at w, and in g2, which is g1 with its last new leaf moved onto
     its first. The new vertices hang below w, so w's context is its context
     in g."""
-    contexts = _Contexts(g, _unicyclic_layout(g), [_ALL] * g.n, {})
+    contexts = _Contexts(g, _unicyclic_layout(g))
     out = []
     for w, k in pairs:
         ctx = contexts.context_of(w)
@@ -628,7 +652,7 @@ def _allowed(g: Graph, constraints: Iterable[Constraint | tuple]) -> list[int]:
 
 def phi(g: Graph) -> int:
     """Number of maximal dissociation sets of g."""
-    return _count(g, [_ALL] * g.n, {})
+    return _count(g, [_ALL] * g.n)
 
 
 def phi_refined(g: Graph, constraints: Iterable[Constraint | tuple]) -> int:
@@ -638,15 +662,12 @@ def phi_refined(g: Graph, constraints: Iterable[Constraint | tuple]) -> int:
     EXCLUDED keeps the vertex out, IN_ANY requires membership, IN_DEGREE0 /
     IN_DEGREE1 additionally pin its induced degree inside the set.
     """
-    return _count(g, _allowed(g, constraints), {})
+    return _count(g, _allowed(g, constraints))
 
 
 def enumerate_mds(g: Graph) -> Iterator[int]:
     """All maximal dissociation sets, ascending by bit-packed value."""
-    sink: list[int] = []
-    _search(g, [_ALL] * g.n, sink)
-    sink.sort()
-    yield from sink
+    yield from sorted(_search(g))
 
 
 def mds_profile(g: Graph) -> MdsProfile:
@@ -655,4 +676,4 @@ def mds_profile(g: Graph) -> MdsProfile:
     For every vertex the triple (excluded, in with induced degree 0, in
     with induced degree 1) sums to the total.
     """
-    return _profile(g, [_ALL] * g.n, {})
+    return _profile(g)

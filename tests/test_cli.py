@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -426,7 +428,7 @@ def test_phi_order_64_families_subprocess(family, count):
 
 
 def test_phi_of_a_path_with_two_chords_returns_subprocess():
-    # two cycles in one component: the cut-case DP counts it in
+    # two cycles in one component: the frontier sweep counts it in
     # milliseconds, where the backtracking search would run for hours
     g = from_edges(64, path(64).edges() + [(0, 21), (63, 42)])
     proc = subprocess.run(
@@ -437,6 +439,34 @@ def test_phi_of_a_path_with_two_chords_returns_subprocess():
         env=CHILD_ENV,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "2119629337"
+
+
+def _phi_of(g, timeout):
+    return subprocess.run(
+        [sys.executable, "-m", "dissoc", "phi", "--graph6", graph6_encode(g).decode("ascii")],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=CHILD_ENV,
+    )
+
+
+def test_phi_of_the_order_64_ladder_subprocess():
+    # P_2 x P_32 has k = 31 but a frontier of width 2
+    rails = [(i, i + 1) for i in range(31)] + [(32 + i, 33 + i) for i in range(31)]
+    proc = _phi_of(from_edges(64, rails + [(i, 32 + i) for i in range(32)]), 10)
+    assert proc.returncode == 0 and proc.stdout.strip() == "9212326697"
+
+
+def test_phi_refuses_a_dense_graph_subprocess():
+    # G(64, 1/2) holds more live states than the sweep may: it exits 2,
+    # naming its width, where it would otherwise run for minutes
+    rng = random.Random(83)
+    g = from_edges(64, [(i, j) for i in range(64) for j in range(i + 1, 64) if rng.random() < 0.5])
+    start = time.perf_counter()
+    proc = _phi_of(g, 30)
+    assert proc.returncode == 2 and "frontier width" in proc.stderr and "live states" in proc.stderr
+    assert time.perf_counter() - start < 2
 
 
 @pytest.mark.parametrize("suite, orders", [("paths", "3..64"), ("cycle", "4..64")])

@@ -1,4 +1,7 @@
+import ast
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +38,14 @@ from dissoc.suites import SURGERY_K_MAX, _surgery_graphs
 from oracles import count_mds_bruteforce, enumerate_mds_naive, pendant_path_triples, random_connected_graph
 
 K1 = from_edges(1, [])
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def ladder(n):
+    """P_2 x P_{n/2}: two paths 0..h-1 and h..n-1, with the rungs (i, h + i)."""
+    h = n // 2
+    rails = [(i, i + 1) for i in range(h - 1)] + [(h + i, h + i + 1) for i in range(h - 1)]
+    return from_edges(n, rails + [(i, h + i) for i in range(h)])
 
 
 def test_is_dissociation_p3():
@@ -155,10 +166,10 @@ def test_mds_profile_matches_refined_counts_on_corpora():
     # the per-graph suites read their refined counts from the profile
     statuses = (Status.EXCLUDED, Status.IN_DEGREE0, Status.IN_DEGREE1)
     graphs = [g for n in range(1, 10) for g in [*generate_trees(n), *generate_unicyclic(n)]]
-    # long cycles, whose contexts come from two chains per cut case, and a
+    # long cycles, whose contexts come from two chains per cut case, a
     # vertex with 63 children, whose siblings' products come from prefixes
-    # and suffixes
-    graphs += [parse_family(spec) for spec in ("C(64)", "P(64)", "Urt(40,24)", "T(63,0)")]
+    # and suffixes, and a ladder, whose contexts come from the sweep
+    graphs += [parse_family(spec) for spec in ("C(64)", "P(64)", "Urt(40,24)", "T(63,0)")] + [ladder(16)]
     for g in graphs:
         prof = mds_profile(g)
         assert prof.total == phi(g)
@@ -451,8 +462,7 @@ def _parts_and_pairs(rng, parts):
 def test_counts_on_disjoint_unions_match_search_sets(monkeypatch):
     # trees, unicyclic graphs and, every other time, a component with two
     # cycles; the sets come from the search first, and then the search
-    # fails and no component is routed to it, so every count goes through
-    # the DP
+    # fails, so every count goes through the DP
     rng = random.Random(59)
     two_cycles = from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
     trees = list(generate_trees(5))
@@ -465,7 +475,6 @@ def test_counts_on_disjoint_unions_match_search_sets(monkeypatch):
         sets = list(enumerate_mds(g))
         with monkeypatch.context() as patch:
             patch.setattr(mds, "_search", _search_fails)
-            patch.setattr(mds, "_searched", lambda order, k: False)
             _check_counts_against_search(g, rng, pairs, sets)
 
 
@@ -478,8 +487,8 @@ def _with_cut_edges(rng, n, k):
 
 
 def test_counts_with_several_cut_edges_match_search_sets(monkeypatch):
-    # components with 2..6 cut edges, on the DP one cut edge at a time, with
-    # the search failing and no component routed to it
+    # components with k = 2..6, on the frontier sweep, with the search
+    # failing
     rng = random.Random(67)
     shared = from_edges(7, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (0, 5), (5, 6), (6, 0)])
     bridged = from_edges(9, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 4), (6, 7), (7, 8)])
@@ -489,30 +498,62 @@ def test_counts_with_several_cut_edges_match_search_sets(monkeypatch):
     graphs.append(_parts_and_pairs(rng, [shared, K1, _with_cut_edges(rng, 6, 2), cycle(4)]))
     graphs.append(_parts_and_pairs(rng, [_with_cut_edges(rng, 5, 3), bridged]))
     for g, pairs in graphs:
-        assert any(len(cuts) > 1 for _, cuts in mds._layout(g.adj)[2]), g
+        assert any(k > 1 for _, k in mds._layout(g.adj)[2]), g
         sets = list(enumerate_mds(g))
         with monkeypatch.context() as patch:
             patch.setattr(mds, "_search", _search_fails)
-            patch.setattr(mds, "_searched", lambda order, k: False)
             _check_counts_against_search(g, rng, pairs, sets)
 
 
-def test_search_takes_the_components_it_counts_faster(monkeypatch):
-    # a component goes to the search iff 6^(k-1) passes cost more than the
-    # search at its order; the search then sees that component alone
-    assert not mds._searched(9, 1) and not mds._searched(12, 2) and not mds._searched(24, 4)
-    assert mds._searched(9, 2) and mds._searched(12, 3) and mds._searched(24, 5)
-    assert not mds._searched(64, 6) and mds._searched(64, 13)
+def test_dense_components_are_counted_without_the_search(monkeypatch):
+    # a component with k = 8 at order 9, beside sparser ones, counted with
+    # the search failing
     rng = random.Random(71)
     dense = _with_cut_edges(rng, 9, 8)
     sparse = _with_cut_edges(rng, 12, 2)
     g, pairs = _parts_and_pairs(rng, [dense, sparse, cycle(5)])
-    searched = []
-    search = mds._search
-    monkeypatch.setattr(mds, "_search", lambda h, *args: searched.append(h.edge_count) or search(h, *args))
-    _check_counts_against_search(g, rng, pairs)
-    # dense alone, for every count, and all of g once, for enumerate_mds
-    assert set(searched) == {dense.edge_count, g.edge_count}
+    sets = list(enumerate_mds(g))
+    monkeypatch.setattr(mds, "_search", _search_fails)
+    _check_counts_against_search(g, rng, pairs, sets)
+
+
+def _load_reference():
+    """``perfbench/reference.py``, loaded as a file: it is no package."""
+    spec = importlib.util.spec_from_file_location("reference", ROOT / "perfbench" / "reference.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _imported(path):
+    """The top-level names of the modules a source file imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_counts_match_the_independent_reference_dp():
+    # the reference tracks membership over distance-2 balls, the package
+    # slots over the peeled core's frontier; neither may import the other
+    assert "dissoc" not in _imported(ROOT / "perfbench" / "reference.py")
+    for path_ in (ROOT / "src" / "dissoc").glob("*.py"):
+        assert not _imported(path_) & {"perfbench", "reference"}, path_
+    ref = _load_reference()
+    rng = random.Random(73)
+    graphs = [ladder(n) for n in range(6, 65, 2)]
+    for n in (12, 24, 40, 64):
+        for k in (1, 3, 7):
+            chords = {(a, a + rng.choice((2, 3))) for a in rng.sample(range(n - 3), k)}
+            graphs.append(from_edges(n, path(n).edges() + sorted(chords)))
+    for g in graphs:
+        adj = list(g.adj)
+        order = ref.frontier_width(adj)[1]
+        assert phi(g) == ref.count_mds(adj, order=order), g.edges()
+        assert phi_refined(g, [(0, Status.EXCLUDED)]) == ref.count_mds(adj, (0, ref.EXCLUDED), order), g.edges()
 
 
 def test_counts_invariant_under_relabeling_on_corpora():
