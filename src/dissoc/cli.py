@@ -25,6 +25,8 @@ from .suites import SUITES, run_suite, suite_orders
 
 ENV_CACHE_DIR = "DISSOC_CACHE_DIR"
 ENV_JOBS = "DISSOC_JOBS"
+# the most sets `mds` lists, a few seconds of output
+MDS_LIST_LIMIT = 100_000
 
 
 def _parse_orders(text: str) -> tuple[int, int]:
@@ -61,6 +63,9 @@ def cmd_phi(args) -> int:
 
 def cmd_mds(args) -> int:
     g = _load_graph(args)
+    total = phi(g)  # counted first: listing takes about 40 us per set
+    if total > MDS_LIST_LIMIT:
+        raise ValueError(f"the graph has {total} maximal dissociation sets; mds lists at most {MDS_LIST_LIMIT}")
     count = 0
     for s in enumerate_mds(g):
         print("{" + ",".join(str(v) for v in bit_list(s)) + "}")

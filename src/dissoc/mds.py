@@ -30,33 +30,33 @@ by its pendant-tree vector; each edge back to the frontier updates the
 slots of both ends; and a vertex leaves, blocked, in-free or matched, once
 its last core neighbor is in. The cost follows the live states, not k: the
 ladder of order 64 (k = 31) keeps a frontier of width 2. A sweep that would
-hold more than ``_MAX_STATES`` states raises ``ValueError`` instead.
+pass through more than ``_MAX_STATES`` states, summed over its steps,
+raises ``ValueError`` instead, whether it counts or profiles.
 
-A vertex's context is everything outside its subtree. One on-demand
-top-down pass, ``_Contexts``, serves every reader of contexts. A tree
-root's context is empty. A cycle vertex c's is what its cycle neighbors
-hand it: with the cycle cut beside c, one chain per case from the far end
-of the cut back to c (``_context``), and c's mask is the same in every
-case, so the sum is one entry; ``_count`` closes it at the vertex next to
-the cut. ``mds_profile`` asks for every context, so it takes them all at
-once, from one chain from b back to a and one from a on to b per case
-(``_every_context``), at most three entries per vertex since ``_step`` is
-bilinear, and runs in linear time. On a core with k >= 2, a vertex's count
-is linear in the weights of its slots; one backward pass over the kept
-tables gives, per slot, the count with the vertex at that slot alone, and
-so its context (``_sweep_contexts``). Below the root or core, a child's
+A vertex's context is everything outside its subtree, as one vector of
+demands on the vertex. One on-demand top-down pass, ``_Contexts``, is the
+only source of contexts. A tree root's context is empty. A cycle vertex c's
+is what its cycle neighbors hand it: with the cycle cut beside c, one chain
+per case from the far end of the cut back to c (``_context``), summed over
+the cases since c's mask is the same in every case; ``_count`` closes it at
+the vertex next to the cut. ``mds_profile`` asks for every cycle vertex
+this way, so a cycle's profile costs the square of its length. On a core
+with k >= 2, a vertex's count is linear in the weights of its slots; one
+backward pass over the kept tables gives, per slot, the count with the
+vertex at that slot alone, and so, on the first ask, the context of every
+vertex of the core (``_sweep_contexts``). Below the root or core, a child's
 context follows from its parent's and the product of its siblings, from
 prefix and suffix products when there are three or more, so only the path
-down to the vertex is visited. Merging the context with the vertex's
-vector gives its triple; merging it with the vertex's vector minus one
-child's subtree gives the triple in the graph without that subtree, which
-is what the pendant-path suite compares. Its pendant paths w-u-v come from
-the same peel: v is peeled with no children, v is u's only child, and u
-hangs below w. Such a u hands w the same vector whatever the path, so the
-paths at one w share both triples. The surgery suite's graphs add k leaves
-at a vertex w, or k - 2 leaves and a path of two; those hang below w and
-leave w's context as it is, so w's triples there are its context merged
-with its vector times k leaves, or times k - 2 leaves and the path.
+down to the vertex is visited. Merging the context with the vertex's vector
+gives its triple; merging it with the vertex's vector minus one child's
+subtree gives the triple in the graph without that subtree, which is what
+the pendant-path suite compares. Its pendant paths w-u-v come from the same
+peel: v is peeled with no children, v is u's only child, and u hangs below
+w. Such a u hands w the same vector whatever the path, so the paths at one
+w share both triples. The surgery suite's graphs add k leaves at a vertex
+w, or k - 2 leaves and a path of two; those hang below w and leave w's
+context as it is, so w's triples there are its context merged with its
+vector times k leaves, or times k - 2 leaves and the path.
 
 The backtracking enumerator ``_search`` lists the sets behind
 ``enumerate_mds``. It assigns each vertex, in label order, out, in-free (in
@@ -72,7 +72,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import reduce
 from math import prod
 from typing import Iterable, Iterator, NamedTuple
 
@@ -297,11 +296,11 @@ def _add(a: tuple, b: tuple) -> tuple:
     return (a0 + b0, a1 + b1, ab + bb, c0 + d0, cn + dn, c1 + d1)
 
 
-def _context(cyc: list[int], vec: list[tuple], allowed: list[int]) -> list[tuple[int, tuple]]:
+def _context(cyc: list[int], vec: list[tuple], allowed: list[int]) -> tuple:
     """The context of c = cyc[1] on the cycle ``cyc`` cut at (a, b) =
     (cyc[0], cyc[-1]): per live cut case, one chain from b back to c, merged
     with what a hands c. Every case leaves c's mask as it is, so the context
-    is one entry, summed over the cases."""
+    is one vector, summed over the cases."""
     a, b = cyc[0], cyc[-1]
     at_c = None
     for need_a, mask_a, need_b, mask_b in _CUT_CASES:
@@ -311,35 +310,7 @@ def _context(cyc: list[int], vec: list[tuple], allowed: list[int]) -> list[tuple
                 e = _step(vec[v], e, allowed[v])
             x = _mul(_step(vec[a], need_a, allowed[a] & mask_a), e)
             at_c = x if at_c is None else _add(at_c, x)
-    return [(allowed[cyc[1]], at_c)]
-
-
-def _every_context(cyc: list[int], vec: list[tuple], allowed: list[int]) -> dict[int, list]:
-    """Every context on the cycle ``cyc`` cut at (a, b) = (cyc[0], cyc[-1]),
-    from one chain from b back to a and one from a on to b per live case:
-    per mask on the vertex, the demands on it of everything outside its
-    pendant trees, summed over the cases (``_step`` is bilinear). About
-    three to six single contexts' cost, so only ``mds_profile``, which asks
-    for every vertex, takes it."""
-    a, b = cyc[0], cyc[-1]
-    out: dict[int, dict[int, tuple]] = {v: {} for v in cyc}
-
-    def put(v: int, mask: int, x: tuple) -> None:
-        out[v][mask] = _add(out[v][mask], x) if mask in out[v] else x
-
-    for need_a, mask_a, need_b, mask_b in _CUT_CASES:
-        if allowed[a] & mask_a and allowed[b] & mask_b:
-            back = [_step(vec[b], need_b, allowed[b] & mask_b)]  # what each vertex hands the one before it
-            for v in cyc[-2:0:-1]:
-                back.append(_step(vec[v], back[-1], allowed[v]))
-            put(a, allowed[a] & mask_a, _mul(need_a, back[-1]))
-            e = _step(vec[a], need_a, allowed[a] & mask_a)  # what each hands the one after it
-            for v in cyc[1:-1]:
-                back.pop()
-                put(v, allowed[v], _mul(e, back[-1]))
-                e = _step(vec[v], e, allowed[v])
-            put(b, allowed[b] & mask_b, _mul(need_b, e))
-    return {v: list(ctx.items()) for v, ctx in out.items()}
+    return at_c
 
 
 def _all_but_one(vs: list[tuple], base: tuple) -> list[tuple]:
@@ -365,9 +336,10 @@ def _all_but_one(vs: list[tuple], base: tuple) -> list[tuple]:
 
 _O0, _O1, _OB, _IF, _IP, _IM = range(6)
 _SLOT_BITS = (_OUT, _OUT, _OUT, _FREE, _MATCHED, _MATCHED)
-# the most states a sweep may hold, summed over its tables for a profile:
-# about a second of work (CHANGES.md has the graphs on each side)
-_MAX_STATES = 60_000
+# the most states a sweep may pass through, summed over its tables, whether
+# it counts or profiles: under a second of work (CHANGES.md has the graphs
+# on each side)
+_MAX_STATES = 300_000
 
 
 def _plan(adj: tuple[int, ...], core: list[int], vec: list[tuple]) -> tuple[list[tuple], int]:
@@ -445,22 +417,22 @@ def _sweep(adj: tuple[int, ...], core: list[int], vec: list[tuple], allowed: lis
                 x |= s ^ key
                 table[x] = table.get(x, 0) + c * weights[t]
             if held + len(table) > _MAX_STATES:
-                raise ValueError(f"a sweep of frontier width {width} would hold over {_MAX_STATES} live states")
+                raise ValueError(f"a sweep of frontier width {width} would pass through more than {_MAX_STATES} live states")
+        held += len(table)
         if keep:
             tables.append(table)
-            held += len(table)
         else:
             tables = [table]
     return steps, tables
 
 
-def _sweep_contexts(g: Graph, core: list[int], contexts: _Contexts) -> dict[int, list]:
+def _sweep_contexts(adj: tuple[int, ...], core: list[int], contexts: _Contexts) -> dict[int, tuple]:
     """Every context on ``core``, from the kept tables of a sweep and one
     backward pass. A vertex's count is linear in its slots' weights, w[t]
     the count with it at slot t alone, and so is the merge of its context
     with its vector. w[t] is exact where that vector weighs slot t, and no
-    count of the vertex or its pendant trees reads it elsewhere."""
-    steps, tables = _sweep(g.adj, core, contexts.vec, contexts.allowed, True)
+    count of the vertex or its pendant trees in g reads it elsewhere."""
+    steps, tables = _sweep(adj, core, contexts.vec, contexts.allowed, True)
     back, out = {0: 1}, {}  # back: per state, the count of its completions
     for step, table in zip(reversed(steps), reversed(tables[:-1])):
         v, weights, read = step[0], step[1], step[5]
@@ -472,7 +444,7 @@ def _sweep_contexts(g: Graph, core: list[int], contexts: _Contexts) -> dict[int,
                 prev[s] += weights[t] * x
                 w[t] += c * x
         back = prev
-        out[v] = [(_ALL, (w[_OB] - w[_O1], w[_O1] - w[_O0], w[_O0], w[_IF], w[_IM] - w[_IF], w[_IP]))]
+        out[v] = (w[_OB] - w[_O1], w[_O1] - w[_O0], w[_O0], w[_IF], w[_IM] - w[_IF], w[_IP])
     return out
 
 
@@ -481,25 +453,18 @@ def _count(g: Graph, allowed: list[int]) -> int:
     vec, _, total = _subtrees(g, allowed, order, parent)
     for walk, k in cores:
         if k == 1:
-            total *= _root_value(_close(_context(walk, vec, allowed), vec[walk[1]]))
+            total *= _root_value(_step(_context(walk, vec, allowed), vec[walk[1]], allowed[walk[1]]))
         else:
             total *= _sweep(g.adj, walk, vec, allowed)[1][-1].get(0, 0)
     return total
 
 
-def _close(ctx: list[tuple[int, tuple]], a: tuple) -> tuple:
-    """What a vertex with vector ``a`` and context ``ctx`` hands a parent
-    that does not exist: its first three slots are the (excluded,
-    degree-0, degree-1) counts of the vertex."""
-    if len(ctx) == 1:
-        mask, c = ctx[0]
-        return _step(c, a, mask)
-    return reduce(_add, [_step(c, a, mask) for mask, c in ctx])
-
-
 def _unicyclic_layout(g: Graph) -> tuple[list[int], list[int], list]:
     """The ``_layout`` of g, which the targeted passes require to be a
-    connected unicyclic graph."""
+    connected unicyclic graph. They merge w's context with vectors of
+    graphs other than g, and a sweep's context is exact only for counts in
+    g itself, since its tables drop the slots that g weighs zero: read on a
+    core with two cycles, w's triple in g - {u, v} can come out short."""
     layout = _layout(g.adj)
     if _unicyclic_cycle(layout) is None:
         raise ValueError("the targeted counting passes require a unicyclic graph")
@@ -525,15 +490,15 @@ class _Contexts:
     """The top-down pass of a graph g from its ``layout``, on demand: the
     subtree vectors, ``without(p, child)`` (p's vector with ``child``'s
     subtree left out, from prefix and suffix products of p's children) and
-    ``context_of(v)``, memoised per vertex. A tree root's context is empty, a cycle vertex's
-    is ``_context`` with the cycle cut beside it; ``memo`` may be filled
-    first, as ``mds_profile`` does with ``_every_context`` and, on a core
-    with k >= 2, ``_sweep_contexts``. Below a root or a core, only the path
-    down to v is visited. Methods, not closures: a
-    closure that calls itself is a reference cycle, and only the cyclic
-    collector frees it and all it holds."""
+    ``context_of(v)``, one vector memoised per vertex. A tree root's
+    context is empty. A cycle vertex's is ``_context`` with the cycle cut
+    beside it. The first vertex asked for on a core with k >= 2 fills the
+    whole core's from one ``_sweep_contexts``. Below a root or a core, only
+    the path down to v is visited. Methods, not closures: a closure that
+    calls itself is a reference cycle, and only the cyclic collector frees
+    it and all it holds."""
 
-    __slots__ = ("parent", "children", "cycle_of", "allowed", "vec", "up", "memo", "others")
+    __slots__ = ("adj", "parent", "children", "core_of", "allowed", "vec", "up", "memo", "others")
 
     def __init__(self, g: Graph, layout: tuple):
         order, parent, cores = layout
@@ -541,11 +506,11 @@ class _Contexts:
         for v in order:
             if parent[v] >= 0:
                 children[parent[v]].append(v)
-        self.parent, self.children = parent, children
-        self.cycle_of = {v: cyc for cyc, k in cores if k == 1 for v in cyc}
+        self.adj, self.parent, self.children = g.adj, parent, children
+        self.core_of = {v: core for core in cores for v in core[0]}
         self.allowed = [_ALL] * g.n
         self.vec, self.up, _ = _subtrees(g, self.allowed, order, parent)
-        self.memo: dict[int, list[tuple[int, tuple]]] = {}
+        self.memo: dict[int, tuple] = {}
         self.others: dict[int, dict[int, tuple]] = {}
 
     def without(self, p: int, child: int) -> tuple:
@@ -560,23 +525,24 @@ class _Contexts:
                 rest = _mul(rest, up[k])
         return rest
 
-    def context_of(self, v: int) -> list[tuple[int, tuple]]:
+    def context_of(self, v: int) -> tuple:
         memo, parent = self.memo, self.parent
         below = []  # v and its ancestors up to the first known context
         while v not in memo and parent[v] >= 0:
             below.append(v)
             v = parent[v]
         if v not in memo:
-            cyc = self.cycle_of.get(v)
-            if cyc is None:
-                memo[v] = [(self.allowed[v], _UNIT)]
+            walk, k = self.core_of.get(v, (None, 0))
+            if k == 0:
+                memo[v] = _UNIT
+            elif k == 1:
+                i = walk.index(v) - 1
+                memo[v] = _context(walk[i:] + walk[:i], self.vec, self.allowed)
             else:
-                i = cyc.index(v) - 1
-                memo[v] = _context(cyc[i:] + cyc[:i], self.vec, self.allowed)
+                memo.update(_sweep_contexts(self.adj, walk, self))
         ctx = memo[v]
-        allowed = self.allowed
         for child in reversed(below):
-            ctx = memo[child] = [(allowed[child], _close(ctx, self.without(v, child)))]
+            ctx = memo[child] = _step(ctx, self.without(v, child), _ALL)
             v = child
         return ctx
 
@@ -585,14 +551,12 @@ def _profile(g: Graph) -> MdsProfile:
     layout = _layout(g.adj)
     order, parent, cores = layout
     contexts = _Contexts(g, layout)
+    triples = [_step(contexts.context_of(v), contexts.vec[v], _ALL)[:3] for v in range(g.n)]
     # each vertex's component, named by its tree root or its core's first vertex
     name = list(range(g.n))
-    for walk, k in cores:
-        every = _every_context(walk, contexts.vec, contexts.allowed) if k == 1 else _sweep_contexts(g, walk, contexts)
-        contexts.memo.update(every)
+    for walk, _ in cores:
         for v in walk:
             name[v] = walk[0]
-    triples = [_close(contexts.context_of(v), contexts.vec[v])[:3] for v in range(g.n)]
     for v in reversed(order):  # parents before children
         if parent[v] >= 0:
             name[v] = name[parent[v]]
@@ -616,7 +580,7 @@ def _detached_triples(g: Graph) -> tuple[list[tuple[int, int, int]], list[tuple[
     for w, u, _ in paths:
         if w not in at:
             ctx = contexts.context_of(w)
-            at[w] = (_close(ctx, contexts.vec[w])[:3], _close(ctx, contexts.without(w, u))[:3])
+            at[w] = (_step(ctx, contexts.vec[w], _ALL)[:3], _step(ctx, contexts.without(w, u), _ALL)[:3])
     return paths, [at[w] for w, _, _ in paths]
 
 
@@ -633,7 +597,7 @@ def _surgery_triples(g: Graph, pairs: Iterable[tuple[int, int]]) -> list[tuple[t
         rest = contexts.vec[w]
         for _ in range(k - 2):
             rest = _mul(rest, _LEAF)
-        out.append((_close(ctx, _mul(_mul(rest, _LEAF), _LEAF))[:3], _close(ctx, _mul(rest, _STALK))[:3]))
+        out.append((_step(ctx, _mul(_mul(rest, _LEAF), _LEAF), _ALL)[:3], _step(ctx, _mul(rest, _STALK), _ALL)[:3]))
     return out
 
 

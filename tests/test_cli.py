@@ -459,13 +459,30 @@ def test_phi_of_the_order_64_ladder_subprocess():
 
 
 def test_phi_refuses_a_dense_graph_subprocess():
-    # G(64, 1/2) holds more live states than the sweep may: it exits 2,
-    # naming its width, where it would otherwise run for minutes
-    rng = random.Random(83)
-    g = from_edges(64, [(i, j) for i in range(64) for j in range(i + 1, 64) if rng.random() < 0.5])
+    # G(64, 1/2) and G(64, 0.7) pass through more live states than a sweep
+    # may: each exits 2, naming its width, where it would otherwise run for
+    # minutes, or for seconds with every single table small
+    for p, seed in ((0.5, 83), (0.7, 1)):
+        rng = random.Random(seed)
+        g = from_edges(64, [(i, j) for i in range(64) for j in range(i + 1, 64) if rng.random() < p])
+        start = time.perf_counter()
+        proc = _phi_of(g, 30)
+        assert proc.returncode == 2 and "frontier width" in proc.stderr and "live states" in proc.stderr, p
+        assert time.perf_counter() - start < 2, p
+
+
+def test_mds_refuses_a_long_listing_subprocess():
+    # P_64 has 1,916,507,251 sets: mds counts them first and exits 2 in
+    # place of listing them for hours
     start = time.perf_counter()
-    proc = _phi_of(g, 30)
-    assert proc.returncode == 2 and "frontier width" in proc.stderr and "live states" in proc.stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "dissoc", "mds", "--family", "P(64)"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 2 and proc.stdout == "" and "1916507251" in proc.stderr
     assert time.perf_counter() - start < 2
 
 

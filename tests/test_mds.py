@@ -517,6 +517,27 @@ def test_dense_components_are_counted_without_the_search(monkeypatch):
     _check_counts_against_search(g, rng, pairs, sets)
 
 
+def test_phi_and_profile_refuse_the_same_graphs(monkeypatch):
+    # the bound is on the states a sweep passes through, whether it keeps
+    # its tables for a profile or not; under a small bound, graphs with
+    # several cycles fall on both sides of it
+    monkeypatch.setattr(mds, "_MAX_STATES", 300)
+    rng = random.Random(79)
+    refused = counted = 0
+    for _ in range(30):
+        g = _with_cut_edges(rng, rng.randint(8, 16), rng.randint(2, 6))
+        try:
+            total = phi(g)
+        except ValueError:
+            refused += 1
+            with pytest.raises(ValueError, match="live states"):
+                mds_profile(g)
+        else:
+            counted += 1
+            assert mds_profile(g).total == total
+    assert refused and counted
+
+
 def _load_reference():
     """``perfbench/reference.py``, loaded as a file: it is no package."""
     spec = importlib.util.spec_from_file_location("reference", ROOT / "perfbench" / "reference.py")
@@ -554,6 +575,16 @@ def test_counts_match_the_independent_reference_dp():
         order = ref.frontier_width(adj)[1]
         assert phi(g) == ref.count_mds(adj, order=order), g.edges()
         assert phi_refined(g, [(0, Status.EXCLUDED)]) == ref.count_mds(adj, (0, ref.EXCLUDED), order), g.edges()
+    # profiles: cycles through order 64, whose contexts come from the cut
+    # beside each vertex, and ladders, whose come from one sweep; every
+    # vertex of a cycle looks alike, so two are sampled, and four of a ladder
+    kinds = (ref.EXCLUDED, ref.IN_DEGREE0, ref.IN_DEGREE1)
+    for g, samples in [(cycle(n), 2) for n in (3, 4, 5, 6, 7, 13, 24, 33, 64)] + [(ladder(12), 4), (ladder(64), 4)]:
+        adj = list(g.adj)
+        order = ref.frontier_width(adj)[1]
+        per_vertex = mds_profile(g).per_vertex
+        for v in rng.sample(range(g.n), samples):
+            assert per_vertex[v] == tuple(ref.count_mds(adj, (v, kind), order) for kind in kinds), (g.edges(), v)
 
 
 def test_counts_invariant_under_relabeling_on_corpora():

@@ -230,6 +230,17 @@ def test_pendant_path_rejects_graphs_that_are_not_unicyclic():
             check_pendant_path_lemma(7, store)
 
 
+def test_surgery_rejects_graphs_that_are_not_unicyclic():
+    # the targeted pass reads w's context in graphs it never builds, which
+    # only a cycle's context gives exactly: on two cycles it must refuse
+    two_cycles = from_edges(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6)])
+    for g in (path(7), two_cycles):
+        store = CorpusStore()
+        store.corpora["unicyclic", 7] = [g]
+        with pytest.raises(ValueError, match="unicyclic"):
+            check_surgery_lemma(7, 7, store)
+
+
 def test_case3_subcases_odd():
     report = check_case3_subcases(9)
     assert report.passed, report.violations
