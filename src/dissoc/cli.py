@@ -31,7 +31,10 @@ MDS_LIST_LIMIT = 100_000
 
 def _parse_orders(text: str) -> tuple[int, int]:
     lo, dots, hi = text.partition("..")
-    return int(lo), int(hi if dots else lo)
+    try:
+        return int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise ValueError(f"--orders must be an order or a range, e.g. 7 or 3..12, got {text!r}") from None
 
 
 def _parse_constraint(text: str) -> tuple[int, Status]:
@@ -39,7 +42,11 @@ def _parse_constraint(text: str) -> tuple[int, Status]:
         raise ValueError(f"constraint must look like '3=in0', got {text!r}")
     vertex, status = text.split("=", 1)
     try:
-        return int(vertex), Status(status.strip())
+        vertex = int(vertex)
+    except ValueError:
+        raise ValueError(f"bad constraint {text!r}: vertex {vertex!r} is not an integer") from None
+    try:
+        return vertex, Status(status.strip())
     except ValueError:
         raise ValueError(
             f"bad constraint {text!r}: status must be one of "
@@ -63,7 +70,7 @@ def cmd_phi(args) -> int:
 
 def cmd_mds(args) -> int:
     g = _load_graph(args)
-    total = phi(g)  # counted first: listing takes about 40 us per set
+    total = phi(g)  # counted first: listing and printing take about 20 us per set
     if total > MDS_LIST_LIMIT:
         raise ValueError(f"the graph has {total} maximal dissociation sets; mds lists at most {MDS_LIST_LIMIT}")
     count = 0
@@ -127,7 +134,7 @@ _FORMATS = {"json": _reports_to_json, "csv": _reports_to_csv, "text": _reports_t
 def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    orders = _parse_orders(args.orders) if args.orders else None
+    orders = _parse_orders(args.orders) if args.orders is not None else None
     corpora = CorpusStore(args.tree_cap, args.unicyclic_cap, args.cache_dir)
     # every domain is resolved before any suite runs, so an empty one fails
     # at once

@@ -58,14 +58,12 @@ w, or k - 2 leaves and a path of two; those hang below w and leave w's
 context as it is, so w's triples there are its context merged with its
 vector times k leaves, or times k - 2 leaves and the path.
 
-The backtracking enumerator ``_search`` lists the sets behind
-``enumerate_mds``. It assigns each vertex, in label order, out, in-free (in
-with induced degree 0, never gaining a partner) or in-matched (in with
-induced degree exactly 1). The consistent assignments, where every in-free
-vertex ends with no in-neighbor and every in-matched one with exactly one,
-are the dissociation sets, one each. A branch dies once a vertex's
-neighborhood is assigned and it is an unpaired in-matched vertex or an
-addable out vertex; each surviving leaf is re-checked for maximality.
+``enumerate_mds`` lists the sets from one sweep over the whole graph, with
+nothing peeled and every vertex's vector ``_UNIT``. Every slot then weighs 0
+or 1, so each path of slots through the steps is exactly one set. A
+backward pass (``_back``, as for contexts) gives each state its number of
+completions; a walk forward takes only moves into states with one, so it
+never meets a dead end, and puts a vertex in the set when its slot is in.
 """
 
 from __future__ import annotations
@@ -151,44 +149,6 @@ def is_maximal_dissociation(g: Graph, s: int) -> bool:
         if m & (m - 1) == 0 and (adj[m.bit_length() - 1] & s) == 0:
             return False
     return True
-
-
-def _search(g: Graph) -> list[int]:
-    """Every maximal dissociation set, in the order the search finds it."""
-    n, adj, full = g.n, g.adj, g.full_mask
-    closers = [0] * n  # per v, the vertices whose neighborhood is assigned with v
-    for u in range(n):
-        closers[max(u, adj[u].bit_length() - 1)] |= 1 << u
-    sink: list[int] = []
-
-    def blocked(cc: int, s: int, free: int) -> bool:
-        """Whether no vertex of cc, all outside s, is addable to s."""
-        while cc:
-            low = cc & -cc
-            cc ^= low
-            m = adj[low.bit_length() - 1] & s
-            if m == 0 or (m & (m - 1) == 0 and m & free):
-                return False
-        return True
-
-    def rec(v: int, s: int, free: int, pending: int) -> None:
-        if v == n:
-            if blocked(full & ~s, s, free):  # construction-independent re-check
-                sink.append(s)
-            return
-        row, bit = adj[v], 1 << v
-        inb = row & s
-        options = [(s, free, pending)]  # out
-        if not row & free and inb == 0:  # in-free, or in-matched to a later vertex
-            options += [(s | bit, free | bit, pending), (s | bit, free, pending | bit)]
-        elif not row & free and inb & (inb - 1) == 0 and inb & pending:  # in-matched to its in-neighbor
-            options.append((s | bit, free, pending & ~inb))
-        for ns, nf, npend in options:
-            if not npend & closers[v] and blocked(closers[v] & ~ns, ns, nf):
-                rec(v + 1, ns, nf, npend)
-
-    rec(0, 0, 0, 0)
-    return sink
 
 
 # --- subtree-vector DP --------------------------------------------------------
@@ -426,6 +386,22 @@ def _sweep(adj: tuple[int, ...], core: list[int], vec: list[tuple], allowed: lis
     return steps, tables
 
 
+def _back(step: tuple, slots, memo: dict, table: dict, after: dict) -> tuple[dict, list[int]]:
+    """One step of a backward pass: per state of ``table``, the count of
+    its completions, given ``after``, those of the states after ``step``;
+    and per slot t in ``slots``, the count with the step's vertex at t
+    alone. ``memo`` is the step's ``_moves`` memo."""
+    weights, read = step[1], step[5]
+    back, w = {}, [0] * 6
+    for s, c in table.items():
+        key, back[s] = s & read, 0
+        for t, x in _moves(step, slots, memo, key):
+            x = after.get(x | s ^ key, 0)
+            back[s] += weights[t] * x
+            w[t] += c * x
+    return back, w
+
+
 def _sweep_contexts(adj: tuple[int, ...], core: list[int], contexts: _Contexts) -> dict[int, tuple]:
     """Every context on ``core``, from the kept tables of a sweep and one
     backward pass. A vertex's count is linear in its slots' weights, w[t]
@@ -433,18 +409,10 @@ def _sweep_contexts(adj: tuple[int, ...], core: list[int], contexts: _Contexts) 
     with its vector. w[t] is exact where that vector weighs slot t, and no
     count of the vertex or its pendant trees in g reads it elsewhere."""
     steps, tables = _sweep(adj, core, contexts.vec, contexts.allowed, True)
-    back, out = {0: 1}, {}  # back: per state, the count of its completions
+    back, out = {0: 1}, {}
     for step, table in zip(reversed(steps), reversed(tables[:-1])):
-        v, weights, read = step[0], step[1], step[5]
-        memo, w, prev = {}, [0] * 6, {}
-        for s, c in table.items():
-            key, prev[s] = s & read, 0
-            for t, x in _moves(step, range(6), memo, key):
-                x = back.get(x | s ^ key, 0)
-                prev[s] += weights[t] * x
-                w[t] += c * x
-        back = prev
-        out[v] = (w[_OB] - w[_O1], w[_O1] - w[_O0], w[_O0], w[_IF], w[_IM] - w[_IF], w[_IP])
+        back, w = _back(step, range(6), {}, table, back)
+        out[step[0]] = (w[_OB] - w[_O1], w[_O1] - w[_O0], w[_O0], w[_IF], w[_IM] - w[_IF], w[_IP])
     return out
 
 
@@ -631,7 +599,26 @@ def phi_refined(g: Graph, constraints: Iterable[Constraint | tuple]) -> int:
 
 def enumerate_mds(g: Graph) -> Iterator[int]:
     """All maximal dissociation sets, ascending by bit-packed value."""
-    yield from sorted(_search(g))
+    steps, tables = _sweep(g.adj, list(range(g.n)), [_UNIT] * g.n, [_ALL] * g.n, True)
+    slots = (_O0, _IF, _IP)  # the slots a _UNIT vector weighs
+    memos = [{} for _ in steps]
+    after = [{0: 1}]  # per table, backwards: the completions of each state
+    for step, memo, table in zip(reversed(steps), reversed(memos), reversed(tables[:-1])):
+        after.append(_back(step, slots, memo, table, after[-1])[0])
+    after.reverse()
+    sets, stack = [], [(0, 0, 0)]  # (step, state, the set so far)
+    while stack:
+        i, s, chosen = stack.pop()
+        if i == len(steps):
+            sets.append(chosen)
+            continue
+        step = steps[i]
+        key = s & step[5]
+        for t, x in _moves(step, slots, memos[i], key):
+            x |= s ^ key
+            if after[i + 1][x]:
+                stack.append((i + 1, x, chosen | (t >= _IF) << step[0]))
+    yield from sorted(sets)
 
 
 def mds_profile(g: Graph) -> MdsProfile:

@@ -6,8 +6,11 @@ backtracking test, class counts are recomputed analytically from the
 rooted-tree recurrence, random connected graphs are built from a random
 spanning tree, and maximal dissociation sets are found by testing every
 subset against the definition (one subset at a time, or all at once with
-numpy). Pendant paths are found by scanning degrees rather than from the
-leaf peel, and graph6 coding and vertex deletion work one bit at a time.
+numpy) or, past the subset filter's cap, by a backtracking search in label
+order that takes only public names from ``dissoc``; the package lists and
+counts them from a frontier sweep instead. Pendant paths are found by
+scanning degrees rather than from the leaf peel, and graph6 coding and
+vertex deletion work one bit at a time.
 """
 
 from __future__ import annotations
@@ -121,12 +124,60 @@ def is_isomorphic_bruteforce(g: Graph, h: Graph) -> bool:
 def enumerate_mds_naive(g: Graph) -> list[int]:
     """Reference oracle: test every subset against the definition.
 
-    Kept deliberately independent of the optimized search. Output is
-    ascending by bit-packed value by construction.
+    Kept deliberately independent of the package's sweep and of
+    ``search_mds``. Output is ascending by bit-packed value by construction.
     """
     if g.n > NAIVE_ORDER_CAP:
         raise ValueError(f"naive oracle capped at order {NAIVE_ORDER_CAP}")
     return [s for s in range(1 << g.n) if is_maximal_dissociation(g, s)]
+
+
+def search_mds(g: Graph) -> list[int]:
+    """Every maximal dissociation set, ascending, by a backtracking search
+    that reaches orders the subset filter cannot.
+
+    Each vertex is assigned, in label order, out, in-free (in with induced
+    degree 0, never gaining a partner) or in-matched (in with induced
+    degree exactly 1). The consistent assignments, where every in-free
+    vertex ends with no in-neighbor and every in-matched one with exactly
+    one, are the dissociation sets, one each. A branch dies once a vertex's
+    neighborhood is assigned and it is an unpaired in-matched vertex or an
+    addable out vertex; each surviving leaf is re-checked for maximality.
+    """
+    n, adj, full = g.n, g.adj, g.full_mask
+    closers = [0] * n  # per v, the vertices whose neighborhood is assigned with v
+    for u in range(n):
+        closers[max(u, adj[u].bit_length() - 1)] |= 1 << u
+    sink: list[int] = []
+
+    def blocked(cc: int, s: int, free: int) -> bool:
+        """Whether no vertex of cc, all outside s, is addable to s."""
+        while cc:
+            low = cc & -cc
+            cc ^= low
+            m = adj[low.bit_length() - 1] & s
+            if m == 0 or (m & (m - 1) == 0 and m & free):
+                return False
+        return True
+
+    def rec(v: int, s: int, free: int, pending: int) -> None:
+        if v == n:
+            if blocked(full & ~s, s, free):  # construction-independent re-check
+                sink.append(s)
+            return
+        row, bit = adj[v], 1 << v
+        inb = row & s
+        options = [(s, free, pending)]  # out
+        if not row & free and inb == 0:  # in-free, or in-matched to a later vertex
+            options += [(s | bit, free | bit, pending), (s | bit, free, pending | bit)]
+        elif not row & free and inb & (inb - 1) == 0 and inb & pending:  # in-matched to its in-neighbor
+            options.append((s | bit, free, pending & ~inb))
+        for ns, nf, npend in options:
+            if not npend & closers[v] and blocked(closers[v] & ~ns, ns, nf):
+                rec(v + 1, ns, nf, npend)
+
+    rec(0, 0, 0, 0)
+    return sorted(sink)
 
 
 def count_mds_bruteforce(g: Graph) -> int:
@@ -134,7 +185,7 @@ def count_mds_bruteforce(g: Graph) -> int:
 
     Same exhaustive-filter semantics as :func:`enumerate_mds_naive`, run
     over all 2^n subsets at once with numpy so that order-12 corpora stay
-    cheap. Shares no logic with the optimized enumerator.
+    cheap. Shares no logic with the package's counting DP.
     """
     n = g.n
     if n > NAIVE_ORDER_CAP:

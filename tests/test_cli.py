@@ -53,6 +53,11 @@ def test_phi_parse_error_exit_2(capsys):
     assert code == 2 and "error" in err
 
 
+def test_phi_names_a_bad_constraint_vertex(capsys):
+    code, _, err = run_cli(capsys, "phi", "--family", "P(4)", "--constraint", "x=in0")
+    assert code == 2 and "vertex 'x'" in err and "status" not in err
+
+
 def test_phi_requires_some_graph(capsys):
     code, _, err = run_cli(capsys, "phi")
     assert code == 2
@@ -202,6 +207,12 @@ def test_verify_empty_domain_exit_2(capsys, suite, orders, start):
         assert code == 2 and out == ""
     code, _, err = run_cli(capsys, "verify", "--suite", suite, "--orders", orders)
     assert repr(suite) in err and f"domain starts at order {start}" in err
+
+
+@pytest.mark.parametrize("orders", ["", "x", "3..", "3..x"])
+def test_verify_rejects_malformed_orders(capsys, orders):
+    code, out, err = run_cli(capsys, "verify", "--suite", "cycle", "--orders", orders)
+    assert code == 2 and out == "" and "7 or 3..12" in err
 
 
 def test_verify_all_resolves_every_domain_first(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import ast
 import importlib.util
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -35,7 +36,7 @@ from dissoc.graphs import delete_vertices, closed_neighborhood
 from dissoc import mds
 from dissoc.suites import SURGERY_K_MAX, _surgery_graphs
 
-from oracles import count_mds_bruteforce, enumerate_mds_naive, pendant_path_triples, random_connected_graph
+from oracles import count_mds_bruteforce, enumerate_mds_naive, pendant_path_triples, random_connected_graph, search_mds
 
 K1 = from_edges(1, [])
 ROOT = Path(__file__).resolve().parent.parent
@@ -182,12 +183,13 @@ def _status_codes(g, s) -> list[int]:
     return [0 if not s >> v & 1 else 1 if not g.adj[v] & s else 2 for v in range(g.n)]
 
 
-def _check_counts_against_search(g, rng, pairs, sets=None):
-    """phi, every mds_profile triple, phi_refined for every (vertex,
-    Status) and for each vertex pair in ``pairs`` under random statuses,
-    against counts derived from ``sets``, by default the sets of
-    enumerate_mds (the search)."""
-    sets = list(enumerate_mds(g)) if sets is None else sets
+def _check_counts_against_search(g, rng, pairs):
+    """enumerate_mds against the sets of the search oracle; then phi, every
+    mds_profile triple, phi_refined for every (vertex, Status) and for
+    each vertex pair in ``pairs`` under random statuses, against counts
+    derived from those sets."""
+    sets = search_mds(g)
+    assert list(enumerate_mds(g)) == sets, g
     codes = [_status_codes(g, s) for s in sets]
     triples = tuple(tuple(sum(1 for c in codes if c[v] == k) for k in range(3)) for v in range(g.n))
     assert phi(g) == len(sets)
@@ -407,7 +409,7 @@ def test_enumerate_matches_naive_on_disconnected_graphs():
 
 
 def test_phi_invariant_under_relabeling():
-    # search pruning depends on vertex order; counts must not
+    # the sweep's vertex order depends on the labels; counts must not
     rng = random.Random(53)
     for _ in range(40):
         g = random_connected_graph(rng, rng.randint(2, 10))
@@ -422,7 +424,7 @@ def test_phi_invariant_under_relabeling():
 
 
 def test_counter_matches_bruteforce_on_denser_graphs():
-    # generated corpora are sparse; stress the search on denser graphs too
+    # generated corpora are sparse; stress the DP on denser graphs too
     rng = random.Random(47)
     for _ in range(60):
         n = rng.randint(10, 14)
@@ -437,10 +439,6 @@ def test_stream_is_sorted_ascending():
         out = list(enumerate_mds(g))
         assert out == sorted(out)
         assert len(out) == len(set(out))
-
-
-def _search_fails(*args):
-    raise AssertionError("the search ran")
 
 
 def _parts_and_pairs(rng, parts):
@@ -459,10 +457,10 @@ def _parts_and_pairs(rng, parts):
     return g, pairs
 
 
-def test_counts_on_disjoint_unions_match_search_sets(monkeypatch):
+def test_counts_on_disjoint_unions_match_search_sets():
     # trees, unicyclic graphs and, every other time, a component with two
-    # cycles; the sets come from the search first, and then the search
-    # fails, so every count goes through the DP
+    # cycles; the sets come from the search oracle, and every count goes
+    # through the DP
     rng = random.Random(59)
     two_cycles = from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
     trees = list(generate_trees(5))
@@ -472,10 +470,7 @@ def test_counts_on_disjoint_unions_match_search_sets(monkeypatch):
         parts += [two_cycles] if i % 2 else []
         rng.shuffle(parts)
         g, pairs = _parts_and_pairs(rng, parts)
-        sets = list(enumerate_mds(g))
-        with monkeypatch.context() as patch:
-            patch.setattr(mds, "_search", _search_fails)
-            _check_counts_against_search(g, rng, pairs, sets)
+        _check_counts_against_search(g, rng, pairs)
 
 
 def _with_cut_edges(rng, n, k):
@@ -486,9 +481,8 @@ def _with_cut_edges(rng, n, k):
     return from_edges(n, [tuple(e) for e in edges])
 
 
-def test_counts_with_several_cut_edges_match_search_sets(monkeypatch):
-    # components with k = 2..6, on the frontier sweep, with the search
-    # failing
+def test_counts_with_several_cut_edges_match_search_sets():
+    # components with k = 2..6, on the frontier sweep
     rng = random.Random(67)
     shared = from_edges(7, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (0, 5), (5, 6), (6, 0)])
     bridged = from_edges(9, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 4), (6, 7), (7, 8)])
@@ -499,22 +493,36 @@ def test_counts_with_several_cut_edges_match_search_sets(monkeypatch):
     graphs.append(_parts_and_pairs(rng, [_with_cut_edges(rng, 5, 3), bridged]))
     for g, pairs in graphs:
         assert any(k > 1 for _, k in mds._layout(g.adj)[2]), g
-        sets = list(enumerate_mds(g))
-        with monkeypatch.context() as patch:
-            patch.setattr(mds, "_search", _search_fails)
-            _check_counts_against_search(g, rng, pairs, sets)
+        _check_counts_against_search(g, rng, pairs)
 
 
-def test_dense_components_are_counted_without_the_search(monkeypatch):
-    # a component with k = 8 at order 9, beside sparser ones, counted with
-    # the search failing
+def test_dense_components_are_counted_without_the_search():
+    # a component with k = 8 at order 9, beside sparser ones, counted by
+    # the DP and checked against the search oracle
     rng = random.Random(71)
     dense = _with_cut_edges(rng, 9, 8)
     sparse = _with_cut_edges(rng, 12, 2)
     g, pairs = _parts_and_pairs(rng, [dense, sparse, cycle(5)])
-    sets = list(enumerate_mds(g))
-    monkeypatch.setattr(mds, "_search", _search_fails)
-    _check_counts_against_search(g, rng, pairs, sets)
+    _check_counts_against_search(g, rng, pairs)
+
+
+def test_listing_matches_the_search_beyond_the_naive_cap():
+    # orders the subset filter refuses; the lister sweeps the whole graph
+    rng = random.Random(89)
+    graphs = [path(28), cycle(26), ladder(24)]
+    graphs += [_with_cut_edges(rng, 30, k) for k in (1, 2, 3)]
+    for g in graphs:
+        assert list(enumerate_mds(g)) == search_mds(g), g.edges()
+
+
+def test_listing_refuses_a_dense_graph():
+    # G(64, 1/2) passes through more live states than a sweep may
+    rng = random.Random(83)
+    g = from_edges(64, [(i, j) for i in range(64) for j in range(i + 1, 64) if rng.random() < 0.5])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="frontier width"):
+        next(enumerate_mds(g))
+    assert time.perf_counter() - start < 2
 
 
 def test_phi_and_profile_refuse_the_same_graphs(monkeypatch):
@@ -585,6 +593,21 @@ def test_counts_match_the_independent_reference_dp():
         per_vertex = mds_profile(g).per_vertex
         for v in rng.sample(range(g.n), samples):
             assert per_vertex[v] == tuple(ref.count_mds(adj, (v, kind), order) for kind in kinds), (g.edges(), v)
+
+
+def test_the_search_oracle_is_independent_of_the_package():
+    # the oracle takes only public names from dissoc, and no package module
+    # keeps a search of its own
+    for node in ast.walk(ast.parse((ROOT / "tests" / "oracles.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "dissoc":
+            names = node.module.split(".") + [alias.name for alias in node.names]
+            assert not [name for name in names if name.startswith("_")], ast.unparse(node)
+    for path_ in (ROOT / "src" / "dissoc").glob("*.py"):
+        for node in ast.walk(ast.parse(path_.read_text())):
+            defined = [node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else []
+            if isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            assert "_search" not in defined, path_
 
 
 def test_counts_invariant_under_relabeling_on_corpora():
