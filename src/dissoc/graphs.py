@@ -207,9 +207,9 @@ class Classification(NamedTuple):
     components: int
 
 
-def _component(adj: Sequence[int], v: int, within: int = -1) -> int:
-    """The vertices of v's component in the subgraph induced by ``within``
-    (by default the whole graph), as a bitmask."""
+def _component(adj: Sequence[int], v: int, within: int) -> int:
+    """The vertices of v's component in the subgraph induced by ``within``,
+    as a bitmask."""
     comp = frontier = 1 << v
     while frontier:
         nxt = 0
@@ -218,27 +218,6 @@ def _component(adj: Sequence[int], v: int, within: int = -1) -> int:
         frontier = nxt & within & ~comp
         comp |= frontier
     return comp
-
-
-def classify(g: Graph) -> Classification:
-    """Classify as tree, unicyclic, or other, with component count.
-
-    A connected graph is a tree iff m = n-1 and unicyclic iff m = n.
-    """
-    seen = 0
-    components = 0
-    for v in range(g.n):
-        if not seen >> v & 1:
-            components += 1
-            seen |= _component(g.adj, v)
-    m = g.edge_count
-    if components == 1 and m == g.n - 1:
-        kind = "tree"
-    elif components == 1 and m == g.n:
-        kind = "unicyclic"
-    else:
-        kind = "other"
-    return Classification(kind, components)
 
 
 def _layout(adj: Sequence[int]) -> tuple[list[int], list[int], list[tuple[list[int], int]]]:
@@ -292,6 +271,23 @@ def _unicyclic_cycle(layout: tuple) -> list[int] | None:
     if len(cores) != 1 or cores[0][1] != 1 or parent.count(-1) != len(cores[0][0]):
         return None
     return cores[0][0]
+
+
+def classify(g: Graph) -> Classification:
+    """Classify as tree, unicyclic, or other, with component count, from
+    the leaf peel: each tree component leaves one vertex with parent -1,
+    and each other component one core, whose vertices all have parent -1.
+    """
+    layout = _layout(g.adj)
+    _, parent, cores = layout
+    components = parent.count(-1) - sum(len(walk) for walk, _ in cores) + len(cores)
+    if _unicyclic_cycle(layout) is not None:
+        kind = "unicyclic"
+    elif components == 1 and not cores:
+        kind = "tree"
+    else:
+        kind = "other"
+    return Classification(kind, components)
 
 
 def cycle_vertices(g: Graph) -> int:

@@ -45,18 +45,19 @@ with k >= 2, a vertex's count is linear in the weights of its slots; one
 backward pass over the kept tables gives, per slot, the count with the
 vertex at that slot alone, and so, on the first ask, the context of every
 vertex of the core (``_sweep_contexts``). Below the root or core, a child's
-context follows from its parent's and the product of its siblings, from
-prefix and suffix products when there are three or more, so only the path
-down to the vertex is visited. Merging the context with the vertex's vector
-gives its triple; merging it with the vertex's vector minus one child's
-subtree gives the triple in the graph without that subtree, which is what
-the pendant-path suite compares. Its pendant paths w-u-v come from the same
-peel: v is peeled with no children, v is u's only child, and u hangs below
-w. Such a u hands w the same vector whatever the path, so the paths at one
-w share both triples. The surgery suite's graphs add k leaves at a vertex
-w, or k - 2 leaves and a path of two; those hang below w and leave w's
-context as it is, so w's triples there are its context merged with its
-vector times k leaves, or times k - 2 leaves and the path.
+context follows from its parent's and the product of its siblings, so only
+the path down to the vertex is visited, and a profile is quadratic in a
+vertex's child count. Merging the context with the vertex's vector gives its
+triple (``_Contexts.triple``), which sums to the count of its component;
+merging it with the vertex's vector minus one child's subtree gives the
+triple in the graph without that subtree, which is what the pendant-path
+suite compares. Its pendant paths w-u-v come from the same peel: v is
+peeled with no children, v is u's only child, and u hangs below w. Such a u
+hands w the same vector whatever the path, so the paths at one w share both
+triples. The surgery suite's graphs add k leaves at a vertex w, or k - 2
+leaves and a path of two; those hang below w and leave w's context as it
+is, so w's triples there are its context merged with its vector times k
+leaves, or times k - 2 leaves and the path.
 
 ``enumerate_mds`` lists the sets from one sweep over the whole graph, with
 nothing peeled and every vertex's vector ``_UNIT``. Every slot then weighs 0
@@ -64,6 +65,7 @@ or 1, so each path of slots through the steps is exactly one set. A
 backward pass (``_back``, as for contexts) gives each state its number of
 completions; a walk forward takes only moves into states with one, so it
 never meets a dead end, and puts a vertex in the set when its slot is in.
+Both read the moves the sweep memoised, as they use the same slots.
 """
 
 from __future__ import annotations
@@ -273,20 +275,6 @@ def _context(cyc: list[int], vec: list[tuple], allowed: list[int]) -> tuple:
     return at_c
 
 
-def _all_but_one(vs: list[tuple], base: tuple) -> list[tuple]:
-    """Per position i, ``base`` times every vector of ``vs`` but ``vs[i]``,
-    from prefix and suffix products; ``_UNIT`` is never multiplied."""
-    out = [base]
-    for x in vs[:-1]:
-        out.append(x if out[-1] is _UNIT else _mul(out[-1], x))
-    rest = vs[-1]
-    for i in range(len(vs) - 2, -1, -1):
-        out[i] = rest if out[i] is _UNIT else _mul(out[i], rest)
-        if i:
-            rest = _mul(rest, vs[i])
-    return out
-
-
 # --- frontier sweep over a core with k >= 2 ----------------------------------
 #
 # A frontier vertex is in one slot of its vector: out with no in-neighbor,
@@ -363,10 +351,11 @@ def _moves(step: tuple, slots, memo: dict, s: int) -> list[tuple[int, int]]:
 
 
 def _sweep(adj: tuple[int, ...], core: list[int], vec: list[tuple], allowed: list[int], keep: bool = False):
-    """The steps of a sweep over ``core`` and its tables, the first {0: 1}
-    and the last {0: count}; without ``keep``, only the last."""
+    """The steps of a sweep over ``core``, its tables, the first {0: 1} and
+    the last {0: count}, and each step's ``_moves`` memo; without ``keep``,
+    only the last table and no memo."""
     steps, width = _plan(adj, core, vec)
-    tables, held = [{0: 1}], 0
+    tables, memos, held = [{0: 1}], [], 0
     for step in steps:
         v, weights, read = step[0], step[1], step[5]
         slots = [t for t, w in enumerate(weights) if w and allowed[v] & _SLOT_BITS[t]]
@@ -381,9 +370,10 @@ def _sweep(adj: tuple[int, ...], core: list[int], vec: list[tuple], allowed: lis
         held += len(table)
         if keep:
             tables.append(table)
+            memos.append(memo)
         else:
             tables = [table]
-    return steps, tables
+    return steps, tables, memos
 
 
 def _back(step: tuple, slots, memo: dict, table: dict, after: dict) -> tuple[dict, list[int]]:
@@ -408,7 +398,7 @@ def _sweep_contexts(adj: tuple[int, ...], core: list[int], contexts: _Contexts) 
     the count with it at slot t alone, and so is the merge of its context
     with its vector. w[t] is exact where that vector weighs slot t, and no
     count of the vertex or its pendant trees in g reads it elsewhere."""
-    steps, tables = _sweep(adj, core, contexts.vec, contexts.allowed, True)
+    steps, tables, _ = _sweep(adj, core, contexts.vec, contexts.allowed, True)
     back, out = {0: 1}, {}
     for step, table in zip(reversed(steps), reversed(tables[:-1])):
         back, w = _back(step, range(6), {}, table, back)
@@ -456,17 +446,20 @@ def _pendant_paths(parent: list[int]) -> list[tuple[int, int, int]]:
 
 class _Contexts:
     """The top-down pass of a graph g from its ``layout``, on demand: the
-    subtree vectors, ``without(p, child)`` (p's vector with ``child``'s
-    subtree left out, from prefix and suffix products of p's children) and
-    ``context_of(v)``, one vector memoised per vertex. A tree root's
-    context is empty. A cycle vertex's is ``_context`` with the cycle cut
-    beside it. The first vertex asked for on a core with k >= 2 fills the
-    whole core's from one ``_sweep_contexts``. Below a root or a core, only
-    the path down to v is visited. Methods, not closures: a closure that
-    calls itself is a reference cycle, and only the cyclic collector frees
-    it and all it holds."""
+    subtree vectors, the product ``trees`` of the tree components' counts,
+    ``without(p, child)`` (p's vector with ``child``'s subtree left out,
+    the product of p's other children, so a profile is quadratic in a
+    vertex's child count), ``context_of(v)``, one vector memoised per
+    vertex, and ``triple(v)``, the only place a context meets a vertex
+    vector. A tree root's context is empty. A cycle vertex's is
+    ``_context`` with the cycle cut beside it. The first vertex asked for
+    on a core with k >= 2 fills the whole core's from one
+    ``_sweep_contexts``. Below a root or a core, only the path down to v is
+    visited. Methods, not closures: a closure that calls itself is a
+    reference cycle, and only the cyclic collector frees it and all it
+    holds."""
 
-    __slots__ = ("adj", "parent", "children", "core_of", "allowed", "vec", "up", "memo", "others")
+    __slots__ = ("adj", "parent", "children", "core_of", "allowed", "vec", "up", "trees", "memo")
 
     def __init__(self, g: Graph, layout: tuple):
         order, parent, cores = layout
@@ -477,20 +470,14 @@ class _Contexts:
         self.adj, self.parent, self.children = g.adj, parent, children
         self.core_of = {v: core for core in cores for v in core[0]}
         self.allowed = [_ALL] * g.n
-        self.vec, self.up, _ = _subtrees(g, self.allowed, order, parent)
+        self.vec, self.up, self.trees = _subtrees(g, self.allowed, order, parent)
         self.memo: dict[int, tuple] = {}
-        self.others: dict[int, dict[int, tuple]] = {}
 
     def without(self, p: int, child: int) -> tuple:
-        kids, up = self.children[p], self.up
-        if len(kids) > 2:  # all at once, from prefix and suffix products
-            if p not in self.others:
-                self.others[p] = dict(zip(kids, _all_but_one([up[k] for k in kids], _UNIT)))
-            return self.others[p][child]
         rest = _UNIT
-        for k in kids:
+        for k in self.children[p]:
             if k != child:
-                rest = _mul(rest, up[k])
+                rest = self.up[k] if rest is _UNIT else _mul(rest, self.up[k])
         return rest
 
     def context_of(self, v: int) -> tuple:
@@ -514,24 +501,10 @@ class _Contexts:
             v = child
         return ctx
 
-
-def _profile(g: Graph) -> MdsProfile:
-    layout = _layout(g.adj)
-    order, parent, cores = layout
-    contexts = _Contexts(g, layout)
-    triples = [_step(contexts.context_of(v), contexts.vec[v], _ALL)[:3] for v in range(g.n)]
-    # each vertex's component, named by its tree root or its core's first vertex
-    name = list(range(g.n))
-    for walk, _ in cores:
-        for v in walk:
-            name[v] = walk[0]
-    for v in reversed(order):  # parents before children
-        if parent[v] >= 0:
-            name[v] = name[parent[v]]
-    totals = {c: sum(triples[c]) for c in name}
-    # a vertex's counts in g are its counts in its component times the others' totals
-    others = {c: prod(t for d, t in totals.items() if d != c) for c in totals}
-    return MdsProfile(prod(totals.values()), tuple(tuple(x * others[c] for x in t) for t, c in zip(triples, name)))
+    def triple(self, v: int, below: tuple | None = None) -> tuple[int, int, int]:
+        """v's (excluded, degree-0, degree-1) counts: its context merged with
+        its vector, or with ``below`` in its place."""
+        return _step(self.context_of(v), self.vec[v] if below is None else below, _ALL)[:3]
 
 
 def _detached_triples(g: Graph) -> tuple[list[tuple[int, int, int]], list[tuple[tuple, tuple]]]:
@@ -547,8 +520,7 @@ def _detached_triples(g: Graph) -> tuple[list[tuple[int, int, int]], list[tuple[
     at: dict[int, tuple[tuple, tuple]] = {}
     for w, u, _ in paths:
         if w not in at:
-            ctx = contexts.context_of(w)
-            at[w] = (_step(ctx, contexts.vec[w], _ALL)[:3], _step(ctx, contexts.without(w, u), _ALL)[:3])
+            at[w] = (contexts.triple(w), contexts.triple(w, contexts.without(w, u)))
     return paths, [at[w] for w, _, _ in paths]
 
 
@@ -561,11 +533,10 @@ def _surgery_triples(g: Graph, pairs: Iterable[tuple[int, int]]) -> list[tuple[t
     contexts = _Contexts(g, _unicyclic_layout(g))
     out = []
     for w, k in pairs:
-        ctx = contexts.context_of(w)
         rest = contexts.vec[w]
         for _ in range(k - 2):
             rest = _mul(rest, _LEAF)
-        out.append((_step(ctx, _mul(_mul(rest, _LEAF), _LEAF), _ALL)[:3], _step(ctx, _mul(rest, _STALK), _ALL)[:3]))
+        out.append((contexts.triple(w, _mul(_mul(rest, _LEAF), _LEAF)), contexts.triple(w, _mul(rest, _STALK))))
     return out
 
 
@@ -599,9 +570,8 @@ def phi_refined(g: Graph, constraints: Iterable[Constraint | tuple]) -> int:
 
 def enumerate_mds(g: Graph) -> Iterator[int]:
     """All maximal dissociation sets, ascending by bit-packed value."""
-    steps, tables = _sweep(g.adj, list(range(g.n)), [_UNIT] * g.n, [_ALL] * g.n, True)
-    slots = (_O0, _IF, _IP)  # the slots a _UNIT vector weighs
-    memos = [{} for _ in steps]
+    steps, tables, memos = _sweep(g.adj, list(range(g.n)), [_UNIT] * g.n, [_ALL] * g.n, True)
+    slots = (_O0, _IF, _IP)  # the slots a _UNIT vector weighs, as in the sweep's memos
     after = [{0: 1}]  # per table, backwards: the completions of each state
     for step, memo, table in zip(reversed(steps), reversed(memos), reversed(tables[:-1])):
         after.append(_back(step, slots, memo, table, after[-1])[0])
@@ -627,4 +597,10 @@ def mds_profile(g: Graph) -> MdsProfile:
     For every vertex the triple (excluded, in with induced degree 0, in
     with induced degree 1) sums to the total.
     """
-    return _profile(g)
+    layout = _layout(g.adj)
+    contexts = _Contexts(g, layout)
+    triples = [contexts.triple(v) for v in range(g.n)]
+    # a triple sums to its component's count, never 0 (every graph has a
+    # maximal set), and a vertex's counts in g are those times the others'
+    total = contexts.trees * prod(sum(triples[walk[0]]) for walk, _ in layout[2])
+    return MdsProfile(total, tuple(tuple(x * (total // sum(t)) for x in t) for t in triples))

@@ -48,6 +48,10 @@ IDENTITY_PAIR_COUNT = 200
 SURGERY_K_MAX = 3
 # leaf-removal checks its refined-count identity up to this order
 LEAF_IDENTITY_ORDER_CAP = 10
+# the largest order leaf-removal runs: it walks every pendant pattern, a
+# Fibonacci number of them that grows about 1.6x per order (order 24:
+# 75,024 patterns in about 2 s; order 28: 514,228 in 15 s; order 64: 1.7e13)
+LEAF_REMOVAL_ORDER_CAP = 24
 
 
 @dataclass
@@ -238,6 +242,8 @@ def check_leaf_removal_lemma(n: int) -> VerificationReport:
     is checked directly at orders up to LEAF_IDENTITY_ORDER_CAP."""
     if n < 5:
         raise ValueError("leaf-removal lemma needs order >= 5")
+    if n > LEAF_REMOVAL_ORDER_CAP:
+        raise ValueError(f"leaf-removal lemma runs orders up to {LEAF_REMOVAL_ORDER_CAP}, got {n}")
     check_identity = n <= LEAF_IDENTITY_ORDER_CAP
     violations = []
     examined = 0

@@ -497,6 +497,21 @@ def test_mds_refuses_a_long_listing_subprocess():
     assert time.perf_counter() - start < 2
 
 
+def test_leaf_removal_refuses_a_large_order_subprocess():
+    # order 40 has about 1.7e8 pendant patterns to walk: verify exits 2,
+    # naming the cap, in place of running for about an hour
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "dissoc", "verify", "--suite", "leaf-removal", "--orders", "40"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 2 and f"orders up to {suites.LEAF_REMOVAL_ORDER_CAP}" in proc.stderr
+    assert time.perf_counter() - start < 2
+
+
 @pytest.mark.parametrize("suite, orders", [("paths", "3..64"), ("cycle", "4..64")])
 def test_verify_families_to_order_64(capsys, suite, orders):
     code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--orders", orders)

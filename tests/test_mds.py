@@ -168,8 +168,8 @@ def test_mds_profile_matches_refined_counts_on_corpora():
     statuses = (Status.EXCLUDED, Status.IN_DEGREE0, Status.IN_DEGREE1)
     graphs = [g for n in range(1, 10) for g in [*generate_trees(n), *generate_unicyclic(n)]]
     # long cycles, whose contexts come from two chains per cut case, a
-    # vertex with 63 children, whose siblings' products come from prefixes
-    # and suffixes, and a ladder, whose contexts come from the sweep
+    # vertex with 63 children, whose siblings' product is taken per child,
+    # and a ladder, whose contexts come from the sweep
     graphs += [parse_family(spec) for spec in ("C(64)", "P(64)", "Urt(40,24)", "T(63,0)")] + [ladder(16)]
     for g in graphs:
         prof = mds_profile(g)
@@ -584,15 +584,25 @@ def test_counts_match_the_independent_reference_dp():
         assert phi(g) == ref.count_mds(adj, order=order), g.edges()
         assert phi_refined(g, [(0, Status.EXCLUDED)]) == ref.count_mds(adj, (0, ref.EXCLUDED), order), g.edges()
     # profiles: cycles through order 64, whose contexts come from the cut
-    # beside each vertex, and ladders, whose come from one sweep; every
-    # vertex of a cycle looks alike, so two are sampled, and four of a ladder
+    # beside each vertex, ladders, whose come from one sweep, and a centre
+    # with many children, whose siblings' product is taken per child; every
+    # vertex of a cycle looks alike, so two are sampled, and more elsewhere
     kinds = (ref.EXCLUDED, ref.IN_DEGREE0, ref.IN_DEGREE1)
-    for g, samples in [(cycle(n), 2) for n in (3, 4, 5, 6, 7, 13, 24, 33, 64)] + [(ladder(12), 4), (ladder(64), 4)]:
+    graphs = [(cycle(n), 2) for n in (3, 4, 5, 6, 7, 13, 24, 33, 64)] + [(ladder(12), 4), (ladder(64), 4)]
+    for g, samples in graphs + [(parse_family("T(12,0)"), 3), (parse_family("U(5,5)"), 3)]:
         adj = list(g.adj)
         order = ref.frontier_width(adj)[1]
         per_vertex = mds_profile(g).per_vertex
         for v in rng.sample(range(g.n), samples):
             assert per_vertex[v] == tuple(ref.count_mds(adj, (v, kind), order) for kind in kinds), (g.edges(), v)
+    # the reference holds every vertex within distance two of one at once,
+    # which is all of T(63,0) and U(30,30); their few sets come from the
+    # search oracle instead
+    for g in (parse_family("T(63,0)"), parse_family("U(30,30)")):
+        codes = [_status_codes(g, s) for s in search_mds(g)]
+        per_vertex = mds_profile(g).per_vertex
+        for v in [0] + rng.sample(range(1, g.n), 3):
+            assert per_vertex[v] == tuple(sum(c[v] == kind for c in codes) for kind in range(3)), (g.edges(), v)
 
 
 def test_the_search_oracle_is_independent_of_the_package():

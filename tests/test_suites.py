@@ -9,6 +9,7 @@ from dissoc.families import U_pq, extremal_caterpillars, extremal_unicyclic
 from dissoc.mds import MdsProfile
 from dissoc.suites import (
     IDENTITY_PAIR_COUNT,
+    LEAF_REMOVAL_ORDER_CAP,
     SUITES,
     CorpusStore,
     Violation,
@@ -124,6 +125,13 @@ def test_leaf_removal_lemma():
     for n in range(5, 11):
         report = check_leaf_removal_lemma(n)
         assert report.passed, report.violations
+
+
+def test_leaf_removal_refuses_orders_above_its_cap():
+    # the pendant patterns it walks grow about 1.6x per order, so an order
+    # past the cap is refused at once, not run for minutes or years
+    with pytest.raises(ValueError, match=f"orders up to {LEAF_REMOVAL_ORDER_CAP}, got {LEAF_REMOVAL_ORDER_CAP + 1}"):
+        check_leaf_removal_lemma(LEAF_REMOVAL_ORDER_CAP + 1)
 
 
 def test_leaf_removal_example_caterpillar():
