@@ -107,9 +107,13 @@ class CorpusStore:
         """The corpora of orders lo..hi, in order of order."""
         return [g for n in range(lo, hi + 1) for g in self._corpus(kind, n)]
 
-    def _corpus(self, kind: str, n: int) -> list[Graph]:
+    def check_cap(self, kind: str, n: int) -> None:
+        """Refuse an order above its class's cap, before any corpus is made."""
         if n > self.caps[kind]:
             raise ValueError(f"{kind} corpus of order {n} is above its cap {self.caps[kind]}")
+
+    def _corpus(self, kind: str, n: int) -> list[Graph]:
+        self.check_cap(kind, n)
         if (kind, n) not in self.corpora:
             graphs = self.cache.load(kind, n) if self.cache else None
             if graphs is None:

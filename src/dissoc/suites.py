@@ -22,22 +22,8 @@ from ._version import __version__
 from .canon import _tree_text, unicyclic_code
 from .corpus import CorpusStore
 from .families import enumerate_U_rt_class, extremal_caterpillars, extremal_trees, extremal_unicyclic
-from .graphs import (
-    Graph,
-    bit_list,
-    closed_neighborhood,
-    cycle,
-    delete_vertices,
-    disjoint_union,
-    from_edges,
-    graph6_encode,
-    is_caterpillar,
-    iter_bits,
-    leaves,
-    path,
-    support_vertices,
-    vset,
-)
+from .graphs import MAX_ORDER, Graph, bit_list, closed_neighborhood, cycle, delete_vertices, disjoint_union
+from .graphs import from_edges, graph6_encode, is_caterpillar, leaves, path, support_vertices, vset
 from .mds import Status, _detached_triples, _surgery_triples, mds_profile, phi, phi_refined
 
 # _pmap cuts a map into this many chunks per worker
@@ -85,16 +71,6 @@ class VerificationReport:
         out["runtime_ms"] = None  # wall-clock time differs from run to run
         return out
 
-    def summary_row(self) -> dict:
-        return {
-            "suite": self.suite,
-            "n": self.order,
-            "graphs": self.graphs_examined,
-            "min_phi": "" if self.min_phi is None else self.min_phi,
-            "bound": "" if self.bound is None else self.bound,
-            "pass": self.passed,
-        }
-
 
 def _g6(g: Graph) -> str:
     return graph6_encode(g).decode("ascii")
@@ -133,6 +109,19 @@ def _pmap(fn: Callable, items: Sequence, jobs: int) -> list:
         # a dead worker breaks the pool for good; the next map starts a new one
         _pool.cache_clear()
         raise
+
+
+def _violations(g: Graph, claims: Iterable[tuple[str, int, int, bool]]) -> list[Violation]:
+    """The claims (rule, lhs, rhs, holds) about g that fail, as violations;
+    g is encoded only when one does."""
+    return [Violation(_g6(g), rule, lhs, rhs) for rule, lhs, rhs, holds in claims if not holds]
+
+
+def _map_checks(check: Callable[[Graph], tuple], graphs: Sequence[Graph], jobs: int) -> tuple[list[Violation], list]:
+    """Run a per-graph check, which returns (violations, rest), over graphs:
+    every violation, in graph order, and the rest of each graph's result."""
+    results = _pmap(check, graphs, jobs)
+    return [v for vs, _ in results for v in vs], [rest for _, rest in results]
 
 
 def _phi_minus(g: Graph, mask: int) -> int:
@@ -236,6 +225,28 @@ def check_cycle_lemma(lo: int, hi: int) -> VerificationReport:
     return _extremal_report("cycle", f"{lo}..{hi}", graphs, [phi(g) for g in graphs], bounds, expected)
 
 
+def _leaf_removal_check(g: Graph) -> tuple[list[Violation], int]:
+    """The leaf-removal claims at each leaf y of g, with support x and x's
+    cycle neighbours w, z, and the number of leaves."""
+    phi_g = phi(g)
+    claims = []
+    ys = bit_list(leaves(g))
+    for y in ys:
+        x = g.adj[y].bit_length() - 1
+        w, z = bit_list(g.adj[x] & ~(1 << y))
+        u_graph, relabel = delete_vertices(g, closed_neighborhood(g, y))
+        phi_u = phi(u_graph)
+        claims.append(("leaf_removal_drop_ge_2", phi_g, phi_u + 2, phi_g >= phi_u + 2))
+        if g.n <= LEAF_IDENTITY_ORDER_CAP:
+            lhs = phi_refined(g, [(x, Status.EXCLUDED)])
+            rhs = phi_u - phi_refined(u_graph, [(relabel[w], Status.EXCLUDED), (relabel[z], Status.EXCLUDED)])
+            claims.append(("support_excluded_identity", lhs, rhs, lhs == rhs))
+            for other in (w, z):
+                refined = phi_refined(g, [(x, Status.IN_DEGREE1), (other, Status.IN_DEGREE1)])
+                claims.append(("support_pair_count_ge_1", refined, 1, refined >= 1))
+    return _violations(g, claims), len(ys)
+
+
 def check_leaf_removal_lemma(n: int) -> VerificationReport:
     """For cycles with pendants, removing a closed leaf neighborhood drops
     the count by at least 2; the refined-count identity behind the argument
@@ -244,46 +255,15 @@ def check_leaf_removal_lemma(n: int) -> VerificationReport:
         raise ValueError("leaf-removal lemma needs order >= 5")
     if n > LEAF_REMOVAL_ORDER_CAP:
         raise ValueError(f"leaf-removal lemma runs orders up to {LEAF_REMOVAL_ORDER_CAP}, got {n}")
-    check_identity = n <= LEAF_IDENTITY_ORDER_CAP
-    violations = []
-    examined = 0
-    instances = 0
     # a cycle of order r >= 3 with t = n - r pendants, 1 <= t <= r
-    for r in range(max(3, (n + 1) // 2), n):
-        for g in enumerate_U_rt_class(r, n - r):
-            examined += 1
-            phi_g = phi(g)
-            for y in iter_bits(leaves(g)):
-                instances += 1
-                x = g.adj[y].bit_length() - 1
-                w, z = bit_list(g.adj[x] & ~(1 << y))
-                closed = closed_neighborhood(g, y)
-                u_graph, relabel = delete_vertices(g, closed)
-                phi_u = phi(u_graph)
-                if phi_g < phi_u + 2:
-                    violations.append(Violation(_g6(g), "leaf_removal_drop_ge_2", phi_g, phi_u + 2))
-                if check_identity:
-                    lhs = phi_refined(g, [(x, Status.EXCLUDED)])
-                    rhs = phi_u - phi_refined(
-                        u_graph,
-                        [(relabel[w], Status.EXCLUDED), (relabel[z], Status.EXCLUDED)],
-                    )
-                    if lhs != rhs:
-                        violations.append(Violation(_g6(g), "support_excluded_identity", lhs, rhs))
-                    for other in (w, z):
-                        refined = phi_refined(
-                            g, [(x, Status.IN_DEGREE1), (other, Status.IN_DEGREE1)]
-                        )
-                        if refined < 1:
-                            violations.append(
-                                Violation(_g6(g), "support_pair_count_ge_1", refined, 1)
-                            )
+    graphs = [g for r in range(max(3, (n + 1) // 2), n) for g in enumerate_U_rt_class(r, n - r)]
+    violations, leaf_counts = _map_checks(_leaf_removal_check, graphs, 1)
     return VerificationReport(
         suite="leaf-removal",
         order=str(n),
-        graphs_examined=examined,
+        graphs_examined=len(graphs),
         violations=violations,
-        observations=[{"leaf_instances": instances, "identity_checked": check_identity}],
+        observations=[{"leaf_instances": sum(leaf_counts), "identity_checked": n <= LEAF_IDENTITY_ORDER_CAP}],
     )
 
 
@@ -297,48 +277,46 @@ def _surgery_graphs(u_graph: Graph, w: int, k: int) -> tuple[Graph, Graph]:
     return g1, g2
 
 
-def _surgery_instances(u_graph: Graph) -> tuple[list[Violation], list[dict], int]:
-    """The surgery instances on one base graph: violations, equality
-    observations and the number of instances. w's counts in g1 and g2 come
-    from one targeted pass; g1 and g2 are built only to be named, and to
+def _surgery_instances(u_graph: Graph) -> tuple[list[Violation], tuple[list[dict], int]]:
+    """The surgery instances on one base graph: violations, and its equality
+    observations and number of instances. w's counts in g1 and g2 come from
+    one targeted pass; g1 and g2 are built only to be named, and to
     cross-check the pass against their profiles on the first instance."""
     supports = support_vertices(u_graph)
     ws = [w for w in range(u_graph.n) if not supports >> w & 1]
-    pairs = [(w, k) for w in ws for k in range(2, SURGERY_K_MAX + 1) if u_graph.n + k <= 64]
+    pairs = [(w, k) for w in ws for k in range(2, SURGERY_K_MAX + 1) if u_graph.n + k <= MAX_ORDER]
     if not pairs:
-        return [], [], 0
+        return [], ([], 0)
     violations = []
     observations = []
     results = _surgery_triples(u_graph, pairs)
     w = pairs[0][0]
     for g, triple in zip(_surgery_graphs(u_graph, *pairs[0]), results[0]):
-        for lhs, rhs in zip(triple, mds_profile(g).per_vertex[w]):
-            if lhs != rhs:
-                violations.append(Violation(_g6(g), "surgery_cross_check", lhs, rhs))
+        profiled = mds_profile(g).per_vertex[w]
+        violations += _violations(g, [("surgery_cross_check", a, b, a == b) for a, b in zip(triple, profiled)])
     minus_nw = {w: _phi_minus(u_graph, closed_neighborhood(u_graph, w)) for w in ws}
     for (w, k), (t1, t2) in zip(pairs, results):
         phi_u_minus_nw = minus_nw[w]
         phi1, phi2 = sum(t1), sum(t2)
-        found = []
-        if phi1 < phi2:
-            found.append(("surgery_phi_monotone", phi1, phi2))
-        if t2[0] != t1[0]:
-            found.append(("surgery_claim1", t2[0], t1[0]))
-        if t2[2] != t1[2] - phi_u_minus_nw:
-            found.append(("surgery_claim2", t2[2], t1[2] - phi_u_minus_nw))
-        if not found and phi1 != phi2:
-            continue  # nothing to name
-        g1, g2 = _surgery_graphs(u_graph, w, k)
-        violations += [Violation(_g6(g1), *v) for v in found]
+        claim2_rhs = t1[2] - phi_u_minus_nw
+        claims = [
+            ("surgery_phi_monotone", phi1, phi2, phi1 >= phi2),
+            ("surgery_claim1", t2[0], t1[0], t2[0] == t1[0]),
+            ("surgery_claim2", t2[2], claim2_rhs, t2[2] == claim2_rhs),
+        ]
         if phi1 == phi2:
             cond_rhs = phi_refined(u_graph, [(w, Status.IN_DEGREE0)])
+            claims.append(("surgery_equality_condition", phi_u_minus_nw, cond_rhs, phi_u_minus_nw == cond_rhs))
+        elif all(holds for *_, holds in claims):
+            continue  # nothing to name
+        g1, g2 = _surgery_graphs(u_graph, w, k)
+        violations += _violations(g1, claims)
+        if phi1 == phi2:
             observations.append(
                 {"g1": _g6(g1), "g2": _g6(g2), "base": _g6(u_graph), "w": w, "k": k, "phi": phi1,
                  "phi_base_minus_nw": phi_u_minus_nw, "phi_base_w_deg0": cond_rhs}
             )
-            if phi_u_minus_nw != cond_rhs:
-                violations.append(Violation(_g6(g1), "surgery_equality_condition", phi_u_minus_nw, cond_rhs))
-    return violations, observations, len(pairs)
+    return violations, (observations, len(pairs))
 
 
 def check_surgery_lemma(lo: int, hi: int, corpora: CorpusStore, jobs: int = 1) -> VerificationReport:
@@ -348,50 +326,46 @@ def check_surgery_lemma(lo: int, hi: int, corpora: CorpusStore, jobs: int = 1) -
     count-preserving instances are recorded and must satisfy the stated
     necessary condition."""
     graphs = corpora.graphs("unicyclic", lo, hi)
-    results = _pmap(_surgery_instances, graphs, jobs)
-    observations = [o for _, obs, _ in results for o in obs]
-    instances = sum(n for _, _, n in results)
+    violations, results = _map_checks(_surgery_instances, graphs, jobs)
+    observations = [o for obs, _ in results for o in obs]
     return VerificationReport(
         suite="surgery",
         order=f"{lo}..{hi}",
         graphs_examined=len(graphs),
-        violations=[v for vs, _, _ in results for v in vs],
-        observations=observations
-        + [{"instances": instances, "equality_instances": len(observations), "k_max": SURGERY_K_MAX}],
+        violations=violations,
+        observations=observations + [
+            {"instances": sum(n for _, n in results), "equality_instances": len(observations), "k_max": SURGERY_K_MAX}
+        ],
     )
 
 
-def _pendant_path_check(g: Graph) -> tuple[list[Violation], int, int]:
+def _pendant_path_check(g: Graph) -> tuple[list[Violation], tuple[int, int]]:
     # per pendant path (w, u, v): w's counts in g and in h = g - {u, v},
     # from one pass
     triples, split = _detached_triples(g)
     if not triples:
-        return [], 0, 0
-    violations: list[Violation] = []
+        return [], (0, 0)
+    claims = []
     claim2_eq = 0
     total = sum(split[0][0])
     for (c3_lhs, c1_lhs, c2_lhs), (h_excl, h_deg0, h_deg1) in split:
         # every set puts w in exactly one status
         phi_h = h_excl + h_deg0 + h_deg1
-        if total < phi_h + 1:
-            violations.append(Violation(_g6(g), "pendant_path_drop_ge_1", total, phi_h + 1))
-        if c1_lhs != h_deg0:
-            violations.append(Violation(_g6(g), "pendant_path_claim1", c1_lhs, h_deg0))
         c2_rhs = h_deg1 + 1
-        if c2_lhs < c2_rhs:
-            violations.append(Violation(_g6(g), "pendant_path_claim2_ge", c2_lhs, c2_rhs))
-        if c2_lhs == c2_rhs:
-            claim2_eq += 1
-        if c3_lhs < h_excl:
-            violations.append(Violation(_g6(g), "pendant_path_claim3_ge", c3_lhs, h_excl))
+        claims += [
+            ("pendant_path_drop_ge_1", total, phi_h + 1, total >= phi_h + 1),
+            ("pendant_path_claim1", c1_lhs, h_deg0, c1_lhs == h_deg0),
+            ("pendant_path_claim2_ge", c2_lhs, c2_rhs, c2_lhs >= c2_rhs),
+            ("pendant_path_claim3_ge", c3_lhs, h_excl, c3_lhs >= h_excl),
+        ]
+        claim2_eq += c2_lhs == c2_rhs
     # cross-check the pass against a pinned count of the first reduced graph
     w, u, v = triples[0]
     h, relabel = delete_vertices(g, vset([u, v]))
     pinned = phi_refined(h, [(relabel[w], Status.IN_DEGREE0)])
     h_deg0 = split[0][1][1]
-    if h_deg0 != pinned:
-        violations.append(Violation(_g6(g), "pendant_path_cross_check", h_deg0, pinned))
-    return violations, claim2_eq, len(triples)
+    claims.append(("pendant_path_cross_check", h_deg0, pinned, h_deg0 == pinned))
+    return _violations(g, claims), (claim2_eq, len(triples))
 
 
 def check_pendant_path_lemma(n: int, corpora: CorpusStore, jobs: int = 1) -> VerificationReport:
@@ -399,21 +373,16 @@ def check_pendant_path_lemma(n: int, corpora: CorpusStore, jobs: int = 1) -> Ver
     support) drops the count by at least 1 on every unicyclic graph."""
     if n < 5:
         raise ValueError("pendant-path lemma needs order >= 5")
-    results = _pmap(_pendant_path_check, corpora.graphs("unicyclic", n, n), jobs)
-    violations = [v for vs, _, _ in results for v in vs]
-    claim2_eq = sum(eq for _, eq, _ in results)
-    total = sum(t for _, _, t in results)
+    violations, results = _map_checks(_pendant_path_check, corpora.graphs("unicyclic", n, n), jobs)
+    claim2_eq = sum(eq for eq, _ in results)
+    total = sum(t for _, t in results)
     return VerificationReport(
         suite="pendant-path",
         order=str(n),
-        graphs_examined=sum(1 for _, _, t in results if t),
+        graphs_examined=sum(1 for _, t in results if t),
         violations=violations,
         observations=[
-            {
-                "pendant_path_instances": total,
-                "claim2_equality_instances": claim2_eq,
-                "claims_checked": True,
-            }
+            {"pendant_path_instances": total, "claim2_equality_instances": claim2_eq, "claims_checked": True}
         ],
     )
 
@@ -467,21 +436,19 @@ def check_case3_subcases(n: int) -> VerificationReport:
 
 
 def _identity_check(g: Graph) -> tuple[list[Violation], int]:
-    violations = []
     profile = mds_profile(g)
     supports = support_vertices(g)
+    claims = []
     for v, parts in enumerate(profile.per_vertex):
-        if sum(parts) != profile.total:
-            violations.append(Violation(_g6(g), "per_vertex_decomposition", sum(parts), profile.total))
-        if supports >> v & 1 and parts[1] != 0:
-            violations.append(Violation(_g6(g), "support_vertex_deg0_zero", parts[1], 0))
-        deleted = _phi_minus(g, 1 << v)
-        if deleted < parts[0]:
-            violations.append(Violation(_g6(g), "deletion_vs_excluded", deleted, parts[0]))
-        deleted = _phi_minus(g, closed_neighborhood(g, v))
-        if deleted < parts[1]:
-            violations.append(Violation(_g6(g), "deletion_vs_deg0", deleted, parts[1]))
-    return violations, profile.total
+        without_v = _phi_minus(g, 1 << v)
+        without_nv = _phi_minus(g, closed_neighborhood(g, v))
+        claims += [
+            ("per_vertex_decomposition", sum(parts), profile.total, sum(parts) == profile.total),
+            ("support_vertex_deg0_zero", parts[1], 0, not supports >> v & 1 or parts[1] == 0),
+            ("deletion_vs_excluded", without_v, parts[0], without_v >= parts[0]),
+            ("deletion_vs_deg0", without_nv, parts[1], without_nv >= parts[1]),
+        ]
+    return _violations(g, claims), profile.total
 
 
 def check_identity_suite(lo: int, hi: int, corpora: CorpusStore, jobs: int = 1) -> VerificationReport:
@@ -489,24 +456,20 @@ def check_identity_suite(lo: int, hi: int, corpora: CorpusStore, jobs: int = 1) 
     inequalities on every unicyclic graph of orders lo..hi, and
     multiplicativity on seeded random disjoint-union pairs drawn from them."""
     graphs = corpora.graphs("unicyclic", lo, hi)
-    results = _pmap(_identity_check, graphs, jobs)
-    violations = [v for vs, _ in results for v in vs]
+    violations, totals = _map_checks(_identity_check, graphs, jobs)
     # each graph with its total, read from its profile
-    counted = [(g, total) for g, (_, total) in zip(graphs, results)]
+    counted = list(zip(graphs, totals))
     rng = random.Random(IDENTITY_PAIR_SEED)
     pairs_done = 0
     while pairs_done < IDENTITY_PAIR_COUNT and counted:
         g, phi_g = rng.choice(counted)
         h, phi_h = rng.choice(counted)
-        if g.n + h.n > 64:
+        if g.n + h.n > MAX_ORDER:
             continue
         pairs_done += 1
-        joint = phi(disjoint_union(g, h))
-        separate = phi_g * phi_h
-        if joint != separate:
-            violations.append(
-                Violation(_g6(disjoint_union(g, h)), "union_multiplicativity", joint, separate)
-            )
+        union = disjoint_union(g, h)
+        joint, separate = phi(union), phi_g * phi_h
+        violations += _violations(union, [("union_multiplicativity", joint, separate, joint == separate)])
     return VerificationReport(
         suite="identities",
         order=f"corpus[{len(graphs)}]",
@@ -520,28 +483,31 @@ class Suite(NamedTuple):
     start: int  # smallest order of the suite's domain
     end: int  # largest order run by default
     per_order: bool  # check(n, ...) once per order, else check(lo, hi, ...) once
-    corpus: bool  # the check takes (corpora: CorpusStore, jobs) after its orders
+    corpus: str | None  # the corpus class the check reads; such a check takes (corpora, jobs) after its orders
     check: Callable[..., VerificationReport]
+    cap: int | None = None  # largest order the check runs at all
 
 
 SUITES = {
-    "main": Suite(3, 12, True, True, check_main_theorem),
-    "trees": Suite(3, 12, True, True, check_tree_theorem),
-    "paths": Suite(3, 20, False, False, check_path_corollary),
-    "caterpillars": Suite(3, 9, False, True, check_caterpillar_corollary),
-    "cycle": Suite(4, 20, False, False, check_cycle_lemma),
-    "leaf-removal": Suite(5, 11, True, False, check_leaf_removal_lemma),
-    "surgery": Suite(3, 8, False, True, check_surgery_lemma),
-    "pendant-path": Suite(5, 12, True, True, check_pendant_path_lemma),
-    "subcases": Suite(9, 13, True, False, check_case3_subcases),
-    "identities": Suite(3, 8, False, True, check_identity_suite),
+    "main": Suite(3, 12, True, "unicyclic", check_main_theorem),
+    "trees": Suite(3, 12, True, "tree", check_tree_theorem),
+    "paths": Suite(3, 20, False, None, check_path_corollary),
+    "caterpillars": Suite(3, 9, False, "tree", check_caterpillar_corollary),
+    "cycle": Suite(4, 20, False, None, check_cycle_lemma),
+    "leaf-removal": Suite(5, 11, True, None, check_leaf_removal_lemma, LEAF_REMOVAL_ORDER_CAP),
+    "surgery": Suite(3, 8, False, "unicyclic", check_surgery_lemma),
+    "pendant-path": Suite(5, 12, True, "unicyclic", check_pendant_path_lemma),
+    "subcases": Suite(9, 13, True, None, check_case3_subcases),
+    "identities": Suite(3, 8, False, "unicyclic", check_identity_suite),
 }
 
 
-def suite_orders(name: str, orders: tuple[int, int] | None = None) -> tuple[int, int]:
+def suite_orders(name: str, orders: tuple[int, int] | None, corpora: CorpusStore) -> tuple[int, int]:
     """The order range a suite runs: ``orders`` (default: the suite's
     default range) with its lower bound raised to the suite's domain start.
-    An empty range is an error, never a vacuous pass."""
+    An empty range, or one past the suite's cap or past the cap of its
+    corpus in ``corpora``, is an error before any work, never a vacuous
+    pass."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     suite = SUITES[name]
@@ -551,6 +517,10 @@ def suite_orders(name: str, orders: tuple[int, int] | None = None) -> tuple[int,
             f"suite {name!r} has no orders to check in {lo}..{hi} "
             f"(its domain starts at order {suite.start})"
         )
+    if suite.cap is not None and hi > suite.cap:
+        raise ValueError(f"suite {name!r} runs orders up to {suite.cap}, got {hi}")
+    if suite.corpus:
+        corpora.check_cap(suite.corpus, hi)
     return max(lo, suite.start), hi
 
 
@@ -567,9 +537,9 @@ def run_suite(
     the default caps, without a cache); one store shared by the suites of a
     run generates or loads each corpus once.
     """
-    lo, hi = suite_orders(name, orders)
-    suite = SUITES[name]
     corpora = CorpusStore() if corpora is None else corpora
+    lo, hi = suite_orders(name, orders, corpora)
+    suite = SUITES[name]
     extra = (corpora, jobs) if suite.corpus else ()
     ranges = [(n,) for n in range(lo, hi + 1)] if suite.per_order else [(lo, hi)]
     reports = []

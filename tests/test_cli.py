@@ -1,4 +1,6 @@
 import hashlib
+import importlib
+import importlib.util
 import json
 import os
 import random
@@ -222,6 +224,24 @@ def test_verify_all_resolves_every_domain_first(monkeypatch, capsys):
         monkeypatch.setitem(SUITES, name, suite._replace(check=lambda *args, name=name: ran.append(name)))
     code, out, err = run_cli(capsys, "verify", "--suite", "all", "--orders", "3..8")
     assert code == 2 and out == "" and "'subcases'" in err
+    assert ran == []
+
+
+@pytest.mark.parametrize(
+    "suite, orders, message",
+    [
+        ("leaf-removal", "5..40", f"'leaf-removal' runs orders up to {suites.LEAF_REMOVAL_ORDER_CAP}, got 40"),
+        # main would run 11..13 before its corpus of order 14 met the cap
+        ("all", "11..14", "unicyclic corpus of order 14 is above its cap 13"),
+    ],
+    ids=["leaf-removal", "all"],
+)
+def test_verify_refuses_a_cap_before_any_suite_runs(monkeypatch, capsys, suite, orders, message):
+    ran = []
+    for name, entry in SUITES.items():
+        monkeypatch.setitem(SUITES, name, entry._replace(check=lambda *args, name=name: ran.append(name)))
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--orders", orders)
+    assert code == 2 and out == "" and message in err
     assert ran == []
 
 
@@ -510,6 +530,19 @@ def test_leaf_removal_refuses_a_large_order_subprocess():
     )
     assert proc.returncode == 2 and f"orders up to {suites.LEAF_REMOVAL_ORDER_CAP}" in proc.stderr
     assert time.perf_counter() - start < 2
+
+
+def test_traced_names_resolve_in_the_package():
+    # the benchmark's traced run rebinds these names by module and
+    # attribute: a public name that moves fails here, not only in its gate
+    spec = importlib.util.spec_from_file_location("tracing", Path(SRC).parent / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.FUNCTIONS and tracing.METHODS
+    for module, attr, *_ in tracing.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+    for module, cls, attr, _ in tracing.METHODS:
+        assert callable(getattr(getattr(importlib.import_module(module), cls), attr)), (module, cls, attr)
 
 
 @pytest.mark.parametrize("suite, orders", [("paths", "3..64"), ("cycle", "4..64")])

@@ -6,7 +6,7 @@ import pytest
 from dissoc import cycle, from_edges, graph6_decode, path, phi, unicyclic_code
 from dissoc import corpus, suites
 from dissoc.families import U_pq, extremal_caterpillars, extremal_unicyclic
-from dissoc.mds import MdsProfile
+from dissoc.mds import MdsProfile, Status
 from dissoc.suites import (
     IDENTITY_PAIR_COUNT,
     LEAF_REMOVAL_ORDER_CAP,
@@ -227,6 +227,76 @@ def test_profile_checks_catch_a_skewed_profile(monkeypatch, slot, delta, run, ru
     monkeypatch.setattr(suites, target, skewed)
     report = run()
     assert calls and rule in {v.rule for v in report.violations}
+
+
+def _moved_past_the_first_path(real):
+    # raise w's excluded count in g and in g - {u, v} by one alike on every
+    # pendant path but the first, whose triple in g gives phi(g): only the
+    # drop phi(g) >= phi(g - {u, v}) + 1 can see it
+    def moved(g):
+        paths, pairs = real(g)
+        return paths, pairs[:1] + [((c + 1, *rest), (h + 1, *h_rest)) for (c, *rest), (h, *h_rest) in pairs[1:]]
+
+    return moved
+
+
+def _leaf_removal():
+    return check_leaf_removal_lemma(6)
+
+
+def _surgery():
+    return check_surgery_lemma(3, 6, CORPORA)
+
+
+def _identities():
+    return check_identity_suite(4, 5, CORPORA)
+
+
+# rule -> (the name in suites that is patched, the fault as a function of the
+# real value, the run whose comparison must catch it). Each fault but
+# surgery's monotonicity moves a count by one, and each run meets its rule
+# with equality somewhere, so a comparison rewritten off by one fails too
+FAULTS = {
+    # phi is read on the order-6 graphs only for the drop
+    "leaf_removal_drop_ge_2": ("phi", lambda real: lambda g: real(g) - (g.n == 6), _leaf_removal),
+    # only the support vertex's excluded count takes one constraint
+    "support_excluded_identity": ("phi_refined", lambda real: lambda g, cs: real(g, cs) + (len(cs) == 1), _leaf_removal),
+    "support_pair_count_ge_1": (
+        "phi_refined",
+        lambda real: lambda g, cs: real(g, cs) - (cs[0][1] is Status.IN_DEGREE1),
+        _leaf_removal,
+    ),
+    # g2 gains sets on every instance but each base graph's first, which is
+    # cross-checked against profiles; by 100, since an instance one set
+    # short would become count-preserving and meet the equality condition
+    "surgery_phi_monotone": (
+        "_surgery_triples",
+        lambda real: lambda g, pairs: [
+            (t1, (t2[0], t2[1] + 100 * (i > 0), t2[2])) for i, (t1, t2) in enumerate(real(g, pairs))
+        ],
+        _surgery,
+    ),
+    # surgery counts one refined count only, on count-preserving instances
+    "surgery_equality_condition": ("phi_refined", lambda real: lambda g, cs: real(g, cs) + 1, _surgery),
+    "deletion_vs_excluded": (
+        "_phi_minus",
+        lambda real: lambda g, mask: real(g, mask) - (mask & (mask - 1) == 0),
+        _identities,
+    ),
+    "deletion_vs_deg0": ("_phi_minus", lambda real: lambda g, mask: real(g, mask) - (mask & (mask - 1) != 0), _identities),
+    # outside the deletions, phi counts only the unions
+    "union_multiplicativity": ("phi", lambda real: lambda g: real(g) + 1, _identities),
+    "pendant_path_drop_ge_1": ("_detached_triples", _moved_past_the_first_path, lambda: check_pendant_path_lemma(7, CORPORA)),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(FAULTS))
+def test_lemma_checks_catch_an_injected_fault(monkeypatch, rule):
+    # each rule fires, and no other does, once a value it compares is moved
+    name, fault, run = FAULTS[rule]
+    assert run().passed
+    monkeypatch.setattr(suites, name, fault(getattr(suites, name)))
+    assert {v.rule for v in run().violations} == {rule}
 
 
 def test_pendant_path_rejects_graphs_that_are_not_unicyclic():
