@@ -21,7 +21,7 @@ from .corpus import DEFAULT_TREE_CAP, DEFAULT_UNICYCLIC_CAP, CorpusCache, Corpus
 from .families import parse_family
 from .graphs import Graph, graph6_decode
 from .mds import Status, enumerate_mds, phi, phi_refined
-from .suites import SUITES, run_suite, suite_orders
+from .suites import SUITES, run_suite, start_suite, suite_orders
 
 ENV_CACHE_DIR = "DISSOC_CACHE_DIR"
 ENV_JOBS = "DISSOC_JOBS"
@@ -141,9 +141,11 @@ def cmd_verify(args) -> int:
     # range or one past a cap fails at once
     names = list(SUITES) if args.suite == "all" else [args.suite]
     ranges = {name: suite_orders(name, orders, corpora) for name in names}
-    reports = []
-    for name, resolved in ranges.items():
-        reports += run_suite(name, resolved, args.jobs, corpora)
+    # every suite's maps are queued on the pool before the first report is
+    # finished, so the workers need not wait while the parent reads the next
+    # corpus or builds a report; reports are finished in table order
+    started = {name: start_suite(name, resolved, args.jobs, corpora) for name, resolved in ranges.items()}
+    reports = [report for name, runs in started.items() for report in run_suite(name, started=runs)]
     _emit(_FORMATS[args.format](reports), args.output)
     if args.output:
         print(f"report written to {args.output}", file=sys.stderr)

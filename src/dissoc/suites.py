@@ -14,9 +14,10 @@ import os
 import random
 import time
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from functools import cache
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Generator, Iterable, Iterator, NamedTuple, Sequence
 
 from ._version import __version__
 from .canon import _tree_text, unicyclic_code
@@ -67,9 +68,10 @@ class VerificationReport:
         return not self.violations
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["runtime_ms"] = None  # wall-clock time differs from run to run
-        return out
+        """The report as plain data for ``json.dumps``, sharing the report's
+        lists and dicts rather than copying them. The wall-clock time is
+        left out: it differs from run to run."""
+        return {**vars(self), "violations": [vars(v) for v in self.violations], "runtime_ms": None}
 
 
 def _g6(g: Graph) -> str:
@@ -95,19 +97,39 @@ def _pool(workers: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(max_workers=workers)
 
 
-def _pmap(fn: Callable, items: Sequence, jobs: int) -> list:
-    """Order-preserving map, optionally fanned out across processes. At most
-    one worker runs per CPU: a larger ``jobs`` would ask the OS for that
-    many processes, and would cut the work into needlessly small chunks."""
+def _workers(jobs: int) -> int:
+    # at most one worker per CPU: a larger ``jobs`` would ask the OS for that
+    # many processes, and would cut the work into needlessly small chunks
+    return min(jobs, os.cpu_count() or 1)
+
+
+def _pmap(fn: Callable, items: Sequence, jobs: int) -> Iterator:
+    """Order-preserving lazy map, optionally fanned out across processes.
+    With a pool, every chunk is queued on it by this call; the results are
+    read from the returned iterator. Without one, fn runs as they are read."""
     if jobs <= 1 or len(items) < 4:
-        return [fn(x) for x in items]
-    workers = min(jobs, os.cpu_count() or 1)
+        return map(fn, items)
+    workers = _workers(jobs)
     chunk = max(1, len(items) // (workers * CHUNKS_PER_WORKER))
     try:
-        return list(_pool(workers).map(fn, items, chunksize=chunk))
+        return _pool(workers).map(fn, items, chunksize=chunk)
     except BrokenProcessPool:
         # a dead worker breaks the pool for good; the next map starts a new one
         _pool.cache_clear()
+        raise
+
+
+@contextmanager
+def _cancelling(jobs: int):
+    """On an error, cancel every map still queued on the pool and drop the
+    pool, broken or not: queued work would run on, and the interpreter
+    waits for it at exit."""
+    try:
+        yield
+    except BaseException:
+        if jobs > 1 and _pool.cache_info().currsize:
+            _pool(_workers(jobs)).shutdown(wait=False, cancel_futures=True)
+            _pool.cache_clear()
         raise
 
 
@@ -117,10 +139,10 @@ def _violations(g: Graph, claims: Iterable[tuple[str, int, int, bool]]) -> list[
     return [Violation(_g6(g), rule, lhs, rhs) for rule, lhs, rhs, holds in claims if not holds]
 
 
-def _map_checks(check: Callable[[Graph], tuple], graphs: Sequence[Graph], jobs: int) -> tuple[list[Violation], list]:
-    """Run a per-graph check, which returns (violations, rest), over graphs:
-    every violation, in graph order, and the rest of each graph's result."""
-    results = _pmap(check, graphs, jobs)
+def _flattened(results: list[tuple[list[Violation], object]]) -> tuple[list[Violation], list]:
+    """The results of a per-graph check, which returns (violations, rest),
+    over graphs: every violation, in graph order, and the rest of each
+    graph's result."""
     return [v for vs, _ in results for v in vs], [rest for _, rest in results]
 
 
@@ -169,13 +191,19 @@ def _extremal_report(
     )
 
 
+# A check that reads a corpus is a generator over its orders and the graphs
+# of its suite's class (``Suite.corpus``): it yields its one per-graph map,
+# (fn, graphs), is sent fn's results in graph order, and returns its report.
+# ``_start`` runs it; each ``check_*`` that reads a corpus wraps its body so.
+Body = Generator[tuple[Callable, Sequence[Graph]], list, VerificationReport]
+
+
 def _minimum_report(
-    suite: str, n: int, graphs: list[Graph], bound: int, expected: list[Graph], jobs: int
+    suite: str, n: int, graphs: list[Graph], phis: list[int], bound: int, expected: list[Graph]
 ) -> VerificationReport:
     """The extremal report of one bound that the least value must attain.
     When the least value lies above the bound, equality is taken there, so
     the graphs attaining it are the minimizers."""
-    phis = _pmap(phi, graphs, jobs)
     min_phi = min(phis, default=0)
     report = _extremal_report(suite, str(n), graphs, phis, [max(bound, min_phi)] * len(graphs), expected)
     report.bound, report.min_phi = bound, min_phi
@@ -184,18 +212,26 @@ def _minimum_report(
     return report
 
 
+def _main_theorem(n: int, graphs: list[Graph]) -> Body:
+    phis = yield phi, graphs
+    return _minimum_report("main", n, graphs, phis, n // 2 + 2, extremal_unicyclic(n))
+
+
 def check_main_theorem(n: int, corpora: CorpusStore, jobs: int = 1) -> VerificationReport:
     """Every unicyclic graph of order n has at least floor(n/2)+2 maximal
     dissociation sets, with the predicted minimizer set exactly attained."""
-    graphs = corpora.graphs("unicyclic", n, n)
-    return _minimum_report("main", n, graphs, n // 2 + 2, extremal_unicyclic(n), jobs)
+    return _start("main", (n,), corpora, jobs)()
+
+
+def _tree_theorem(n: int, graphs: list[Graph]) -> Body:
+    phis = yield phi, graphs
+    return _minimum_report("trees", n, graphs, phis, (n + 1) // 2 + 1, extremal_trees(n))
 
 
 def check_tree_theorem(n: int, corpora: CorpusStore, jobs: int = 1) -> VerificationReport:
     """Every tree of order n has at least ceil(n/2)+1 maximal dissociation
     sets, with minimizers exactly the predicted spiders."""
-    graphs = corpora.graphs("tree", n, n)
-    return _minimum_report("trees", n, graphs, (n + 1) // 2 + 1, extremal_trees(n), jobs)
+    return _start("trees", (n,), corpora, jobs)()
 
 
 def check_path_corollary(lo: int, hi: int) -> VerificationReport:
@@ -206,13 +242,18 @@ def check_path_corollary(lo: int, hi: int) -> VerificationReport:
     return _extremal_report("paths", f"{lo}..{hi}", graphs, [phi(g) for g in graphs], bounds, expected)
 
 
+def _caterpillar_corollary(lo: int, hi: int, trees: list[Graph]) -> Body:
+    graphs = list(filter(is_caterpillar, trees))
+    phis = yield phi, graphs
+    bounds = [(g.n + 1) // 2 + 1 for g in graphs]
+    expected = [g for g in extremal_caterpillars() if lo <= g.n <= hi]
+    return _extremal_report("caterpillars", f"{lo}..{hi}", graphs, phis, bounds, expected)
+
+
 def check_caterpillar_corollary(lo: int, hi: int, corpora: CorpusStore, jobs: int = 1) -> VerificationReport:
     """Caterpillars meet the tree bound with equality exactly on the six
     listed spiders."""
-    graphs = list(filter(is_caterpillar, corpora.graphs("tree", lo, hi)))
-    bounds = [(g.n + 1) // 2 + 1 for g in graphs]
-    expected = [g for g in extremal_caterpillars() if lo <= g.n <= hi]
-    return _extremal_report("caterpillars", f"{lo}..{hi}", graphs, _pmap(phi, graphs, jobs), bounds, expected)
+    return _start("caterpillars", (lo, hi), corpora, jobs)()
 
 
 def check_cycle_lemma(lo: int, hi: int) -> VerificationReport:
@@ -257,7 +298,7 @@ def check_leaf_removal_lemma(n: int) -> VerificationReport:
         raise ValueError(f"leaf-removal lemma runs orders up to {LEAF_REMOVAL_ORDER_CAP}, got {n}")
     # a cycle of order r >= 3 with t = n - r pendants, 1 <= t <= r
     graphs = [g for r in range(max(3, (n + 1) // 2), n) for g in enumerate_U_rt_class(r, n - r)]
-    violations, leaf_counts = _map_checks(_leaf_removal_check, graphs, 1)
+    violations, leaf_counts = _flattened([_leaf_removal_check(g) for g in graphs])
     return VerificationReport(
         suite="leaf-removal",
         order=str(n),
@@ -319,14 +360,8 @@ def _surgery_instances(u_graph: Graph) -> tuple[list[Violation], tuple[list[dict
     return violations, (observations, len(pairs))
 
 
-def check_surgery_lemma(lo: int, hi: int, corpora: CorpusStore, jobs: int = 1) -> VerificationReport:
-    """Moving the last of k pendant leaves from w onto the first leaf never
-    increases the count, on the unicyclic graphs of orders lo..hi. The two
-    refined-count claims behind the argument are asserted on every instance;
-    count-preserving instances are recorded and must satisfy the stated
-    necessary condition."""
-    graphs = corpora.graphs("unicyclic", lo, hi)
-    violations, results = _map_checks(_surgery_instances, graphs, jobs)
+def _surgery_lemma(lo: int, hi: int, graphs: list[Graph]) -> Body:
+    violations, results = _flattened((yield _surgery_instances, graphs))
     observations = [o for obs, _ in results for o in obs]
     return VerificationReport(
         suite="surgery",
@@ -337,6 +372,15 @@ def check_surgery_lemma(lo: int, hi: int, corpora: CorpusStore, jobs: int = 1) -
             {"instances": sum(n for _, n in results), "equality_instances": len(observations), "k_max": SURGERY_K_MAX}
         ],
     )
+
+
+def check_surgery_lemma(lo: int, hi: int, corpora: CorpusStore, jobs: int = 1) -> VerificationReport:
+    """Moving the last of k pendant leaves from w onto the first leaf never
+    increases the count, on the unicyclic graphs of orders lo..hi. The two
+    refined-count claims behind the argument are asserted on every instance;
+    count-preserving instances are recorded and must satisfy the stated
+    necessary condition."""
+    return _start("surgery", (lo, hi), corpora, jobs)()
 
 
 def _pendant_path_check(g: Graph) -> tuple[list[Violation], tuple[int, int]]:
@@ -368,12 +412,10 @@ def _pendant_path_check(g: Graph) -> tuple[list[Violation], tuple[int, int]]:
     return _violations(g, claims), (claim2_eq, len(triples))
 
 
-def check_pendant_path_lemma(n: int, corpora: CorpusStore, jobs: int = 1) -> VerificationReport:
-    """Deleting a pendant path of length two (leaf plus its degree-2
-    support) drops the count by at least 1 on every unicyclic graph."""
+def _pendant_path_lemma(n: int, graphs: list[Graph]) -> Body:
     if n < 5:
         raise ValueError("pendant-path lemma needs order >= 5")
-    violations, results = _map_checks(_pendant_path_check, corpora.graphs("unicyclic", n, n), jobs)
+    violations, results = _flattened((yield _pendant_path_check, graphs))
     claim2_eq = sum(eq for eq, _ in results)
     total = sum(t for _, t in results)
     return VerificationReport(
@@ -385,6 +427,12 @@ def check_pendant_path_lemma(n: int, corpora: CorpusStore, jobs: int = 1) -> Ver
             {"pendant_path_instances": total, "claim2_equality_instances": claim2_eq, "claims_checked": True}
         ],
     )
+
+
+def check_pendant_path_lemma(n: int, corpora: CorpusStore, jobs: int = 1) -> VerificationReport:
+    """Deleting a pendant path of length two (leaf plus its degree-2
+    support) drops the count by at least 1 on every unicyclic graph."""
+    return _start("pendant-path", (n,), corpora, jobs)()
 
 
 def check_case3_subcases(n: int) -> VerificationReport:
@@ -451,12 +499,8 @@ def _identity_check(g: Graph) -> tuple[list[Violation], int]:
     return _violations(g, claims), profile.total
 
 
-def check_identity_suite(lo: int, hi: int, corpora: CorpusStore, jobs: int = 1) -> VerificationReport:
-    """Per-vertex decomposition, support-vertex vanishing, deletion
-    inequalities on every unicyclic graph of orders lo..hi, and
-    multiplicativity on seeded random disjoint-union pairs drawn from them."""
-    graphs = corpora.graphs("unicyclic", lo, hi)
-    violations, totals = _map_checks(_identity_check, graphs, jobs)
+def _identity_suite(lo: int, hi: int, graphs: list[Graph]) -> Body:
+    violations, totals = _flattened((yield _identity_check, graphs))
     # each graph with its total, read from its profile
     counted = list(zip(graphs, totals))
     rng = random.Random(IDENTITY_PAIR_SEED)
@@ -479,26 +523,35 @@ def check_identity_suite(lo: int, hi: int, corpora: CorpusStore, jobs: int = 1) 
     )
 
 
+def check_identity_suite(lo: int, hi: int, corpora: CorpusStore, jobs: int = 1) -> VerificationReport:
+    """Per-vertex decomposition, support-vertex vanishing, deletion
+    inequalities on every unicyclic graph of orders lo..hi, and
+    multiplicativity on seeded random disjoint-union pairs drawn from them."""
+    return _start("identities", (lo, hi), corpora, jobs)()
+
+
 class Suite(NamedTuple):
     start: int  # smallest order of the suite's domain
     end: int  # largest order run by default
     per_order: bool  # check(n, ...) once per order, else check(lo, hi, ...) once
-    corpus: str | None  # the corpus class the check reads; such a check takes (corpora, jobs) after its orders
-    check: Callable[..., VerificationReport]
+    # the corpus class the check reads; such a check is a body (see Body),
+    # handed that class's graphs of its orders after the orders
+    corpus: str | None
+    check: Callable[..., VerificationReport | Body]
     cap: int | None = None  # largest order the check runs at all
 
 
 SUITES = {
-    "main": Suite(3, 12, True, "unicyclic", check_main_theorem),
-    "trees": Suite(3, 12, True, "tree", check_tree_theorem),
+    "main": Suite(3, 12, True, "unicyclic", _main_theorem),
+    "trees": Suite(3, 12, True, "tree", _tree_theorem),
     "paths": Suite(3, 20, False, None, check_path_corollary),
-    "caterpillars": Suite(3, 9, False, "tree", check_caterpillar_corollary),
+    "caterpillars": Suite(3, 9, False, "tree", _caterpillar_corollary),
     "cycle": Suite(4, 20, False, None, check_cycle_lemma),
     "leaf-removal": Suite(5, 11, True, None, check_leaf_removal_lemma, LEAF_REMOVAL_ORDER_CAP),
-    "surgery": Suite(3, 8, False, "unicyclic", check_surgery_lemma),
-    "pendant-path": Suite(5, 12, True, "unicyclic", check_pendant_path_lemma),
+    "surgery": Suite(3, 8, False, "unicyclic", _surgery_lemma),
+    "pendant-path": Suite(5, 12, True, "unicyclic", _pendant_path_lemma),
     "subcases": Suite(9, 13, True, None, check_case3_subcases),
-    "identities": Suite(3, 8, False, "unicyclic", check_identity_suite),
+    "identities": Suite(3, 8, False, "unicyclic", _identity_suite),
 }
 
 
@@ -524,28 +577,65 @@ def suite_orders(name: str, orders: tuple[int, int] | None, corpora: CorpusStore
     return max(lo, suite.start), hi
 
 
+def _start(name: str, args: tuple, corpora: CorpusStore, jobs: int) -> Callable[[], VerificationReport]:
+    """Start one report of a suite: a check that reads a corpus reads its
+    graphs and queues its per-graph map here. Returns the report's finish,
+    which reads the results in graph order and builds the report (any other
+    check runs whole there); the report's runtime covers both steps."""
+    suite = SUITES[name]
+    t0 = time.perf_counter()
+    with _cancelling(jobs):
+        if suite.corpus:
+            body = suite.check(*args, corpora.graphs(suite.corpus, args[0], args[-1]))
+            fn, graphs = next(body)
+            results = _pmap(fn, graphs, jobs)
+    start_s = time.perf_counter() - t0
+
+    def finish() -> VerificationReport:
+        t1 = time.perf_counter()
+        with _cancelling(jobs):
+            if not suite.corpus:
+                report = suite.check(*args)
+            else:
+                try:
+                    body.send(list(results))
+                except StopIteration as done:
+                    report = done.value
+        report.runtime_ms = (start_s + time.perf_counter() - t1) * 1000
+        return report
+
+    return finish
+
+
+def start_suite(
+    name: str, orders: tuple[int, int] | None, jobs: int, corpora: CorpusStore
+) -> list[Callable[[], VerificationReport]]:
+    """Start every report of one named suite over an order range, in order;
+    ``run_suite`` finishes them. ``orders`` is resolved by ``suite_orders``.
+    Every suite that uses a tree or unicyclic corpus takes it from
+    ``corpora``; one store shared by the suites of a run generates or loads
+    each corpus once. With ``jobs`` > 1 the suite's maps are queued on the
+    process's pool when this returns."""
+    lo, hi = suite_orders(name, orders, corpora)
+    ranges = [(n,) for n in range(lo, hi + 1)] if SUITES[name].per_order else [(lo, hi)]
+    return [_start(name, args, corpora, jobs) for args in ranges]
+
+
 def run_suite(
     name: str,
     orders: tuple[int, int] | None = None,
     jobs: int = 1,
     corpora: CorpusStore | None = None,
+    started: list[Callable[[], VerificationReport]] | None = None,
 ) -> list[VerificationReport]:
     """Run one named suite over an order range; returns its timed reports.
 
-    ``orders`` is resolved by ``suite_orders``. Every suite that uses a tree
-    or unicyclic corpus takes it from ``corpora`` (default: a new store at
-    the default caps, without a cache); one store shared by the suites of a
-    run generates or loads each corpus once.
+    The suite is started by ``start_suite`` (``corpora`` default: a new store
+    at the default caps, without a cache), unless ``started`` holds what an
+    earlier ``start_suite`` call returned for it: a run that starts every
+    suite before it finishes the first keeps the pool's workers busy while
+    the parent reads corpora and builds reports.
     """
-    corpora = CorpusStore() if corpora is None else corpora
-    lo, hi = suite_orders(name, orders, corpora)
-    suite = SUITES[name]
-    extra = (corpora, jobs) if suite.corpus else ()
-    ranges = [(n,) for n in range(lo, hi + 1)] if suite.per_order else [(lo, hi)]
-    reports = []
-    for args in ranges:
-        t0 = time.perf_counter()
-        report = suite.check(*args, *extra)
-        report.runtime_ms = (time.perf_counter() - t0) * 1000
-        reports.append(report)
-    return reports
+    if started is None:
+        started = start_suite(name, orders, jobs, CorpusStore() if corpora is None else corpora)
+    return [finish() for finish in started]

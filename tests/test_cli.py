@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from dissoc import __version__, cycle, from_edges, generate_unicyclic, graph6_decode, graph6_encode, path, suites
+from dissoc import __version__, cycle, from_edges, generate_trees, generate_unicyclic, graph6_decode, graph6_encode, path, suites
 from dissoc.cli import CorpusCache, main
 from dissoc.suites import SUITES
 
@@ -353,6 +353,67 @@ def test_verify_all_shares_one_store_and_one_pool(tmp_path, capsys, monkeypatch)
     assert sorted(loads) == sorted(set(loads)) and len(loads) == 20
 
 
+@pytest.fixture
+def queue_recorder(monkeypatch):
+    # a stand-in for the pool that starts no process: its ``map`` records
+    # that it queued fn, its lazy results record when they are first read,
+    # and its ``shutdown`` records whether the queued work was cancelled
+    events = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            pass
+
+        def map(self, fn, items, chunksize=1):
+            events.append(("queued", fn))
+
+            def results():
+                events.append(("read", fn))
+                yield from map(fn, items)
+
+            return results()
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            events.append(("shutdown", cancel_futures))
+
+    monkeypatch.setattr(suites.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", Recorder)
+    suites._pool.cache_clear()
+    yield events
+    suites._pool.cache_clear()
+
+
+def test_verify_all_queues_every_map_before_reading_any(capsys, queue_recorder):
+    # no pooled map waits on another suite's report or on the next corpus:
+    # all are queued before the first result is read, and the reports are
+    # those of a run without a pool
+    argv = ("verify", "--suite", "all", "--orders", "9", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv, "--jobs", "2")
+    kinds = [kind for kind, _ in queue_recorder]
+    # one map per report of main, trees, caterpillars, surgery, pendant-path
+    # and identities
+    assert kinds == ["queued"] * 6 + ["read"] * 6
+    assert code == 0 and (code, out) == run_cli(capsys, *argv)[:2]
+
+
+def test_verify_error_while_starting_cancels_the_queued_maps(tmp_path, capsys, queue_recorder):
+    # trees reads a truncated cache file of order 12 while main's maps are
+    # queued: the run exits 2 at once, naming the file, and cancels those
+    # maps rather than running them, or the interpreter would wait for them
+    # at exit
+    cache = tmp_path / "cache"
+    assert run_cli(capsys, "verify", "--suite", "trees", "--orders", "12", "--cache-dir", str(cache))[0] == 0
+    assert queue_recorder == []  # jobs 1 takes no pool
+    (entry,) = cache.glob("tree_12_*.g6")
+    entry.write_text("\n".join(entry.read_text().splitlines()[:3]) + "\n")  # header plus 2 graphs
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--jobs", "2", "--cache-dir", str(cache))
+    assert code == 2 and out == "" and str(entry) in err
+    assert ("queued", suites.phi) in queue_recorder
+    assert "read" not in [kind for kind, _ in queue_recorder]
+    assert queue_recorder[-1] == ("shutdown", True)
+    assert suites._pool.cache_info().currsize == 0
+
+
 def test_verify_swapped_cache_graph_exit_2(tmp_path, capsys):
     # one character of the minimizer's line changed so that it still
     # decodes: the header's count holds, only the checksum can tell
@@ -543,6 +604,44 @@ def test_traced_names_resolve_in_the_package():
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
     for module, cls, attr, _ in tracing.METHODS:
         assert callable(getattr(getattr(importlib.import_module(module), cls), attr)), (module, cls, attr)
+
+
+TRACED_VERIFY = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+import dissoc.cli
+tracer = tracing.Tracer()
+tracer.install()
+argv = ["verify", "--suite", "all", "--orders", "9..9", "--jobs", "1", "--output", sys.argv[2]]
+print(json.dumps({"code": dissoc.cli.main(argv), "names": tracer.summary()["names"]}))
+"""
+
+
+def test_traced_run_books_each_count_to_its_suite_subprocess(tmp_path):
+    # the benchmark's traced gate, at one order: one run_suite span per
+    # suite, and every count of main and trees made inside its own suite's
+    # span, once per corpus graph, although every suite is started before
+    # the first one finishes
+    tracing = Path(SRC).parent / "perfbench" / "tracing.py"
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_VERIFY, str(tracing), str(tmp_path / "report.json")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    names = result["names"]
+    assert result["code"] == 0
+    assert {name: names[f"suites.{name}"]["calls"] for name in SUITES} == dict.fromkeys(SUITES, 1)
+    phi_by_suite = names["mds.phi"]["by_suite"]
+    assert phi_by_suite.get("main") == len(list(generate_unicyclic(9))) == 240
+    assert phi_by_suite.get("trees") == len(list(generate_trees(9))) == 47
+    assert sum(phi_by_suite.values()) == names["mds.phi"]["calls"]
+    assert names["mds.phi_refined"]["by_suite"].get("pendant-path", 0) > 0
 
 
 @pytest.mark.parametrize("suite, orders", [("paths", "3..64"), ("cycle", "4..64")])

@@ -482,6 +482,38 @@ def test_pmap_drops_a_broken_pool(monkeypatch):
     assert built == [2, 2]
 
 
+def test_reading_a_broken_pool_drops_it(monkeypatch):
+    # a map is queued on a pool that breaks before its results are read:
+    # the error reaches the caller, and the next map builds a new pool
+    built, shut = [], []
+
+    class BreaksWhileRead:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def map(self, fn, items, chunksize=1):
+            def results():
+                raise BrokenProcessPool("a worker died")
+                yield
+
+            return results()
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            shut.append(cancel_futures)
+
+    monkeypatch.setattr(suites.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", BreaksWhileRead)
+    suites._pool.cache_clear()
+    try:
+        for _ in range(2):
+            with pytest.raises(BrokenProcessPool):
+                check_main_theorem(8, CORPORA, jobs=2)
+            assert suites._pool.cache_info().currsize == 0
+    finally:
+        suites._pool.cache_clear()
+    assert built == [2, 2] and shut == [True, True]
+
+
 def test_run_suite_uses_supplied_corpora(monkeypatch):
     # a store that already holds part of the corpus a suite needs hands
     # exactly that part on, and never generates
