@@ -11,8 +11,6 @@ from .graphs import (
     classify,
     closed_neighborhood,
     cycle,
-    cycle_vertices,
-    degree,
     delete_vertices,
     disjoint_union,
     from_edges,
@@ -21,7 +19,6 @@ from .graphs import (
     is_caterpillar,
     iter_bits,
     leaves,
-    open_neighborhood,
     path,
     support_vertices,
     vset,
@@ -30,10 +27,7 @@ from .mds import (
     Constraint,
     MdsProfile,
     Status,
-    addable,
     enumerate_mds,
-    is_dissociation,
-    is_maximal_dissociation,
     mds_profile,
     phi,
     phi_refined,
@@ -50,7 +44,6 @@ from .families import (
 )
 from .canon import (
     CanonicalCode,
-    ahu_code,
     generate_caterpillars,
     generate_trees,
     generate_unicyclic,

@@ -25,7 +25,7 @@ GENERATOR_VERSION = "0.1.0"
 
 
 class CanonicalCode(NamedTuple):
-    kind: str  # "rooted-tree" | "free-tree" | "unicyclic"
+    kind: str  # "free-tree" | "unicyclic"
     text: str
 
 
@@ -83,16 +83,6 @@ def _rerooted(peel: tuple, v: int, drop: int = -1) -> str:
             insort(ks, text)
         text = "(" + "".join(ks) + ")"
     return text
-
-
-def ahu_code(g: Graph, root: int) -> CanonicalCode:
-    """Canonical code of a tree rooted at the given vertex."""
-    peel = _coded_tree(g.adj)
-    if peel is None:
-        raise ValueError("ahu_code requires a tree")
-    if not 0 <= root < g.n:
-        raise ValueError(f"root {root} out of range")
-    return CanonicalCode("rooted-tree", _rerooted(peel, root))
 
 
 def _tree_text(adj: Sequence[int]) -> str | None:

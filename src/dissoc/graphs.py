@@ -182,24 +182,10 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
     return _trusted(n, g.adj + tuple(row << g.n for row in h.adj))
 
 
-def _check_vertex(g: Graph, v: int) -> None:
+def closed_neighborhood(g: Graph, v: int) -> int:
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range for order {g.n}")
-
-
-def open_neighborhood(g: Graph, v: int) -> int:
-    _check_vertex(g, v)
-    return g.adj[v]
-
-
-def closed_neighborhood(g: Graph, v: int) -> int:
-    _check_vertex(g, v)
     return g.adj[v] | (1 << v)
-
-
-def degree(g: Graph, v: int) -> int:
-    _check_vertex(g, v)
-    return g.adj[v].bit_count()
 
 
 class Classification(NamedTuple):
@@ -288,14 +274,6 @@ def classify(g: Graph) -> Classification:
     else:
         kind = "other"
     return Classification(kind, components)
-
-
-def cycle_vertices(g: Graph) -> int:
-    """Vertices of the unique cycle of a unicyclic graph, as a bitmask."""
-    cyc = _unicyclic_cycle(_layout(g.adj))
-    if cyc is None:
-        raise ValueError("cycle_vertices requires a unicyclic graph")
-    return vset(cyc)
 
 
 def leaves(g: Graph) -> int:

@@ -111,48 +111,6 @@ class MdsProfile:
     per_vertex: tuple[tuple[int, int, int], ...]
 
 
-def is_dissociation(g: Graph, s: int) -> bool:
-    """True iff every vertex of ``s`` has at most one neighbor inside ``s``."""
-    if s & ~g.full_mask:
-        raise ValueError("set contains vertices outside the graph")
-    adj = g.adj
-    for v in iter_bits(s):
-        if (adj[v] & s).bit_count() > 1:
-            return False
-    return True
-
-
-def addable(g: Graph, s: int, v: int) -> bool:
-    """True iff s + v is still a dissociation set.
-
-    Assumes ``s`` itself is a dissociation set. Holds when v has no
-    neighbor in s, or exactly one whose induced degree in s is 0.
-    """
-    if s >> v & 1:
-        raise ValueError(f"vertex {v} is already in the set")
-    m = g.adj[v] & s
-    if m == 0:
-        return True
-    if m & (m - 1):
-        return False
-    u = m.bit_length() - 1
-    return (g.adj[u] & s) == 0
-
-
-def is_maximal_dissociation(g: Graph, s: int) -> bool:
-    """True iff ``s`` is a dissociation set and no outside vertex is addable."""
-    if not is_dissociation(g, s):
-        return False
-    adj = g.adj
-    for v in iter_bits(g.full_mask & ~s):
-        m = adj[v] & s
-        if m == 0:
-            return False
-        if m & (m - 1) == 0 and (adj[m.bit_length() - 1] & s) == 0:
-            return False
-    return True
-
-
 # --- subtree-vector DP --------------------------------------------------------
 #
 # A vector (x0, x1, xb, n0, nn, n1) counts partial assignments by what they

@@ -168,13 +168,9 @@ def _extremal_report(
     isomorphism, exactly ``expected``. Only graphs at equality are coded. An
     unexpected or missing graph carries (graphs at equality, graphs expected)."""
     violations = []
-    at_bound = []
     for g, value, bound in zip(graphs, values, bounds):
-        if value < bound:
-            violations.append(Violation(_g6(g), "phi_lower_bound", value, bound))
-        elif value == bound:
-            at_bound.append(g)
-    minimizers = _coded(at_bound)
+        violations += _violations(g, [("phi_lower_bound", value, bound, value >= bound)])
+    minimizers = _coded(g for g, value, bound in zip(graphs, values, bounds) if value == bound)
     expected_min = _coded(expected)
     sizes = (len(minimizers), len(expected_min))
     want = {code for _, code in expected_min}
@@ -194,7 +190,8 @@ def _extremal_report(
 # A check that reads a corpus is a generator over its orders and the graphs
 # of its suite's class (``Suite.corpus``): it yields its one per-graph map,
 # (fn, graphs), is sent fn's results in graph order, and returns its report.
-# ``_start`` runs it; each ``check_*`` that reads a corpus wraps its body so.
+# ``_start`` runs every check, a body or not, and only over orders that
+# ``suite_orders`` has resolved: no check tests its own domain start or cap.
 Body = Generator[tuple[Callable, Sequence[Graph]], list, VerificationReport]
 
 
@@ -213,28 +210,20 @@ def _minimum_report(
 
 
 def _main_theorem(n: int, graphs: list[Graph]) -> Body:
+    """Every unicyclic graph of order n has at least floor(n/2)+2 maximal
+    dissociation sets, with the predicted minimizer set exactly attained."""
     phis = yield phi, graphs
     return _minimum_report("main", n, graphs, phis, n // 2 + 2, extremal_unicyclic(n))
 
 
-def check_main_theorem(n: int, corpora: CorpusStore, jobs: int = 1) -> VerificationReport:
-    """Every unicyclic graph of order n has at least floor(n/2)+2 maximal
-    dissociation sets, with the predicted minimizer set exactly attained."""
-    return _start("main", (n,), corpora, jobs)()
-
-
 def _tree_theorem(n: int, graphs: list[Graph]) -> Body:
+    """Every tree of order n has at least ceil(n/2)+1 maximal dissociation
+    sets, with minimizers exactly the predicted spiders."""
     phis = yield phi, graphs
     return _minimum_report("trees", n, graphs, phis, (n + 1) // 2 + 1, extremal_trees(n))
 
 
-def check_tree_theorem(n: int, corpora: CorpusStore, jobs: int = 1) -> VerificationReport:
-    """Every tree of order n has at least ceil(n/2)+1 maximal dissociation
-    sets, with minimizers exactly the predicted spiders."""
-    return _start("trees", (n,), corpora, jobs)()
-
-
-def check_path_corollary(lo: int, hi: int) -> VerificationReport:
+def _path_corollary(lo: int, hi: int) -> VerificationReport:
     """Paths meet the tree bound with equality exactly at orders 3, 4, 5."""
     graphs = [path(n) for n in range(lo, hi + 1)]
     bounds = [(g.n + 1) // 2 + 1 for g in graphs]
@@ -243,6 +232,8 @@ def check_path_corollary(lo: int, hi: int) -> VerificationReport:
 
 
 def _caterpillar_corollary(lo: int, hi: int, trees: list[Graph]) -> Body:
+    """Caterpillars meet the tree bound with equality exactly on the six
+    listed spiders."""
     graphs = list(filter(is_caterpillar, trees))
     phis = yield phi, graphs
     bounds = [(g.n + 1) // 2 + 1 for g in graphs]
@@ -250,16 +241,8 @@ def _caterpillar_corollary(lo: int, hi: int, trees: list[Graph]) -> Body:
     return _extremal_report("caterpillars", f"{lo}..{hi}", graphs, phis, bounds, expected)
 
 
-def check_caterpillar_corollary(lo: int, hi: int, corpora: CorpusStore, jobs: int = 1) -> VerificationReport:
-    """Caterpillars meet the tree bound with equality exactly on the six
-    listed spiders."""
-    return _start("caterpillars", (lo, hi), corpora, jobs)()
-
-
-def check_cycle_lemma(lo: int, hi: int) -> VerificationReport:
+def _cycle_lemma(lo: int, hi: int) -> VerificationReport:
     """phi(C_n) is at least phi(P_{n-1}) + 1, with equality only at n=6."""
-    if lo < 4:
-        raise ValueError("cycle lemma needs orders >= 4")
     graphs = [cycle(n) for n in range(lo, hi + 1)]
     bounds = [phi(path(n - 1)) + 1 for n in range(lo, hi + 1)]
     expected = [g for g in graphs if g.n == 6]
@@ -288,14 +271,10 @@ def _leaf_removal_check(g: Graph) -> tuple[list[Violation], int]:
     return _violations(g, claims), len(ys)
 
 
-def check_leaf_removal_lemma(n: int) -> VerificationReport:
+def _leaf_removal_lemma(n: int) -> VerificationReport:
     """For cycles with pendants, removing a closed leaf neighborhood drops
     the count by at least 2; the refined-count identity behind the argument
     is checked directly at orders up to LEAF_IDENTITY_ORDER_CAP."""
-    if n < 5:
-        raise ValueError("leaf-removal lemma needs order >= 5")
-    if n > LEAF_REMOVAL_ORDER_CAP:
-        raise ValueError(f"leaf-removal lemma runs orders up to {LEAF_REMOVAL_ORDER_CAP}, got {n}")
     # a cycle of order r >= 3 with t = n - r pendants, 1 <= t <= r
     graphs = [g for r in range(max(3, (n + 1) // 2), n) for g in enumerate_U_rt_class(r, n - r)]
     violations, leaf_counts = _flattened([_leaf_removal_check(g) for g in graphs])
@@ -361,6 +340,11 @@ def _surgery_instances(u_graph: Graph) -> tuple[list[Violation], tuple[list[dict
 
 
 def _surgery_lemma(lo: int, hi: int, graphs: list[Graph]) -> Body:
+    """Moving the last of k pendant leaves from w onto the first leaf never
+    increases the count, on the unicyclic graphs of orders lo..hi. The two
+    refined-count claims behind the argument are asserted on every instance;
+    count-preserving instances are recorded and must satisfy the stated
+    necessary condition."""
     violations, results = _flattened((yield _surgery_instances, graphs))
     observations = [o for obs, _ in results for o in obs]
     return VerificationReport(
@@ -372,15 +356,6 @@ def _surgery_lemma(lo: int, hi: int, graphs: list[Graph]) -> Body:
             {"instances": sum(n for _, n in results), "equality_instances": len(observations), "k_max": SURGERY_K_MAX}
         ],
     )
-
-
-def check_surgery_lemma(lo: int, hi: int, corpora: CorpusStore, jobs: int = 1) -> VerificationReport:
-    """Moving the last of k pendant leaves from w onto the first leaf never
-    increases the count, on the unicyclic graphs of orders lo..hi. The two
-    refined-count claims behind the argument are asserted on every instance;
-    count-preserving instances are recorded and must satisfy the stated
-    necessary condition."""
-    return _start("surgery", (lo, hi), corpora, jobs)()
 
 
 def _pendant_path_check(g: Graph) -> tuple[list[Violation], tuple[int, int]]:
@@ -413,8 +388,8 @@ def _pendant_path_check(g: Graph) -> tuple[list[Violation], tuple[int, int]]:
 
 
 def _pendant_path_lemma(n: int, graphs: list[Graph]) -> Body:
-    if n < 5:
-        raise ValueError("pendant-path lemma needs order >= 5")
+    """Deleting a pendant path of length two (leaf plus its degree-2
+    support) drops the count by at least 1 on every unicyclic graph."""
     violations, results = _flattened((yield _pendant_path_check, graphs))
     claim2_eq = sum(eq for eq, _ in results)
     total = sum(t for _, t in results)
@@ -429,18 +404,10 @@ def _pendant_path_lemma(n: int, graphs: list[Graph]) -> Body:
     )
 
 
-def check_pendant_path_lemma(n: int, corpora: CorpusStore, jobs: int = 1) -> VerificationReport:
-    """Deleting a pendant path of length two (leaf plus its degree-2
-    support) drops the count by at least 1 on every unicyclic graph."""
-    return _start("pendant-path", (n,), corpora, jobs)()
-
-
-def check_case3_subcases(n: int) -> VerificationReport:
+def _case3_subcases(n: int) -> VerificationReport:
     """Attaching a pendant path at each vertex orbit of the order-(n-2)
     extremal graph reproduces the closed-form counts: the orbits of each
     vertex role take exactly that role's set of counts."""
-    if n < 9:
-        raise ValueError("subcases start at order 9")
     base = extremal_unicyclic(n - 2)[0]
     expected_by_role = {
         "center": {n // 2 + 2},
@@ -463,17 +430,14 @@ def check_case3_subcases(n: int) -> VerificationReport:
         extended, members = orbits[code]
         roles = {role[w] for w in members}
         value = phi(extended)
-        if len(roles) != 1:
-            violations.append(Violation(_g6(extended), "orbit_role_mixed", len(roles), 1))
-            continue
-        orbit_role = roles.pop()
-        observations.append(
-            {"role": orbit_role, "orbit_size": len(members), "phi": value, "graph6": _g6(extended)}
-        )
-    for orbit_role, want in expected_by_role.items():
-        have = {o["phi"] for o in observations if o["role"] == orbit_role}
-        if have != want:
-            violations.append(Violation(_g6(base), f"subcase_{orbit_role}", sum(have), sum(want)))
+        violations += _violations(extended, [("orbit_role_mixed", len(roles), 1, len(roles) == 1)])
+        if len(roles) == 1:
+            observations.append(
+                {"role": roles.pop(), "orbit_size": len(members), "phi": value, "graph6": _g6(extended)}
+            )
+    have = {r: {o["phi"] for o in observations if o["role"] == r} for r in expected_by_role}
+    claims = [(f"subcase_{r}", sum(have[r]), sum(want), have[r] == want) for r, want in expected_by_role.items()]
+    violations += _violations(base, claims)
     return VerificationReport(
         suite="subcases",
         order=str(n),
@@ -500,6 +464,9 @@ def _identity_check(g: Graph) -> tuple[list[Violation], int]:
 
 
 def _identity_suite(lo: int, hi: int, graphs: list[Graph]) -> Body:
+    """Per-vertex decomposition, support-vertex vanishing, deletion
+    inequalities on every unicyclic graph of orders lo..hi, and
+    multiplicativity on seeded random disjoint-union pairs drawn from them."""
     violations, totals = _flattened((yield _identity_check, graphs))
     # each graph with its total, read from its profile
     counted = list(zip(graphs, totals))
@@ -523,13 +490,6 @@ def _identity_suite(lo: int, hi: int, graphs: list[Graph]) -> Body:
     )
 
 
-def check_identity_suite(lo: int, hi: int, corpora: CorpusStore, jobs: int = 1) -> VerificationReport:
-    """Per-vertex decomposition, support-vertex vanishing, deletion
-    inequalities on every unicyclic graph of orders lo..hi, and
-    multiplicativity on seeded random disjoint-union pairs drawn from them."""
-    return _start("identities", (lo, hi), corpora, jobs)()
-
-
 class Suite(NamedTuple):
     start: int  # smallest order of the suite's domain
     end: int  # largest order run by default
@@ -544,13 +504,13 @@ class Suite(NamedTuple):
 SUITES = {
     "main": Suite(3, 12, True, "unicyclic", _main_theorem),
     "trees": Suite(3, 12, True, "tree", _tree_theorem),
-    "paths": Suite(3, 20, False, None, check_path_corollary),
+    "paths": Suite(3, 20, False, None, _path_corollary),
     "caterpillars": Suite(3, 9, False, "tree", _caterpillar_corollary),
-    "cycle": Suite(4, 20, False, None, check_cycle_lemma),
-    "leaf-removal": Suite(5, 11, True, None, check_leaf_removal_lemma, LEAF_REMOVAL_ORDER_CAP),
+    "cycle": Suite(4, 20, False, None, _cycle_lemma),
+    "leaf-removal": Suite(5, 11, True, None, _leaf_removal_lemma, LEAF_REMOVAL_ORDER_CAP),
     "surgery": Suite(3, 8, False, "unicyclic", _surgery_lemma),
     "pendant-path": Suite(5, 12, True, "unicyclic", _pendant_path_lemma),
-    "subcases": Suite(9, 13, True, None, check_case3_subcases),
+    "subcases": Suite(9, 13, True, None, _case3_subcases),
     "identities": Suite(3, 8, False, "unicyclic", _identity_suite),
 }
 

@@ -5,12 +5,12 @@ trees come from Prufer sequences, isomorphism deduplication uses the
 backtracking test, class counts are recomputed analytically from the
 rooted-tree recurrence, random connected graphs are built from a random
 spanning tree, and maximal dissociation sets are found by testing every
-subset against the definition (one subset at a time, or all at once with
-numpy) or, past the subset filter's cap, by a backtracking search in label
-order that takes only public names from ``dissoc``; the package lists and
-counts them from a frontier sweep instead. Pendant paths are found by
-scanning degrees rather than from the leaf peel, and graph6 coding and
-vertex deletion work one bit at a time.
+subset against the definition (``is_maximal_dissociation`` here, one
+subset at a time, or all at once with numpy) or, past the subset filter's
+cap, by a backtracking search in label order that takes only public names
+from ``dissoc``; the package lists and counts them from a frontier sweep
+instead. Pendant paths are found by scanning degrees rather than from the
+leaf peel, and graph6 coding and vertex deletion work one bit at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from math import gcd
 
 import numpy as np
 
-from dissoc import MAX_ORDER, Graph, bit_list, degree, from_edges, is_maximal_dissociation, iter_bits, leaves
+from dissoc import MAX_ORDER, Graph, bit_list, from_edges, iter_bits, leaves
 
 BRUTEFORCE_ISO_CAP = 10
 NAIVE_ORDER_CAP = 24
@@ -119,6 +119,31 @@ def is_isomorphic_bruteforce(g: Graph, h: Graph) -> bool:
         return False
 
     return backtrack(0, 0, 0)
+
+
+def is_dissociation(g: Graph, s: int) -> bool:
+    """True iff every vertex of ``s`` has at most one neighbor inside ``s``."""
+    if s & ~g.full_mask:
+        raise ValueError("set contains vertices outside the graph")
+    adj = g.adj
+    for v in iter_bits(s):
+        if (adj[v] & s).bit_count() > 1:
+            return False
+    return True
+
+
+def is_maximal_dissociation(g: Graph, s: int) -> bool:
+    """True iff ``s`` is a dissociation set and no outside vertex is addable."""
+    if not is_dissociation(g, s):
+        return False
+    adj = g.adj
+    for v in iter_bits(g.full_mask & ~s):
+        m = adj[v] & s
+        if m == 0:
+            return False
+        if m & (m - 1) == 0 and (adj[m.bit_length() - 1] & s) == 0:
+            return False
+    return True
 
 
 def enumerate_mds_naive(g: Graph) -> list[int]:
@@ -443,7 +468,7 @@ def pendant_path_triples(g: Graph) -> list[tuple[int, int, int]]:
     out = []
     for v in iter_bits(leaves(g)):
         u = g.adj[v].bit_length() - 1
-        if degree(g, u) != 2:
+        if g.adj[u].bit_count() != 2:
             continue
         w = (g.adj[u] & ~(1 << v)).bit_length() - 1
         out.append((w, u, v))

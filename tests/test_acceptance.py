@@ -25,15 +25,7 @@ from dissoc.suites import (
     IDENTITY_PAIR_COUNT,
     SURGERY_K_MAX,
     CorpusStore,
-    check_case3_subcases,
-    check_caterpillar_corollary,
-    check_cycle_lemma,
-    check_identity_suite,
-    check_leaf_removal_lemma,
-    check_main_theorem,
-    check_pendant_path_lemma,
-    check_surgery_lemma,
-    check_tree_theorem,
+    run_suite,
 )
 
 from oracles import (
@@ -49,6 +41,12 @@ from oracles import (
 
 # one store for the module: each corpus is generated once
 CORPORA = CorpusStore()
+
+
+def _run(name, lo, hi=None):
+    """The one report of suite ``name`` over orders lo..hi (default lo..lo)."""
+    (report,) = run_suite(name, (lo, lo if hi is None else hi), 1, CORPORA)
+    return report
 
 
 def _report(num: int, text: str) -> None:
@@ -68,7 +66,7 @@ def trees_by_n():
 def test_criterion_01_main_theorem_exhaustive():
     t0 = time.perf_counter()
     for n in range(3, 13):
-        report = check_main_theorem(n, CORPORA)
+        report = _run("main", n)
         assert report.passed, (n, report.violations[:3])
         assert report.min_phi == n // 2 + 2
         expected_sizes = {3: 1, 4: 1, 5: 1, 6: 3, 7: 1, 8: 2, 9: 1, 10: 1, 11: 1, 12: 1}
@@ -78,14 +76,14 @@ def test_criterion_01_main_theorem_exhaustive():
     elapsed = time.perf_counter() - t0
     assert elapsed < 300  # stated single-threaded runtime target
     # optional stretch order
-    report13 = check_main_theorem(13, CORPORA)
+    report13 = _run("main", 13)
     assert report13.passed and report13.min_phi == 8 and len(report13.minimizers) == 1
     _report(1, f"main theorem exhaustive for n=3..12 (+13) in {elapsed:.1f}s")
 
 
 def test_criterion_02_tree_bound():
     for n in range(3, 13):
-        report = check_tree_theorem(n, CORPORA)
+        report = _run("trees", n)
         assert report.passed, (n, report.violations[:3])
         assert report.min_phi == (n + 1) // 2 + 1
         expected_codes = sorted(tree_code(g).text for g in extremal_trees(n))
@@ -101,7 +99,7 @@ def test_criterion_03_path_and_caterpillar_corollaries():
             assert value == bound, n
         else:
             assert value > bound, n
-    report = check_caterpillar_corollary(3, 9, CORPORA)
+    report = _run("caterpillars", 3, 9)
     assert report.passed, report.violations[:3]
     assert len(report.minimizers) == 6
     assert len(extremal_caterpillars()) == 6
@@ -109,7 +107,7 @@ def test_criterion_03_path_and_caterpillar_corollaries():
 
 
 def test_criterion_04_cycle_lemma():
-    report = check_cycle_lemma(4, 20)
+    report = _run("cycle", 4, 20)
     assert report.passed, report.violations[:3]
     assert [c for _, c in report.minimizers] == [unicyclic_code(cycle(6)).text]
     for n in range(7, 21):
@@ -119,13 +117,13 @@ def test_criterion_04_cycle_lemma():
 
 def test_criterion_05_leaf_removal():
     for n in range(5, 12):
-        report = check_leaf_removal_lemma(n)
+        report = _run("leaf-removal", n)
         assert report.passed, (n, report.violations[:3])
     _report(5, "leaf-removal drop >= 2 for all pendant cycles with r+t <= 11, identity to order 10")
 
 
 def test_criterion_06_surgery():
-    report = check_surgery_lemma(3, 8, CORPORA)
+    report = _run("surgery", 3, 8)
     assert report.passed, report.violations[:3]
     equalities = [o for o in report.observations if "g1" in o]
     for obs in equalities:
@@ -140,14 +138,14 @@ def test_criterion_06_surgery():
 
 def test_criterion_07_pendant_path():
     for n in range(5, 13):
-        report = check_pendant_path_lemma(n, CORPORA)
+        report = _run("pendant-path", n)
         assert report.passed, (n, report.violations[:3])
     _report(7, "pendant-path drop >= 1 on all unicyclic graphs of order <= 12 with the shape")
 
 
 def test_criterion_08_case3_closed_forms():
     for n in (9, 11, 13):
-        report = check_case3_subcases(n)
+        report = _run("subcases", n)
         assert report.passed, (n, report.violations)
         values = {o["role"]: o["phi"] for o in report.observations}
         assert values["leaf"] == (3 * n - 1) // 2
@@ -155,7 +153,7 @@ def test_criterion_08_case3_closed_forms():
         assert values["triangle"] == (n + 5) // 2
         assert values["other"] == (n + 5) // 2
     for n in (10, 12):
-        report = check_case3_subcases(n)
+        report = _run("subcases", n)
         assert report.passed, (n, report.violations)
         leaf_values = {o["phi"] for o in report.observations if o["role"] == "leaf"}
         assert leaf_values == {(3 * n + 2) // 2, (n + 6) // 2}
@@ -204,7 +202,7 @@ def test_criterion_10_enumerator_soundness(unicyclic_by_n, trees_by_n):
 
 
 def test_criterion_11_identity_suite():
-    report = check_identity_suite(3, 8, CORPORA)
+    report = _run("identities", 3, 8)
     assert report.passed, report.violations[:3]
     assert report.observations[0]["union_pairs"] == IDENTITY_PAIR_COUNT == 200
     _report(

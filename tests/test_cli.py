@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -197,9 +198,14 @@ def test_verify_unknown_suite_usage_error(capsys):
     "suite, orders, start",
     [
         ("main", "2", 3),
-        ("cycle", "1..3", 4),
-        ("subcases", "3..8", 9),
+        ("trees", "2", 3),
         ("paths", "2", 3),
+        ("caterpillars", "2", 3),
+        ("cycle", "1..3", 4),
+        ("leaf-removal", "4", 5),
+        ("surgery", "2", 3),
+        ("pendant-path", "4", 5),
+        ("subcases", "3..8", 9),
         ("identities", "1..2", 3),
     ],
 )
@@ -593,17 +599,56 @@ def test_leaf_removal_refuses_a_large_order_subprocess():
     assert time.perf_counter() - start < 2
 
 
-def test_traced_names_resolve_in_the_package():
-    # the benchmark's traced run rebinds these names by module and
-    # attribute: a public name that moves fails here, not only in its gate
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("tracing", Path(SRC).parent / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_names_resolve_in_the_package():
+    # the benchmark's traced run rebinds these names by module and
+    # attribute: a public name that moves fails here, not only in its gate
+    tracing = _load_tracing()
     assert tracing.FUNCTIONS and tracing.METHODS
     for module, attr, *_ in tracing.FUNCTIONS:
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
     for module, cls, attr, _ in tracing.METHODS:
         assert callable(getattr(getattr(importlib.import_module(module), cls), attr)), (module, cls, attr)
+
+
+def test_package_exports_no_name_that_only_tests_use():
+    # every name dissoc/__init__.py exports is used by another package
+    # module outside its own def or class, or by the benchmark through a
+    # dissoc import, a dissoc attribute or a traced entry; a name only
+    # tests call belongs in tests/oracles.py
+    package = Path(SRC) / "dissoc"
+    init = ast.parse((package / "__init__.py").read_text())
+    exports = {a.asname or a.name for node in init.body if isinstance(node, ast.ImportFrom) for a in node.names}
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+                if name != own:
+                    used.add(name)
+    for path in (Path(SRC).parent / "perfbench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dissoc":
+                used.update(a.name for a in node.names)
+            elif isinstance(node, ast.Attribute):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id == "dissoc":
+                    used.add(node.attr)
+    tracing = _load_tracing()
+    used.update(attr for _, attr, *_ in tracing.FUNCTIONS)
+    used.update(cls for _, cls, *_ in tracing.METHODS)
+    assert sorted(exports - used) == []
 
 
 TRACED_VERIFY = """

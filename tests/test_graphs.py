@@ -7,8 +7,6 @@ from dissoc import (
     classify,
     closed_neighborhood,
     cycle,
-    cycle_vertices,
-    degree,
     delete_vertices,
     disjoint_union,
     from_edges,
@@ -17,7 +15,6 @@ from dissoc import (
     is_caterpillar,
     iter_bits,
     leaves,
-    open_neighborhood,
     path,
     spider_T,
     support_vertices,
@@ -187,12 +184,10 @@ def test_delete_preserves_preimage_edges():
 def test_neighborhoods_and_degree():
     c3 = cycle(3)
     assert closed_neighborhood(c3, 0) == vset([0, 1, 2])
-    assert open_neighborhood(c3, 0) == vset([1, 2])
-    assert degree(path(4), 0) == 1
-    star = spider_T(5, 0)
-    assert degree(star, 0) == 5
+    assert closed_neighborhood(path(4), 0) == vset([0, 1])
+    assert closed_neighborhood(spider_T(5, 0), 0) == (1 << 6) - 1
     with pytest.raises(ValueError):
-        degree(c3, 3)
+        closed_neighborhood(c3, 3)
 
 
 def test_disjoint_union():
@@ -216,11 +211,10 @@ def test_classify_families():
 
 
 def test_cycle_vertices():
-    assert cycle_vertices(cycle(6)) == (1 << 6) - 1
+    assert vset(_unicyclic_cycle(_layout(cycle(6).adj))) == (1 << 6) - 1
     tri_pendant = from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
-    assert cycle_vertices(tri_pendant) == vset([0, 1, 2])
-    with pytest.raises(ValueError):
-        cycle_vertices(path(4))
+    assert vset(_unicyclic_cycle(_layout(tri_pendant.adj))) == vset([0, 1, 2])
+    assert _unicyclic_cycle(_layout(path(4).adj)) is None
 
 
 def test_layout_matches_component_cycle_counts():
@@ -249,13 +243,7 @@ def test_layout_matches_component_cycle_counts():
         # m - n + 1 per component
         excess = {c: sum((g.adj[u] & c).bit_count() for u in iter_bits(c)) // 2 - c.bit_count() + 1 for c in components}
         layout = _layout(g.adj)
-        unicyclic = classify(g).kind == "unicyclic"
-        if unicyclic:
-            assert cycle_vertices(g) == vset(_unicyclic_cycle(layout))
-        else:
-            assert _unicyclic_cycle(layout) is None
-            with pytest.raises(ValueError, match="^cycle_vertices requires a unicyclic graph$"):
-                cycle_vertices(g)
+        assert (_unicyclic_cycle(layout) is not None) == (classify(g).kind == "unicyclic")
         order, parent, cores = layout
         assert sorted(order + [v for walk, _ in cores for v in walk]) == list(range(n))
         assert sorted(k for _, k in cores) == sorted(e for e in excess.values() if e)

@@ -13,15 +13,12 @@ from dissoc import (
     MdsProfile,
     Status,
     U_pq,
-    addable,
     cycle,
     disjoint_union,
     enumerate_mds,
     from_edges,
     generate_trees,
     generate_unicyclic,
-    is_dissociation,
-    is_maximal_dissociation,
     iter_bits,
     mds_profile,
     parse_family,
@@ -36,7 +33,15 @@ from dissoc.graphs import delete_vertices, closed_neighborhood
 from dissoc import mds
 from dissoc.suites import SURGERY_K_MAX, _surgery_graphs
 
-from oracles import count_mds_bruteforce, enumerate_mds_naive, pendant_path_triples, random_connected_graph, search_mds
+from oracles import (
+    count_mds_bruteforce,
+    enumerate_mds_naive,
+    is_dissociation,
+    is_maximal_dissociation,
+    pendant_path_triples,
+    random_connected_graph,
+    search_mds,
+)
 
 K1 = from_edges(1, [])
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,21 +66,12 @@ def test_is_dissociation_rejects_foreign_vertices():
         is_dissociation(path(3), 1 << 5)
 
 
-def test_addable():
-    c3 = cycle(3)
-    assert addable(c3, vset([0]), 1)
-    p4 = path(4)
-    assert not addable(p4, vset([1, 2]), 0)  # 1 already matched with 2
-    assert not addable(p4, vset([0, 2, 3]), 1)  # two neighbors inside
-    with pytest.raises(ValueError):
-        addable(p4, vset([1, 2]), 1)
-
-
 def test_is_maximal_dissociation():
     c3 = cycle(3)
     assert is_maximal_dissociation(c3, vset([0, 1]))
     assert not is_maximal_dissociation(c3, vset([0]))
-    assert is_maximal_dissociation(path(4), vset([1, 2]))
+    assert is_maximal_dissociation(path(4), vset([1, 2]))  # 0 and 3 meet a matched vertex
+    assert is_maximal_dissociation(path(4), vset([0, 2, 3]))  # 1 has two neighbors inside
 
 
 def test_naive_frozen_p4():

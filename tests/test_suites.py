@@ -13,16 +13,6 @@ from dissoc.suites import (
     SUITES,
     CorpusStore,
     Violation,
-    check_case3_subcases,
-    check_caterpillar_corollary,
-    check_cycle_lemma,
-    check_identity_suite,
-    check_leaf_removal_lemma,
-    check_main_theorem,
-    check_path_corollary,
-    check_pendant_path_lemma,
-    check_surgery_lemma,
-    check_tree_theorem,
     run_suite,
 )
 
@@ -30,9 +20,15 @@ from dissoc.suites import (
 CORPORA = CorpusStore()
 
 
+def _run(name, lo, hi=None, corpora=CORPORA, jobs=1):
+    """The one report of suite ``name`` over orders lo..hi (default lo..lo)."""
+    (report,) = run_suite(name, (lo, lo if hi is None else hi), jobs, corpora)
+    return report
+
+
 def test_main_theorem_small_orders():
     for n, expected_minimizers in [(3, 1), (4, 1), (5, 1), (6, 3), (7, 1), (8, 2), (9, 1)]:
-        report = check_main_theorem(n, CORPORA)
+        report = _run("main", n)
         assert report.passed, report.violations
         assert report.min_phi == n // 2 + 2
         assert len(report.minimizers) == expected_minimizers
@@ -42,11 +38,11 @@ def test_main_theorem_small_orders():
 def test_main_theorem_examines_whole_corpus():
     known = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240}
     for n, count in known.items():
-        assert check_main_theorem(n, CORPORA).graphs_examined == count
+        assert _run("main", n).graphs_examined == count
 
 
 def test_main_theorem_minimizers_sorted_and_decodable():
-    report = check_main_theorem(8, CORPORA)
+    report = _run("main", 8)
     codes = [code for _, code in report.minimizers]
     assert codes == sorted(codes)
     for g6, code in report.minimizers:
@@ -56,33 +52,36 @@ def test_main_theorem_minimizers_sorted_and_decodable():
 
 def test_tree_theorem_small_orders():
     for n, mins in [(3, 1), (4, 1), (5, 2), (6, 1), (7, 2), (8, 1)]:
-        report = check_tree_theorem(n, CORPORA)
+        report = _run("trees", n)
         assert report.passed, report.violations
         assert report.min_phi == (n + 1) // 2 + 1
         assert len(report.minimizers) == mins
 
 
 def test_path_corollary():
-    report = check_path_corollary(3, 20)
+    report = _run("paths", 3, 20)
     assert report.passed
     assert len(report.minimizers) == 3  # orders 3, 4, 5 only
 
 
 def test_caterpillar_corollary():
-    report = check_caterpillar_corollary(3, 9, CORPORA)
+    report = _run("caterpillars", 3, 9)
     assert report.passed
     assert len(report.minimizers) == 6
 
 
 def test_cycle_lemma():
-    report = check_cycle_lemma(4, 20)
+    report = _run("cycle", 4, 20)
     assert report.passed
     assert len(report.minimizers) == 1  # only C6
 
 
 def test_cycle_lemma_rejects_small_start():
-    with pytest.raises(ValueError):
-        check_cycle_lemma(3, 10)
+    # the domain starts at 4: an order range below it is refused, and one
+    # that reaches it starts there
+    with pytest.raises(ValueError, match="domain starts at order 4"):
+        run_suite("cycle", (3, 3))
+    assert _run("cycle", 3, 10).order == "4..10"
 
 
 def _tree_bound(g):
@@ -91,14 +90,14 @@ def _tree_bound(g):
 
 # suite -> (run, a graph's bound, a graph off the equality set, a graph on it)
 EXTREMAL_SUITES = {
-    "paths": (lambda: check_path_corollary(3, 8), _tree_bound, path(7), path(4)),
+    "paths": (lambda: _run("paths", 3, 8), _tree_bound, path(7), path(4)),
     "caterpillars": (
-        lambda: check_caterpillar_corollary(3, 9, CORPORA),
+        lambda: _run("caterpillars", 3, 9),
         _tree_bound,
         path(7),
         extremal_caterpillars()[-1],
     ),
-    "cycle": (lambda: check_cycle_lemma(4, 8), lambda g: phi(path(g.n - 1)) + 1, cycle(7), cycle(6)),
+    "cycle": (lambda: _run("cycle", 4, 8), lambda g: phi(path(g.n - 1)) + 1, cycle(7), cycle(6)),
 }
 
 
@@ -123,7 +122,7 @@ def test_extremal_suites_catch_a_moved_count(monkeypatch, suite, offset, rule):
 
 def test_leaf_removal_lemma():
     for n in range(5, 11):
-        report = check_leaf_removal_lemma(n)
+        report = _run("leaf-removal", n)
         assert report.passed, report.violations
 
 
@@ -131,7 +130,7 @@ def test_leaf_removal_refuses_orders_above_its_cap():
     # the pendant patterns it walks grow about 1.6x per order, so an order
     # past the cap is refused at once, not run for minutes or years
     with pytest.raises(ValueError, match=f"orders up to {LEAF_REMOVAL_ORDER_CAP}, got {LEAF_REMOVAL_ORDER_CAP + 1}"):
-        check_leaf_removal_lemma(LEAF_REMOVAL_ORDER_CAP + 1)
+        run_suite("leaf-removal", (LEAF_REMOVAL_ORDER_CAP + 1, LEAF_REMOVAL_ORDER_CAP + 1))
 
 
 def test_leaf_removal_example_caterpillar():
@@ -145,14 +144,14 @@ def test_leaf_removal_example_caterpillar():
 
 
 def test_surgery_lemma():
-    report = check_surgery_lemma(3, 6, CORPORA)
+    report = _run("surgery", 3, 6)
     assert report.passed, report.violations[:3]
     tail = report.observations[-1]
     assert tail["instances"] > 0
 
 
 def test_surgery_equality_instances_satisfy_condition():
-    report = check_surgery_lemma(3, 6, CORPORA)
+    report = _run("surgery", 3, 6)
     assert report.passed
     for obs in report.observations:
         if "g1" in obs:
@@ -161,7 +160,7 @@ def test_surgery_equality_instances_satisfy_condition():
 
 def test_pendant_path_lemma():
     for n in (5, 6, 7, 8, 9, 10):
-        report = check_pendant_path_lemma(n, CORPORA)
+        report = _run("pendant-path", n)
         assert report.passed, report.violations[:3]
 
 
@@ -181,15 +180,15 @@ def test_pendant_path_on_U22():
 @pytest.mark.parametrize(
     "slot, delta, run, rule",
     [
-        (1, 1, lambda: check_pendant_path_lemma(5, CORPORA), "pendant_path_claim1"),
-        (2, -1, lambda: check_pendant_path_lemma(5, CORPORA), "pendant_path_claim2_ge"),
-        (0, -1, lambda: check_pendant_path_lemma(5, CORPORA), "pendant_path_claim3_ge"),
-        (4, 1, lambda: check_pendant_path_lemma(5, CORPORA), "pendant_path_cross_check"),
-        (0, 1, lambda: check_surgery_lemma(3, 4, CORPORA), "surgery_claim1"),
-        (2, 1, lambda: check_surgery_lemma(3, 4, CORPORA), "surgery_claim2"),
-        (0, 1, lambda: check_surgery_lemma(3, 4, CORPORA), "surgery_cross_check"),
-        (0, 1, lambda: check_identity_suite(4, 4, CORPORA), "per_vertex_decomposition"),
-        (1, 1, lambda: check_identity_suite(4, 4, CORPORA), "support_vertex_deg0_zero"),
+        (1, 1, lambda: _run("pendant-path", 5), "pendant_path_claim1"),
+        (2, -1, lambda: _run("pendant-path", 5), "pendant_path_claim2_ge"),
+        (0, -1, lambda: _run("pendant-path", 5), "pendant_path_claim3_ge"),
+        (4, 1, lambda: _run("pendant-path", 5), "pendant_path_cross_check"),
+        (0, 1, lambda: _run("surgery", 3, 4), "surgery_claim1"),
+        (2, 1, lambda: _run("surgery", 3, 4), "surgery_claim2"),
+        (0, 1, lambda: _run("surgery", 3, 4), "surgery_cross_check"),
+        (0, 1, lambda: _run("identities", 4, 4), "per_vertex_decomposition"),
+        (1, 1, lambda: _run("identities", 4, 4), "support_vertex_deg0_zero"),
     ],
 )
 def test_profile_checks_catch_a_skewed_profile(monkeypatch, slot, delta, run, rule):
@@ -241,15 +240,15 @@ def _moved_past_the_first_path(real):
 
 
 def _leaf_removal():
-    return check_leaf_removal_lemma(6)
+    return _run("leaf-removal", 6)
 
 
 def _surgery():
-    return check_surgery_lemma(3, 6, CORPORA)
+    return _run("surgery", 3, 6)
 
 
 def _identities():
-    return check_identity_suite(4, 5, CORPORA)
+    return _run("identities", 4, 5)
 
 
 # rule -> (the name in suites that is patched, the fault as a function of the
@@ -286,7 +285,7 @@ FAULTS = {
     "deletion_vs_deg0": ("_phi_minus", lambda real: lambda g, mask: real(g, mask) - (mask & (mask - 1) != 0), _identities),
     # outside the deletions, phi counts only the unions
     "union_multiplicativity": ("phi", lambda real: lambda g: real(g) + 1, _identities),
-    "pendant_path_drop_ge_1": ("_detached_triples", _moved_past_the_first_path, lambda: check_pendant_path_lemma(7, CORPORA)),
+    "pendant_path_drop_ge_1": ("_detached_triples", _moved_past_the_first_path, lambda: _run("pendant-path", 7)),
 }
 
 
@@ -305,7 +304,7 @@ def test_pendant_path_rejects_graphs_that_are_not_unicyclic():
         store = CorpusStore()
         store.corpora["unicyclic", 7] = [g]
         with pytest.raises(ValueError, match="unicyclic"):
-            check_pendant_path_lemma(7, store)
+            _run("pendant-path", 7, corpora=store)
 
 
 def test_surgery_rejects_graphs_that_are_not_unicyclic():
@@ -316,11 +315,11 @@ def test_surgery_rejects_graphs_that_are_not_unicyclic():
         store = CorpusStore()
         store.corpora["unicyclic", 7] = [g]
         with pytest.raises(ValueError, match="unicyclic"):
-            check_surgery_lemma(7, 7, store)
+            _run("surgery", 7, 7, corpora=store)
 
 
 def test_case3_subcases_odd():
-    report = check_case3_subcases(9)
+    report = _run("subcases", 9)
     assert report.passed, report.violations
     by_role = {o["role"]: o["phi"] for o in report.observations}
     assert by_role["leaf"] == 13
@@ -330,7 +329,7 @@ def test_case3_subcases_odd():
 
 
 def test_case3_subcases_even():
-    report = check_case3_subcases(10)
+    report = _run("subcases", 10)
     assert report.passed, report.violations
     leaf_values = {o["phi"] for o in report.observations if o["role"] == "leaf"}
     assert leaf_values == {16, 8}
@@ -343,12 +342,12 @@ def test_case3_subcases_even():
 def test_case3_subcases_catch_an_off_by_one_count(monkeypatch, n, role):
     # one orbit of the role counts one more: only that role's rule fires,
     # on the base graph, with the sums of the counts found and expected
-    report = check_case3_subcases(n)
+    report = _run("subcases", n)
     assert report.passed
     target = next(o for o in report.observations if o["role"] == role)
     real = suites.phi
     monkeypatch.setattr(suites, "phi", lambda g: real(g) + (suites._g6(g) == target["graph6"]))
-    failed = check_case3_subcases(n)
+    failed = _run("subcases", n)
     have = sum({o["phi"] + (o is target) for o in report.observations if o["role"] == role})
     want = sum({o["phi"] for o in report.observations if o["role"] == role})
     base = suites._g6(extremal_unicyclic(n - 2)[0])
@@ -356,14 +355,13 @@ def test_case3_subcases_catch_an_off_by_one_count(monkeypatch, n, role):
 
 
 def test_case3_rejects_invalid_orders():
-    with pytest.raises(ValueError):
-        check_case3_subcases(7)
-    with pytest.raises(ValueError):
-        check_case3_subcases(8)
+    for n in (7, 8):
+        with pytest.raises(ValueError, match="domain starts at order 9"):
+            run_suite("subcases", (n, n))
 
 
 def test_identity_suite():
-    report = check_identity_suite(3, 7, CORPORA)
+    report = _run("identities", 3, 7)
     assert report.passed, report.violations[:3]
     assert report.observations[0]["union_pairs"] == IDENTITY_PAIR_COUNT
 
@@ -388,7 +386,7 @@ def test_identity_suite_counts_each_graph_once(monkeypatch):
 
     monkeypatch.setattr(suites, "phi", counting_phi)
     monkeypatch.setattr(suites, "_phi_minus", phi_minus)
-    report = check_identity_suite(3, 6, CORPORA, jobs=1)
+    report = _run("identities", 3, 6, jobs=1)
     assert report.passed
     assert len(calls) == report.observations[0]["union_pairs"] == IDENTITY_PAIR_COUNT
 
@@ -401,7 +399,7 @@ def test_main_theorem_detects_missing_minimizer():
     extremal_code = ucode(extremal_unicyclic(7)[0]).text
     store = CorpusStore()
     store.corpora["unicyclic", 7] = [g for g in full if ucode(g).text != extremal_code]
-    report = check_main_theorem(7, store)
+    report = _run("main", 7, corpora=store)
     assert not report.passed
     rules = {v.rule for v in report.violations}
     assert "min_phi_equals_bound" in rules
@@ -415,20 +413,20 @@ def test_main_theorem_detects_bound_breach():
 
     store = CorpusStore()
     store.corpora["unicyclic", 4] = [mk_path(4)]
-    report = check_main_theorem(4, store)
+    report = _run("main", 4, corpora=store)
     assert not report.passed
     assert any(v.rule == "phi_lower_bound" for v in report.violations)
 
 
 def test_report_passed_iff_no_violations():
-    report = check_main_theorem(5, CORPORA)
+    report = _run("main", 5)
     assert report.passed
     report.violations.append(Violation("", "synthetic", 0, 1))
     assert not report.passed
 
 
 def test_report_json_roundtrip_and_runtime_excluded():
-    report = check_main_theorem(6, CORPORA)
+    report = _run("main", 6)
     blob = json.dumps(report.to_dict(), sort_keys=True)
     parsed = json.loads(blob)
     assert parsed["runtime_ms"] is None
@@ -437,15 +435,16 @@ def test_report_json_roundtrip_and_runtime_excluded():
 
 
 def test_jobs_do_not_change_reports():
-    seq = check_main_theorem(8, CORPORA, jobs=1)
-    par = check_main_theorem(8, CORPORA, jobs=2)
+    seq = _run("main", 8, jobs=1)
+    par = _run("main", 8, jobs=2)
     assert seq.to_dict() == par.to_dict()
-    seq_pp = check_pendant_path_lemma(8, CORPORA, jobs=1)
-    par_pp = check_pendant_path_lemma(8, CORPORA, jobs=2)
+    seq_pp = _run("pendant-path", 8, jobs=1)
+    par_pp = _run("pendant-path", 8, jobs=2)
     assert seq_pp.to_dict() == par_pp.to_dict()
-    seq_surgery = check_surgery_lemma(3, 6, CORPORA, jobs=1)
-    par_surgery = check_surgery_lemma(3, 6, CORPORA, jobs=2)
+    seq_surgery = _run("surgery", 3, 6, jobs=1)
+    par_surgery = _run("surgery", 3, 6, jobs=2)
     assert seq_surgery.to_dict() == par_surgery.to_dict()
+    assert _run("identities", 3, 6, jobs=1).to_dict() == _run("identities", 3, 6, jobs=2).to_dict()
 
 
 def test_run_suite_dispatch():
@@ -507,7 +506,7 @@ def test_reading_a_broken_pool_drops_it(monkeypatch):
     try:
         for _ in range(2):
             with pytest.raises(BrokenProcessPool):
-                check_main_theorem(8, CORPORA, jobs=2)
+                _run("main", 8, jobs=2)
             assert suites._pool.cache_info().currsize == 0
     finally:
         suites._pool.cache_clear()
@@ -544,24 +543,3 @@ def test_expected_minimizers_attain_bound():
         for g in extremal_unicyclic(n):
             assert phi(g) == n // 2 + 2
 
-
-def test_suite_table_matches_direct_checks():
-    direct = {
-        "main": lambda n: check_main_theorem(n, CORPORA),
-        "trees": lambda n: check_tree_theorem(n, CORPORA),
-        "paths": lambda n: check_path_corollary(n, n),
-        "caterpillars": lambda n: check_caterpillar_corollary(n, n, CORPORA),
-        "cycle": lambda n: check_cycle_lemma(n, n),
-        "leaf-removal": check_leaf_removal_lemma,
-        "surgery": lambda n: check_surgery_lemma(n, n, CORPORA),
-        "pendant-path": lambda n: check_pendant_path_lemma(n, CORPORA),
-        "subcases": check_case3_subcases,
-        "identities": lambda n: check_identity_suite(n, n, CORPORA),
-    }
-    assert set(direct) == set(SUITES)
-    for name, suite in SUITES.items():
-        reports = run_suite(name, orders=(suite.start, suite.start))
-        assert [r.to_dict() for r in reports] == [direct[name](suite.start).to_dict()], name
-    seq = run_suite("identities", orders=(3, 6), jobs=1)
-    par = run_suite("identities", orders=(3, 6), jobs=2)
-    assert [r.to_dict() for r in seq] == [r.to_dict() for r in par]
