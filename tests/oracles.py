@@ -132,18 +132,25 @@ def is_dissociation(g: Graph, s: int) -> bool:
     return True
 
 
+def addable(g: Graph, s: int, v: int) -> bool:
+    """True iff s + v is still a dissociation set.
+
+    Assumes ``s`` itself is a dissociation set. Holds when v has no
+    neighbor in s, or exactly one whose induced degree in s is 0.
+    """
+    if s >> v & 1:
+        raise ValueError(f"vertex {v} is already in the set")
+    m = g.adj[v] & s
+    if m == 0:
+        return True
+    if m & (m - 1):
+        return False
+    return (g.adj[m.bit_length() - 1] & s) == 0
+
+
 def is_maximal_dissociation(g: Graph, s: int) -> bool:
     """True iff ``s`` is a dissociation set and no outside vertex is addable."""
-    if not is_dissociation(g, s):
-        return False
-    adj = g.adj
-    for v in iter_bits(g.full_mask & ~s):
-        m = adj[v] & s
-        if m == 0:
-            return False
-        if m & (m - 1) == 0 and (adj[m.bit_length() - 1] & s) == 0:
-            return False
-    return True
+    return is_dissociation(g, s) and not any(addable(g, s, v) for v in iter_bits(g.full_mask & ~s))
 
 
 def enumerate_mds_naive(g: Graph) -> list[int]:

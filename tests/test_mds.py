@@ -34,6 +34,7 @@ from dissoc import mds
 from dissoc.suites import SURGERY_K_MAX, _surgery_graphs
 
 from oracles import (
+    addable,
     count_mds_bruteforce,
     enumerate_mds_naive,
     is_dissociation,
@@ -64,6 +65,16 @@ def test_is_dissociation_p3():
 def test_is_dissociation_rejects_foreign_vertices():
     with pytest.raises(ValueError):
         is_dissociation(path(3), 1 << 5)
+
+
+def test_addable():
+    c3 = cycle(3)
+    assert addable(c3, vset([0]), 1)
+    p4 = path(4)
+    assert not addable(p4, vset([1, 2]), 0)  # 1 already matched with 2
+    assert not addable(p4, vset([0, 2, 3]), 1)  # two neighbors inside
+    with pytest.raises(ValueError):
+        addable(p4, vset([1, 2]), 1)
 
 
 def test_is_maximal_dissociation():

@@ -444,7 +444,33 @@ def test_jobs_do_not_change_reports():
     seq_surgery = _run("surgery", 3, 6, jobs=1)
     par_surgery = _run("surgery", 3, 6, jobs=2)
     assert seq_surgery.to_dict() == par_surgery.to_dict()
-    assert _run("identities", 3, 6, jobs=1).to_dict() == _run("identities", 3, 6, jobs=2).to_dict()
+
+
+def _direct(name, args):
+    """Run a SUITES row's check on ``args`` in this process, without the
+    runner: a corpus check's body is handed its corpus and then its
+    per-graph results, mapped here in graph order."""
+    suite = SUITES[name]
+    if not suite.corpus:
+        return suite.check(*args)
+    body = suite.check(*args, CORPORA.graphs(suite.corpus, args[0], args[-1]))
+    fn, graphs = next(body)
+    try:
+        body.send([fn(g) for g in graphs])
+    except StopIteration as done:
+        return done.value
+    raise AssertionError(f"{name}: the body did not finish on its results")
+
+
+def test_suite_table_matches_direct_checks():
+    for name, suite in SUITES.items():
+        n = suite.start
+        reports = run_suite(name, orders=(n, n), jobs=2, corpora=CORPORA)
+        direct = _direct(name, (n,) if suite.per_order else (n, n))
+        assert [r.to_dict() for r in reports] == [direct.to_dict()], name
+    seq = run_suite("identities", orders=(3, 6), jobs=1)
+    par = run_suite("identities", orders=(3, 6), jobs=2)
+    assert [r.to_dict() for r in seq] == [r.to_dict() for r in par]
 
 
 def test_run_suite_dispatch():
