@@ -5,10 +5,8 @@ suites for the lower bounds those families attain."""
 from ._version import __version__
 from .graphs import (
     MAX_ORDER,
-    Classification,
     Graph,
     bit_list,
-    classify,
     closed_neighborhood,
     cycle,
     delete_vertices,

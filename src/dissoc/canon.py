@@ -54,8 +54,9 @@ def _subtree_codes(order: list[int], parent: list[int]) -> tuple:
     kids: list[list[str]] = [[] for _ in range(n)]
     for v in order:
         ks = kids[v]
-        ks.sort()
-        code[v] = text = "(" + "".join(ks) + ")"
+        if ks:
+            ks.sort()
+        code[v] = text = "(" + "".join(ks) + ")" if ks else "()"
         u = parent[v]
         if u >= 0:
             size[u] += size[v]
@@ -86,18 +87,20 @@ def _rerooted(peel: tuple, v: int, drop: int = -1) -> str:
 
 
 def _tree_text(adj: Sequence[int]) -> str | None:
-    """Free-tree code text of the rows, None if they are not a tree.
-
-    Rooted at the peel's last vertex, the vertices whose subtree holds more
-    than half the tree form a path down to the centroid, so the centroid is
-    the first such vertex peeled. A subtree of exactly half (peeled before
-    it) is the second centroid, hanging directly below the first.
-    """
+    """Free-tree code text of the rows, None if they are not a tree."""
     peel = _coded_tree(adj)
-    if peel is None:
-        return None
+    return None if peel is None else _free_text(peel, len(adj))
+
+
+def _free_text(peel: tuple, n: int) -> str:
+    """Free-tree code text of a coded peel of an n-vertex tree.
+
+    From any root, the vertices whose subtree holds more than half the tree
+    form a path down to the centroid, so the centroid is the first such
+    vertex in the peel order. A subtree of exactly half (listed before it)
+    is the second centroid, hanging directly below the first.
+    """
     order, parent, size, code, _ = peel
-    n = len(adj)
     for v in order:
         if 2 * size[v] >= n:
             break
@@ -105,6 +108,25 @@ def _tree_text(adj: Sequence[int]) -> str | None:
         return "C" + _rerooted(peel, v)
     halves = sorted((code[v], _rerooted(peel, parent[v], drop=v)))
     return "B" + halves[0] + halves[1]
+
+
+def _extended(peel: tuple, v: int) -> tuple:
+    """The coded peel of the tree with a new leaf at v, numbered after the
+    others and listed first: only the path from v up to the peel's root is
+    recoded and resized, on copies, so ``peel`` stays as it is."""
+    order, parent, size, code, kids = peel
+    parent, size, code, kids = parent + [v], size + [1], code + ["()"], kids + [[]]
+    old, text = None, "()"  # the path child's code before and after
+    while v >= 0:
+        ks = kids[v] = list(kids[v])
+        if old is not None:
+            del ks[bisect_left(ks, old)]
+        insort(ks, text)
+        old = code[v]
+        code[v] = text = "(" + "".join(ks) + ")"
+        size[v] += 1
+        v = parent[v]
+    return [len(parent) - 1] + order, parent, size, code, kids
 
 
 def tree_code(g: Graph) -> CanonicalCode:
@@ -154,6 +176,7 @@ def _tree_table(n: int) -> dict[str, Graph]:
         table = {}
         leaf = n - 1
         for g in _tree_table(n - 1).values():
+            peel = _coded_tree(g.adj)
             extended = 0  # neighbors of the leaves extended so far
             for v in range(leaf):
                 row = g.adj[v]
@@ -163,13 +186,11 @@ def _tree_table(n: int) -> dict[str, Graph]:
                     if row & extended:
                         continue
                     extended |= row
-                # g with a new leaf at v
-                rows = list(g.adj)
-                rows[v] |= 1 << leaf
-                rows.append(1 << v)
-                key = _tree_text(rows)
+                key = _free_text(_extended(peel, v), n)
                 if key not in table:
-                    table[key] = _trusted(n, tuple(rows))
+                    # g with a new leaf at v
+                    rows = g.adj[:v] + (g.adj[v] | 1 << leaf,) + g.adj[v + 1 :] + (1 << v,)
+                    table[key] = _trusted(n, rows)
     _tree_levels[n] = table
     return table
 
@@ -188,9 +209,7 @@ def generate_trees(n: int) -> Iterator[Graph]:
 
 
 def generate_caterpillars(n: int) -> Iterator[Graph]:
-    for g in generate_trees(n):
-        if is_caterpillar(g):
-            yield g
+    yield from filter(is_caterpillar, generate_trees(n))
 
 
 _rooted_tables: dict[int, dict[str, tuple[int, ...]]] = {}

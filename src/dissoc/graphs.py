@@ -296,10 +296,16 @@ def is_caterpillar(g: Graph) -> bool:
     to a degree bound on the remaining vertices. Trees that shrink to
     nothing or to a single vertex count as caterpillars.
     """
-    if classify(g).kind != "tree":
+    adj = g.adj
+    edges2 = inner = 0  # twice the edge count, the non-leaf vertices
+    for v, row in enumerate(adj):
+        d = row.bit_count()
+        edges2 += d
+        if d > 1:
+            inner |= 1 << v
+    if edges2 != 2 * g.n - 2 or _component(adj, 0, g.full_mask) != g.full_mask:
         return False
-    rest = g.full_mask & ~leaves(g)
-    return all((g.adj[v] & rest).bit_count() <= 2 for v in iter_bits(rest))
+    return all((adj[v] & inner).bit_count() <= 2 for v in iter_bits(inner))
 
 
 # --- graph6 serialization -------------------------------------------------
@@ -352,22 +358,25 @@ def graph6_decode(data: bytes | str) -> Graph:
     expect = (nbits + 5) // 6
     if len(body) != expect:
         raise ValueError(f"graph6 body has {len(body)} bytes, expected {expect}")
-    acc = 0
+    # the set bits in order, high bit first in each byte: bit p is the pair
+    # (i, j) of the column j that starts at bit j(j-1)/2, so j only grows
+    rows = [0] * n
+    first, start, j = 0, 0, 1  # the byte's first bit, column j's first bit
     for b in body:
         x = b - 63
         if x < 0 or x > 63:
             raise ValueError(f"invalid graph6 data byte {b}")
-        acc = acc << 6 | x
-    pad = 6 * expect - nbits
-    if acc & ((1 << pad) - 1):
-        raise ValueError("nonzero padding bits in graph6 data")
-    rows = [0] * n
-    if nbits:
-        # bit p of ``stream`` is bit p of the upper triangle
-        stream = int(format(acc >> pad, f"0{nbits}b")[::-1], 2)
-        for j in range(1, n):
-            col = stream >> (j * (j - 1) // 2) & ((1 << j) - 1)
-            rows[j] |= col
-            for i in iter_bits(col):
-                rows[i] |= 1 << j
+        while x:
+            k = x.bit_length()
+            x ^= 1 << k - 1
+            p = first + 6 - k
+            if p >= nbits:
+                raise ValueError("nonzero padding bits in graph6 data")
+            while start + j <= p:
+                start += j
+                j += 1
+            i = p - start
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        first += 6
     return _trusted(n, tuple(rows))

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import random
 from itertools import combinations
@@ -6,7 +7,6 @@ import pytest
 
 from dissoc import (
     U_rt,
-    classify,
     cycle,
     disjoint_union,
     from_edges,
@@ -20,8 +20,10 @@ from dissoc import (
     tree_code,
     unicyclic_code,
 )
-from dissoc.canon import GENERATOR_VERSION, GENERATORS, _coded_tree, _rerooted
+from dissoc import canon
+from dissoc.canon import GENERATOR_VERSION, GENERATORS, _coded_tree, _extended, _free_text, _rerooted, _tree_text
 from dissoc.corpus import DEFAULT_TREE_CAP, DEFAULT_UNICYCLIC_CAP, CorpusStore
+from dissoc.graphs import classify
 
 from oracles import (
     IsoClassRegistry,
@@ -139,6 +141,63 @@ def test_generator_output_is_pinned():
         f"if that is intended, bump canon.GENERATOR_VERSION (now {GENERATOR_VERSION!r}), "
         "which keys the corpus cache files, and update GENERATOR_DIGEST"
     )
+
+
+# the same digest over the orders the corpus-build benchmark generates past
+# those: trees and caterpillars of order 13..14, unicyclic graphs of 12..13
+CORPUS_BUILD_DIGEST = "78b2506c814356ce2d54af7a7612e6bef70cafa63aa6dd96eb537c1d88652395"
+
+
+def test_generator_output_is_pinned_at_corpus_build_orders():
+    h = hashlib.sha256()
+    for n in (13, 14):
+        for g in generate_trees(n):
+            h.update(graph6_encode(g))
+            h.update(tree_code(g).text.encode())
+    for n in (13, 14):
+        for g in generate_caterpillars(n):
+            h.update(graph6_encode(g))
+    for n in (12, 13):
+        for g in generate_unicyclic(n):
+            h.update(graph6_encode(g))
+            h.update(unicyclic_code(g).text.encode())
+    assert h.hexdigest() == CORPUS_BUILD_DIGEST
+
+
+def test_extended_peel_matches_a_fresh_peel():
+    # every leaf extension the tree table could make, twins included
+    for n in range(1, 11):
+        for g in generate_trees(n):
+            peel = _coded_tree(g.adj)
+            before = copy.deepcopy(peel)
+            for v in range(n):
+                rows = list(g.adj)
+                rows[v] |= 1 << n
+                rows.append(1 << v)
+                fresh = _coded_tree(rows)
+                ext = _extended(peel, v)
+                assert _free_text(ext, n + 1) == _tree_text(rows)
+                assert sorted(ext[0]) == list(range(n + 1))
+                for u in range(n + 1):
+                    assert _rerooted(ext, u) == _rerooted(fresh, u)
+                assert peel == before, "the parent's peel changed"
+
+
+def test_tree_table_peels_each_parent_tree_once(monkeypatch):
+    # one _layout per tree of order 1..10 extended, plus the order-1 base;
+    # coding every extension from scratch would peel each extension instead
+    calls = []
+
+    def counted(adj):
+        calls.append(len(adj))
+        return layout(adj)
+
+    layout = canon._layout
+    monkeypatch.setattr(canon, "_layout", counted)
+    monkeypatch.setattr(canon, "_tree_levels", {})
+    table = canon._tree_table(11)
+    assert len(table) == free_tree_counts(11)[11]
+    assert len(calls) == 1 + sum(free_tree_counts(10)[1:])
 
 
 def test_code_soundness_vs_bruteforce_order7():

@@ -3,7 +3,6 @@ import pytest
 from dissoc import (
     U_pq,
     U_rt,
-    classify,
     cycle,
     enumerate_U_rt_class,
     extremal_caterpillars,
@@ -19,6 +18,7 @@ from dissoc import (
     tree_code,
     unicyclic_code,
 )
+from dissoc.graphs import classify
 
 
 def test_spider_small_cases():

@@ -4,12 +4,13 @@ from hypothesis import strategies as st
 
 from dissoc import (
     Graph,
-    classify,
     closed_neighborhood,
     cycle,
     delete_vertices,
     disjoint_union,
     from_edges,
+    generate_trees,
+    generate_unicyclic,
     graph6_decode,
     graph6_encode,
     is_caterpillar,
@@ -21,7 +22,7 @@ from dissoc import (
     vset,
 )
 
-from dissoc.graphs import _layout, _unicyclic_cycle
+from dissoc.graphs import _layout, _unicyclic_cycle, classify
 from oracles import delete_vertices_bitwise, graph6_decode_bitwise, graph6_encode_bitwise, random_connected_graph
 import random
 
@@ -288,6 +289,21 @@ def test_caterpillar():
     assert is_caterpillar(path(2))
 
 
+def test_is_caterpillar_matches_its_definition():
+    # a tree whose non-leaf vertices, split off by delete_vertices, form a
+    # path or nothing; graphs with n - 1 edges that are no tree included
+    graphs = [g for n in range(1, 11) for g in generate_trees(n)]
+    graphs += [g for n in range(3, 9) for g in generate_unicyclic(n)]
+    graphs += [disjoint_union(cycle(3), from_edges(1, [])), disjoint_union(path(3), path(2)), from_edges(2, [])]
+    for g in graphs:
+        spine = g.full_mask & ~leaves(g)
+        expect = classify(g).kind == "tree"
+        if expect and spine.bit_count() > 1:
+            h, _ = delete_vertices(g, leaves(g))
+            expect = classify(h).kind == "tree" and all(row.bit_count() <= 2 for row in h.adj)
+        assert is_caterpillar(g) == expect, g.adj
+
+
 def test_graph6_k1_frozen():
     # one size byte 1+63='@', no data bytes
     assert graph6_encode(from_edges(1, [])) == b"@"
@@ -361,6 +377,20 @@ def test_graph6_codec_matches_bitwise_oracle():
         bytes([126, 63, 64, 63]) + b"?" * 336,
         bytes([63 + 65]),
     ]
+    # sparse graphs and the four-byte size prefix, each also with one body
+    # byte changed and, where it has padding, its lowest padding bit set
+    sparse = [g for n in range(1, 9) for g in generate_trees(n)]
+    sparse += [g for n in range(3, 9) for g in generate_unicyclic(n)] + [path(63), cycle(64)]
+    pick = random.Random(6)
+    for g in sparse:
+        data = graph6_encode(g)
+        samples.append(data)
+        head = 4 if g.n > 62 else 1
+        if len(data) > head:
+            i = pick.randrange(head, len(data))
+            samples.append(data[:i] + bytes([(data[i] - 63 ^ pick.randrange(1, 64)) + 63]) + data[i + 1:])
+        if g.n * (g.n - 1) // 2 % 6:
+            samples.append(data[:-1] + bytes([(data[-1] - 63 | 1) + 63]))
     for _ in range(200):
         g = _random_graph(rng, rng.randint(1, 64))
         data = graph6_encode(g)
