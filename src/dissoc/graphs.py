@@ -8,7 +8,7 @@ reduce to integer bit operations.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 MAX_ORDER = 64
 
@@ -188,11 +188,6 @@ def closed_neighborhood(g: Graph, v: int) -> int:
     return g.adj[v] | (1 << v)
 
 
-class Classification(NamedTuple):
-    kind: str  # "tree" | "unicyclic" | "other"
-    components: int
-
-
 def _component(adj: Sequence[int], v: int, within: int) -> int:
     """The vertices of v's component in the subgraph induced by ``within``,
     as a bitmask."""
@@ -257,23 +252,6 @@ def _unicyclic_cycle(layout: tuple) -> list[int] | None:
     if len(cores) != 1 or cores[0][1] != 1 or parent.count(-1) != len(cores[0][0]):
         return None
     return cores[0][0]
-
-
-def classify(g: Graph) -> Classification:
-    """Classify as tree, unicyclic, or other, with component count, from
-    the leaf peel: each tree component leaves one vertex with parent -1,
-    and each other component one core, whose vertices all have parent -1.
-    """
-    layout = _layout(g.adj)
-    _, parent, cores = layout
-    components = parent.count(-1) - sum(len(walk) for walk, _ in cores) + len(cores)
-    if _unicyclic_cycle(layout) is not None:
-        kind = "unicyclic"
-    elif components == 1 and not cores:
-        kind = "tree"
-    else:
-        kind = "other"
-    return Classification(kind, components)
 
 
 def leaves(g: Graph) -> int:

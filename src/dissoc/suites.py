@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import random
 import time
-from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+from concurrent.futures.process import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache
@@ -111,12 +111,7 @@ def _pmap(fn: Callable, items: Sequence, jobs: int) -> Iterator:
         return map(fn, items)
     workers = _workers(jobs)
     chunk = max(1, len(items) // (workers * CHUNKS_PER_WORKER))
-    try:
-        return _pool(workers).map(fn, items, chunksize=chunk)
-    except BrokenProcessPool:
-        # a dead worker breaks the pool for good; the next map starts a new one
-        _pool.cache_clear()
-        raise
+    return _pool(workers).map(fn, items, chunksize=chunk)
 
 
 @contextmanager
@@ -187,11 +182,12 @@ def _extremal_report(
     )
 
 
-# A check that reads a corpus is a generator over its orders and the graphs
-# of its suite's class (``Suite.corpus``): it yields its one per-graph map,
+# A check is a generator over its orders and, if it reads a corpus
+# (``Suite.corpus``), that class's graphs: it yields its one per-graph map,
 # (fn, graphs), is sent fn's results in graph order, and returns its report.
-# ``_start`` runs every check, a body or not, and only over orders that
-# ``suite_orders`` has resolved: no check tests its own domain start or cap.
+# Code before the yield runs as the suite starts, outside its run, so every
+# count comes after it. No check tests its own domain start or cap:
+# ``suite_orders`` resolves them before ``_start`` runs the check.
 Body = Generator[tuple[Callable, Sequence[Graph]], list, VerificationReport]
 
 
@@ -223,12 +219,13 @@ def _tree_theorem(n: int, graphs: list[Graph]) -> Body:
     return _minimum_report("trees", n, graphs, phis, (n + 1) // 2 + 1, extremal_trees(n))
 
 
-def _path_corollary(lo: int, hi: int) -> VerificationReport:
+def _path_corollary(lo: int, hi: int) -> Body:
     """Paths meet the tree bound with equality exactly at orders 3, 4, 5."""
     graphs = [path(n) for n in range(lo, hi + 1)]
+    phis = yield phi, graphs
     bounds = [(g.n + 1) // 2 + 1 for g in graphs]
     expected = [g for g in graphs if g.n in (3, 4, 5)]
-    return _extremal_report("paths", f"{lo}..{hi}", graphs, [phi(g) for g in graphs], bounds, expected)
+    return _extremal_report("paths", f"{lo}..{hi}", graphs, phis, bounds, expected)
 
 
 def _caterpillar_corollary(lo: int, hi: int, trees: list[Graph]) -> Body:
@@ -241,12 +238,13 @@ def _caterpillar_corollary(lo: int, hi: int, trees: list[Graph]) -> Body:
     return _extremal_report("caterpillars", f"{lo}..{hi}", graphs, phis, bounds, expected)
 
 
-def _cycle_lemma(lo: int, hi: int) -> VerificationReport:
+def _cycle_lemma(lo: int, hi: int) -> Body:
     """phi(C_n) is at least phi(P_{n-1}) + 1, with equality only at n=6."""
     graphs = [cycle(n) for n in range(lo, hi + 1)]
-    bounds = [phi(path(n - 1)) + 1 for n in range(lo, hi + 1)]
+    phis = yield phi, graphs
+    bounds = [phi(path(g.n - 1)) + 1 for g in graphs]
     expected = [g for g in graphs if g.n == 6]
-    return _extremal_report("cycle", f"{lo}..{hi}", graphs, [phi(g) for g in graphs], bounds, expected)
+    return _extremal_report("cycle", f"{lo}..{hi}", graphs, phis, bounds, expected)
 
 
 def _leaf_removal_check(g: Graph) -> tuple[list[Violation], int]:
@@ -271,13 +269,13 @@ def _leaf_removal_check(g: Graph) -> tuple[list[Violation], int]:
     return _violations(g, claims), len(ys)
 
 
-def _leaf_removal_lemma(n: int) -> VerificationReport:
+def _leaf_removal_lemma(n: int) -> Body:
     """For cycles with pendants, removing a closed leaf neighborhood drops
     the count by at least 2; the refined-count identity behind the argument
     is checked directly at orders up to LEAF_IDENTITY_ORDER_CAP."""
     # a cycle of order r >= 3 with t = n - r pendants, 1 <= t <= r
     graphs = [g for r in range(max(3, (n + 1) // 2), n) for g in enumerate_U_rt_class(r, n - r)]
-    violations, leaf_counts = _flattened([_leaf_removal_check(g) for g in graphs])
+    violations, leaf_counts = _flattened((yield _leaf_removal_check, graphs))
     return VerificationReport(
         suite="leaf-removal",
         order=str(n),
@@ -404,7 +402,7 @@ def _pendant_path_lemma(n: int, graphs: list[Graph]) -> Body:
     )
 
 
-def _case3_subcases(n: int) -> VerificationReport:
+def _case3_subcases(n: int) -> Body:
     """Attaching a pendant path at each vertex orbit of the order-(n-2)
     extremal graph reproduces the closed-form counts: the orbits of each
     vertex role take exactly that role's set of counts."""
@@ -423,13 +421,13 @@ def _case3_subcases(n: int) -> VerificationReport:
     for w in range(base.n):
         extended = from_edges(base.n + 2, base.edges() + [(w, base.n), (base.n, base.n + 1)])
         orbits.setdefault(unicyclic_code(extended).text, (extended, []))[1].append(w)
+    ordered = [orbits[code] for code in sorted(orbits)]
+    values = yield phi, [extended for extended, _ in ordered]
 
     violations = []
     observations = []
-    for code in sorted(orbits):
-        extended, members = orbits[code]
+    for (extended, members), value in zip(ordered, values):
         roles = {role[w] for w in members}
-        value = phi(extended)
         violations += _violations(extended, [("orbit_role_mixed", len(roles), 1, len(roles) == 1)])
         if len(roles) == 1:
             observations.append(
@@ -494,10 +492,10 @@ class Suite(NamedTuple):
     start: int  # smallest order of the suite's domain
     end: int  # largest order run by default
     per_order: bool  # check(n, ...) once per order, else check(lo, hi, ...) once
-    # the corpus class the check reads; such a check is a body (see Body),
+    # the corpus class the check reads, if any; its body (see Body) is
     # handed that class's graphs of its orders after the orders
     corpus: str | None
-    check: Callable[..., VerificationReport | Body]
+    check: Callable[..., Body]
     cap: int | None = None  # largest order the check runs at all
 
 
@@ -538,29 +536,26 @@ def suite_orders(name: str, orders: tuple[int, int] | None, corpora: CorpusStore
 
 
 def _start(name: str, args: tuple, corpora: CorpusStore, jobs: int) -> Callable[[], VerificationReport]:
-    """Start one report of a suite: a check that reads a corpus reads its
-    graphs and queues its per-graph map here. Returns the report's finish,
-    which reads the results in graph order and builds the report (any other
-    check runs whole there); the report's runtime covers both steps."""
+    """Start one report of a suite: its check is handed its class's graphs,
+    if it reads a corpus, and its per-graph map is queued here. Returns the
+    report's finish, which reads the results in graph order and sends them
+    to the check for its report; the report's runtime covers both steps."""
     suite = SUITES[name]
     t0 = time.perf_counter()
     with _cancelling(jobs):
-        if suite.corpus:
-            body = suite.check(*args, corpora.graphs(suite.corpus, args[0], args[-1]))
-            fn, graphs = next(body)
-            results = _pmap(fn, graphs, jobs)
+        corpus = [corpora.graphs(suite.corpus, args[0], args[-1])] if suite.corpus else []
+        body = suite.check(*args, *corpus)
+        fn, graphs = next(body)
+        results = _pmap(fn, graphs, jobs)
     start_s = time.perf_counter() - t0
 
     def finish() -> VerificationReport:
         t1 = time.perf_counter()
         with _cancelling(jobs):
-            if not suite.corpus:
-                report = suite.check(*args)
-            else:
-                try:
-                    body.send(list(results))
-                except StopIteration as done:
-                    report = done.value
+            try:
+                body.send(list(results))
+            except StopIteration as done:
+                report = done.value
         report.runtime_ms = (start_s + time.perf_counter() - t1) * 1000
         return report
 

@@ -11,15 +11,19 @@ cap, by a backtracking search in label order that takes only public names
 from ``dissoc``; the package lists and counts them from a frontier sweep
 instead. Pendant paths are found by scanning degrees rather than from the
 leaf peel, and graph6 coding and vertex deletion work one bit at a time.
+Graphs are classified by a breadth-first search and edge counts, not by
+the leaf peel.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +54,38 @@ def prufer_decode(seq: tuple[int, ...], n: int) -> Graph:
     v = heapq.heappop(leaves)
     edges.append((u, v))
     return from_edges(n, edges)
+
+
+class Classification(NamedTuple):
+    kind: str  # "tree" | "unicyclic" | "other"
+    components: int
+
+
+def classify(g: Graph) -> Classification:
+    """Tree, unicyclic or other, with the component count. A breadth-first
+    search finds each component's vertices and edges: a connected graph
+    with m = n - 1 edges is a tree, one with m = n is unicyclic."""
+    seen = [False] * g.n
+    components = []  # (vertices, edges) of each component
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        queue, vertices, degrees = deque([s]), 0, 0
+        while queue:
+            v = queue.popleft()
+            vertices += 1
+            for u in iter_bits(g.adj[v]):
+                degrees += 1
+                if not seen[u]:
+                    seen[u] = True
+                    queue.append(u)
+        components.append((vertices, degrees // 2))
+    kind = "other"
+    if len(components) == 1:
+        n, m = components[0]
+        kind = "tree" if m == n - 1 else "unicyclic" if m == n else "other"
+    return Classification(kind, len(components))
 
 
 def all_labeled_trees(n: int):

@@ -23,10 +23,10 @@ from dissoc import (
 from dissoc import canon
 from dissoc.canon import GENERATOR_VERSION, GENERATORS, _coded_tree, _extended, _free_text, _rerooted, _tree_text
 from dissoc.corpus import DEFAULT_TREE_CAP, DEFAULT_UNICYCLIC_CAP, CorpusStore
-from dissoc.graphs import classify
 
 from oracles import (
     IsoClassRegistry,
+    classify,
     count_trees_bruteforce,
     count_unicyclic_bruteforce,
     free_tree_counts,

@@ -396,9 +396,10 @@ def test_verify_all_queues_every_map_before_reading_any(capsys, queue_recorder):
     argv = ("verify", "--suite", "all", "--orders", "9", "--format", "json")
     code, out, _ = run_cli(capsys, *argv, "--jobs", "2")
     kinds = [kind for kind, _ in queue_recorder]
-    # one map per report of main, trees, caterpillars, surgery, pendant-path
-    # and identities
-    assert kinds == ["queued"] * 6 + ["read"] * 6
+    # one map per report of main, trees, caterpillars, leaf-removal, surgery,
+    # pendant-path, subcases and identities; paths and cycle map one graph
+    # each, too few for the pool
+    assert kinds == ["queued"] * 8 + ["read"] * 8
     assert code == 0 and (code, out) == run_cli(capsys, *argv)[:2]
 
 

@@ -18,7 +18,7 @@ from dissoc import (
     tree_code,
     unicyclic_code,
 )
-from dissoc.graphs import classify
+from oracles import classify
 
 
 def test_spider_small_cases():

@@ -22,8 +22,8 @@ from dissoc import (
     vset,
 )
 
-from dissoc.graphs import _layout, _unicyclic_cycle, classify
-from oracles import delete_vertices_bitwise, graph6_decode_bitwise, graph6_encode_bitwise, random_connected_graph
+from dissoc.graphs import _layout, _unicyclic_cycle
+from oracles import classify, delete_vertices_bitwise, graph6_decode_bitwise, graph6_encode_bitwise, random_connected_graph
 import random
 
 

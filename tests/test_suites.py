@@ -1,3 +1,4 @@
+import inspect
 import json
 from concurrent.futures.process import BrokenProcessPool
 
@@ -448,12 +449,11 @@ def test_jobs_do_not_change_reports():
 
 def _direct(name, args):
     """Run a SUITES row's check on ``args`` in this process, without the
-    runner: a corpus check's body is handed its corpus and then its
-    per-graph results, mapped here in graph order."""
+    runner: its body is handed its class's corpus, if the row names one,
+    and then its per-graph results, mapped here in graph order."""
     suite = SUITES[name]
-    if not suite.corpus:
-        return suite.check(*args)
-    body = suite.check(*args, CORPORA.graphs(suite.corpus, args[0], args[-1]))
+    corpus = [CORPORA.graphs(suite.corpus, args[0], args[-1])] if suite.corpus else []
+    body = suite.check(*args, *corpus)
     fn, graphs = next(body)
     try:
         body.send([fn(g) for g in graphs])
@@ -473,6 +473,23 @@ def test_suite_table_matches_direct_checks():
     assert [r.to_dict() for r in seq] == [r.to_dict() for r in par]
 
 
+def test_every_check_yields_its_map_before_counting(monkeypatch):
+    # one check shape: every row's check is a body, and nothing before its
+    # yield counts, so every count falls inside its suite's run
+    def refuse(*args, **kwargs):
+        raise AssertionError("counted before the map was yielded")
+
+    for name in ("phi", "phi_refined", "mds_profile", "_detached_triples", "_surgery_triples"):
+        monkeypatch.setattr(suites, name, refuse)
+    for name, suite in SUITES.items():
+        assert inspect.isgeneratorfunction(suite.check), name
+        n = suite.start
+        args = (n,) if suite.per_order else (n, n)
+        corpus = [CORPORA.graphs(suite.corpus, n, n)] if suite.corpus else []
+        fn, graphs = next(suite.check(*args, *corpus))
+        assert callable(fn) and graphs, name
+
+
 def test_run_suite_dispatch():
     reports = run_suite("main", orders=(3, 6))
     assert [r.order for r in reports] == ["3", "4", "5", "6"]
@@ -484,9 +501,9 @@ def test_run_suite_dispatch():
 
 
 def test_pmap_drops_a_broken_pool(monkeypatch):
-    # a pool broken by a dead worker is not reused: the next map builds a
-    # new one (no process is started here)
-    built = []
+    # a pool broken by a dead worker is not reused: the run shuts it down
+    # and the next map builds a new one (no process is started here)
+    built, shut = [], []
 
     class Broken:
         def __init__(self, max_workers):
@@ -495,16 +512,20 @@ def test_pmap_drops_a_broken_pool(monkeypatch):
         def map(self, fn, items, chunksize=1):
             raise BrokenProcessPool("a worker died")
 
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            shut.append(cancel_futures)
+
     monkeypatch.setattr(suites.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(suites, "ProcessPoolExecutor", Broken)
     suites._pool.cache_clear()
     try:
         for _ in range(2):
             with pytest.raises(BrokenProcessPool):
-                suites._pmap(abs, list(range(8)), 2)
+                _run("main", 8, jobs=2)
+            assert suites._pool.cache_info().currsize == 0
     finally:
         suites._pool.cache_clear()
-    assert built == [2, 2]
+    assert built == [2, 2] and shut == [True, True]
 
 
 def test_reading_a_broken_pool_drops_it(monkeypatch):
