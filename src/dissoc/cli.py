@@ -60,11 +60,7 @@ def _load_graph(args) -> Graph:
 
 def cmd_phi(args) -> int:
     g = _load_graph(args)
-    constraints = [_parse_constraint(c) for c in args.constraint or []]
-    if constraints:
-        print(phi_refined(g, constraints))
-    else:
-        print(phi(g))
+    print(phi_refined(g, [_parse_constraint(c) for c in args.constraint or []]))  # phi without constraints
     return 0
 
 

@@ -24,7 +24,7 @@ from .canon import _tree_text, unicyclic_code
 from .corpus import CorpusStore
 from .families import enumerate_U_rt_class, extremal_caterpillars, extremal_trees, extremal_unicyclic
 from .graphs import MAX_ORDER, Graph, bit_list, closed_neighborhood, cycle, delete_vertices, disjoint_union
-from .graphs import from_edges, graph6_encode, is_caterpillar, leaves, path, support_vertices, vset
+from .graphs import from_edges, graph6_encode, is_caterpillar, leaves, path, support_vertices
 from .mds import Status, _detached_triples, _surgery_triples, mds_profile, phi, phi_refined
 
 # _pmap cuts a map into this many chunks per worker
@@ -151,14 +151,9 @@ def _phi_minus(g: Graph, mask: int) -> int:
 
 
 def _extremal_report(
-    suite: str,
-    order: str,
-    graphs: Sequence[Graph],
-    values: Sequence[int],
-    bounds: Sequence[int],
-    expected: Iterable[Graph],
-) -> VerificationReport:
-    """The shape of every extremal statement checked here: each value is at
+    graphs: Sequence[Graph], values: Sequence[int], bounds: Sequence[int], expected: Iterable[Graph]
+) -> dict:
+    """The findings of every extremal statement checked here: each value is at
     least its graph's bound, and the graphs at equality are, up to
     isomorphism, exactly ``expected``. Only graphs at equality are coded. An
     unexpected or missing graph carries (graphs at equality, graphs expected)."""
@@ -172,51 +167,42 @@ def _extremal_report(
     have = {code for _, code in minimizers}
     violations += [Violation(g6, "unexpected_minimizer", *sizes) for g6, code in minimizers if code not in want]
     violations += [Violation(g6, "missing_minimizer", *sizes) for g6, code in expected_min if code not in have]
-    return VerificationReport(
-        suite=suite,
-        order=order,
-        graphs_examined=len(graphs),
-        violations=violations,
-        minimizers=minimizers,
-        expected_minimizers=expected_min,
-    )
+    return {"violations": violations, "minimizers": minimizers, "expected_minimizers": expected_min}
 
 
 # A check is a generator over its orders and, if it reads a corpus
 # (``Suite.corpus``), that class's graphs: it yields its one per-graph map,
-# (fn, graphs), is sent fn's results in graph order, and returns its report.
-# Code before the yield runs as the suite starts, outside its run, so every
-# count comes after it. No check tests its own domain start or cap:
-# ``suite_orders`` resolves them before ``_start`` runs the check.
-Body = Generator[tuple[Callable, Sequence[Graph]], list, VerificationReport]
+# (fn, graphs), is sent fn's results in graph order, and returns its report's
+# fields beyond the suite, order and graphs_examined (len(graphs)) that
+# ``_start`` sets, or overriding them. Code before the yield runs as the suite
+# starts, outside its run, so every count comes after it. No check tests its
+# own domain start or cap: ``suite_orders`` resolves them before ``_start``.
+Body = Generator[tuple[Callable, Sequence[Graph]], list, dict]
 
 
-def _minimum_report(
-    suite: str, n: int, graphs: list[Graph], phis: list[int], bound: int, expected: list[Graph]
-) -> VerificationReport:
+def _minimum_report(graphs: list[Graph], phis: list[int], bound: int, expected: list[Graph]) -> dict:
     """The extremal report of one bound that the least value must attain.
     When the least value lies above the bound, equality is taken there, so
     the graphs attaining it are the minimizers."""
     min_phi = min(phis, default=0)
-    report = _extremal_report(suite, str(n), graphs, phis, [max(bound, min_phi)] * len(graphs), expected)
-    report.bound, report.min_phi = bound, min_phi
+    fields = _extremal_report(graphs, phis, [max(bound, min_phi)] * len(graphs), expected)
     if min_phi != bound:
-        report.violations.append(Violation("", "min_phi_equals_bound", min_phi, bound))
-    return report
+        fields["violations"].append(Violation("", "min_phi_equals_bound", min_phi, bound))
+    return {**fields, "bound": bound, "min_phi": min_phi}
 
 
 def _main_theorem(n: int, graphs: list[Graph]) -> Body:
     """Every unicyclic graph of order n has at least floor(n/2)+2 maximal
     dissociation sets, with the predicted minimizer set exactly attained."""
     phis = yield phi, graphs
-    return _minimum_report("main", n, graphs, phis, n // 2 + 2, extremal_unicyclic(n))
+    return _minimum_report(graphs, phis, n // 2 + 2, extremal_unicyclic(n))
 
 
 def _tree_theorem(n: int, graphs: list[Graph]) -> Body:
     """Every tree of order n has at least ceil(n/2)+1 maximal dissociation
     sets, with minimizers exactly the predicted spiders."""
     phis = yield phi, graphs
-    return _minimum_report("trees", n, graphs, phis, (n + 1) // 2 + 1, extremal_trees(n))
+    return _minimum_report(graphs, phis, (n + 1) // 2 + 1, extremal_trees(n))
 
 
 def _path_corollary(lo: int, hi: int) -> Body:
@@ -225,7 +211,7 @@ def _path_corollary(lo: int, hi: int) -> Body:
     phis = yield phi, graphs
     bounds = [(g.n + 1) // 2 + 1 for g in graphs]
     expected = [g for g in graphs if g.n in (3, 4, 5)]
-    return _extremal_report("paths", f"{lo}..{hi}", graphs, phis, bounds, expected)
+    return _extremal_report(graphs, phis, bounds, expected)
 
 
 def _caterpillar_corollary(lo: int, hi: int, trees: list[Graph]) -> Body:
@@ -235,7 +221,7 @@ def _caterpillar_corollary(lo: int, hi: int, trees: list[Graph]) -> Body:
     phis = yield phi, graphs
     bounds = [(g.n + 1) // 2 + 1 for g in graphs]
     expected = [g for g in extremal_caterpillars() if lo <= g.n <= hi]
-    return _extremal_report("caterpillars", f"{lo}..{hi}", graphs, phis, bounds, expected)
+    return _extremal_report(graphs, phis, bounds, expected)
 
 
 def _cycle_lemma(lo: int, hi: int) -> Body:
@@ -244,7 +230,7 @@ def _cycle_lemma(lo: int, hi: int) -> Body:
     phis = yield phi, graphs
     bounds = [phi(path(g.n - 1)) + 1 for g in graphs]
     expected = [g for g in graphs if g.n == 6]
-    return _extremal_report("cycle", f"{lo}..{hi}", graphs, phis, bounds, expected)
+    return _extremal_report(graphs, phis, bounds, expected)
 
 
 def _leaf_removal_check(g: Graph) -> tuple[list[Violation], int]:
@@ -276,13 +262,8 @@ def _leaf_removal_lemma(n: int) -> Body:
     # a cycle of order r >= 3 with t = n - r pendants, 1 <= t <= r
     graphs = [g for r in range(max(3, (n + 1) // 2), n) for g in enumerate_U_rt_class(r, n - r)]
     violations, leaf_counts = _flattened((yield _leaf_removal_check, graphs))
-    return VerificationReport(
-        suite="leaf-removal",
-        order=str(n),
-        graphs_examined=len(graphs),
-        violations=violations,
-        observations=[{"leaf_instances": sum(leaf_counts), "identity_checked": n <= LEAF_IDENTITY_ORDER_CAP}],
-    )
+    observations = [{"leaf_instances": sum(leaf_counts), "identity_checked": n <= LEAF_IDENTITY_ORDER_CAP}]
+    return {"violations": violations, "observations": observations}
 
 
 def _surgery_graphs(u_graph: Graph, w: int, k: int) -> tuple[Graph, Graph]:
@@ -345,15 +326,8 @@ def _surgery_lemma(lo: int, hi: int, graphs: list[Graph]) -> Body:
     necessary condition."""
     violations, results = _flattened((yield _surgery_instances, graphs))
     observations = [o for obs, _ in results for o in obs]
-    return VerificationReport(
-        suite="surgery",
-        order=f"{lo}..{hi}",
-        graphs_examined=len(graphs),
-        violations=violations,
-        observations=observations + [
-            {"instances": sum(n for _, n in results), "equality_instances": len(observations), "k_max": SURGERY_K_MAX}
-        ],
-    )
+    tally = {"instances": sum(n for _, n in results), "equality_instances": len(observations), "k_max": SURGERY_K_MAX}
+    return {"violations": violations, "observations": observations + [tally]}
 
 
 def _pendant_path_check(g: Graph) -> tuple[list[Violation], tuple[int, int]]:
@@ -376,10 +350,10 @@ def _pendant_path_check(g: Graph) -> tuple[list[Violation], tuple[int, int]]:
             ("pendant_path_claim3_ge", c3_lhs, h_excl, c3_lhs >= h_excl),
         ]
         claim2_eq += c2_lhs == c2_rhs
-    # cross-check the pass against a pinned count of the first reduced graph
-    w, u, v = triples[0]
-    h, relabel = delete_vertices(g, vset([u, v]))
-    pinned = phi_refined(h, [(relabel[w], Status.IN_DEGREE0)])
+    # cross-check the first path on g: with v in, u is blocked, so the sets of g
+    # with w isolated and v in are those of g - {u, v} with w isolated, plus v
+    w, _, v = triples[0]
+    pinned = phi_refined(g, [(w, Status.IN_DEGREE0), (v, Status.IN_ANY)])
     h_deg0 = split[0][1][1]
     claims.append(("pendant_path_cross_check", h_deg0, pinned, h_deg0 == pinned))
     return _violations(g, claims), (claim2_eq, len(triples))
@@ -391,15 +365,13 @@ def _pendant_path_lemma(n: int, graphs: list[Graph]) -> Body:
     violations, results = _flattened((yield _pendant_path_check, graphs))
     claim2_eq = sum(eq for eq, _ in results)
     total = sum(t for _, t in results)
-    return VerificationReport(
-        suite="pendant-path",
-        order=str(n),
-        graphs_examined=sum(1 for _, t in results if t),
-        violations=violations,
-        observations=[
+    return {
+        "graphs_examined": sum(1 for _, t in results if t),  # the graphs with a pendant path
+        "violations": violations,
+        "observations": [
             {"pendant_path_instances": total, "claim2_equality_instances": claim2_eq, "claims_checked": True}
         ],
-    )
+    }
 
 
 def _case3_subcases(n: int) -> Body:
@@ -436,13 +408,7 @@ def _case3_subcases(n: int) -> Body:
     have = {r: {o["phi"] for o in observations if o["role"] == r} for r in expected_by_role}
     claims = [(f"subcase_{r}", sum(have[r]), sum(want), have[r] == want) for r, want in expected_by_role.items()]
     violations += _violations(base, claims)
-    return VerificationReport(
-        suite="subcases",
-        order=str(n),
-        graphs_examined=len(orbits),
-        violations=violations,
-        observations=observations,
-    )
+    return {"violations": violations, "observations": observations}
 
 
 def _identity_check(g: Graph) -> tuple[list[Violation], int]:
@@ -479,13 +445,8 @@ def _identity_suite(lo: int, hi: int, graphs: list[Graph]) -> Body:
         union = disjoint_union(g, h)
         joint, separate = phi(union), phi_g * phi_h
         violations += _violations(union, [("union_multiplicativity", joint, separate, joint == separate)])
-    return VerificationReport(
-        suite="identities",
-        order=f"corpus[{len(graphs)}]",
-        graphs_examined=len(graphs),
-        violations=violations,
-        observations=[{"union_pairs": pairs_done, "seed": IDENTITY_PAIR_SEED}],
-    )
+    observations = [{"union_pairs": pairs_done, "seed": IDENTITY_PAIR_SEED}]
+    return {"order": f"corpus[{len(graphs)}]", "violations": violations, "observations": observations}
 
 
 class Suite(NamedTuple):
@@ -538,8 +499,8 @@ def suite_orders(name: str, orders: tuple[int, int] | None, corpora: CorpusStore
 def _start(name: str, args: tuple, corpora: CorpusStore, jobs: int) -> Callable[[], VerificationReport]:
     """Start one report of a suite: its check is handed its class's graphs,
     if it reads a corpus, and its per-graph map is queued here. Returns the
-    report's finish, which reads the results in graph order and sends them
-    to the check for its report; the report's runtime covers both steps."""
+    report's finish, which reads the results in graph order, sends them to
+    the check and builds its report; the report's runtime covers both steps."""
     suite = SUITES[name]
     t0 = time.perf_counter()
     with _cancelling(jobs):
@@ -548,6 +509,8 @@ def _start(name: str, args: tuple, corpora: CorpusStore, jobs: int) -> Callable[
         fn, graphs = next(body)
         results = _pmap(fn, graphs, jobs)
     start_s = time.perf_counter() - t0
+    order = str(args[0]) if suite.per_order else f"{args[0]}..{args[1]}"
+    fields = {"suite": name, "order": order, "graphs_examined": len(graphs)}
 
     def finish() -> VerificationReport:
         t1 = time.perf_counter()
@@ -555,7 +518,7 @@ def _start(name: str, args: tuple, corpora: CorpusStore, jobs: int) -> Callable[
             try:
                 body.send(list(results))
             except StopIteration as done:
-                report = done.value
+                report = VerificationReport(**(fields | done.value))
         report.runtime_ms = (start_s + time.perf_counter() - t1) * 1000
         return report
 

@@ -273,6 +273,21 @@ def test_pendant_paths_from_the_peel_match_the_scan():
         assert mds._pendant_paths(mds._layout(g.adj)[1]) == pendant_path_triples(g), g
 
 
+def test_two_pin_count_on_g_equals_pinned_count_on_the_reduced_graph():
+    # pendant-path cross-checks its pass by counting on g: with v in, u has
+    # two neighbours in the set, so the sets of g with w isolated and v in
+    # are, less v, the sets of g - {u, v} with w isolated
+    checked = 0
+    for n in range(3, 11):
+        for g in generate_unicyclic(n):
+            for w, u, v in pendant_path_triples(g):
+                checked += 1
+                h, relabel = delete_vertices(g, vset([u, v]))
+                on_g = phi_refined(g, [(w, Status.IN_DEGREE0), (v, Status.IN_ANY)])
+                assert on_g == phi_refined(h, [(relabel[w], Status.IN_DEGREE0)]), (g, w, u, v)
+    assert checked == 865
+
+
 def check_surgery_triples(orders):
     """``mds._surgery_triples`` for every surgery instance (w, k) of every
     unicyclic graph of the given orders: w's triples in g1 and g2 against

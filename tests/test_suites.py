@@ -1,3 +1,4 @@
+import ast
 import inspect
 import json
 from concurrent.futures.process import BrokenProcessPool
@@ -13,6 +14,7 @@ from dissoc.suites import (
     LEAF_REMOVAL_ORDER_CAP,
     SUITES,
     CorpusStore,
+    VerificationReport,
     Violation,
     run_suite,
 )
@@ -450,7 +452,9 @@ def test_jobs_do_not_change_reports():
 def _direct(name, args):
     """Run a SUITES row's check on ``args`` in this process, without the
     runner: its body is handed its class's corpus, if the row names one,
-    and then its per-graph results, mapped here in graph order."""
+    and then its per-graph results, mapped here in graph order. The report
+    takes the row's name, the order label of one order or of a range, and
+    the number of graphs mapped, then the fields the body returns."""
     suite = SUITES[name]
     corpus = [CORPORA.graphs(suite.corpus, args[0], args[-1])] if suite.corpus else []
     body = suite.check(*args, *corpus)
@@ -458,7 +462,8 @@ def _direct(name, args):
     try:
         body.send([fn(g) for g in graphs])
     except StopIteration as done:
-        return done.value
+        order = str(args[0]) if suite.per_order else f"{args[0]}..{args[1]}"
+        return VerificationReport(**{"suite": name, "order": order, "graphs_examined": len(graphs), **done.value})
     raise AssertionError(f"{name}: the body did not finish on its results")
 
 
@@ -471,6 +476,30 @@ def test_suite_table_matches_direct_checks():
     seq = run_suite("identities", orders=(3, 6), jobs=1)
     par = run_suite("identities", orders=(3, 6), jobs=2)
     assert [r.to_dict() for r in seq] == [r.to_dict() for r in par]
+
+
+def test_only_the_runner_builds_a_report():
+    # a report's suite, order and graphs_examined come from its SUITES row
+    # and its map, so one call in the runner builds every report, and no
+    # check body, or helper of one, names its suite
+    tree = ast.parse(inspect.getsource(suites))
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+    def report_calls(node):
+        return [
+            call for call in ast.walk(node)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "VerificationReport"
+        ]
+
+    assert len(report_calls(tree)) == 1
+    assert len(report_calls(functions["_start"])) == 1
+    for name, fn in functions.items():
+        if name == "_start":
+            continue
+        keywords = {node.arg for node in ast.walk(fn) if isinstance(node, ast.keyword)}
+        keys = {key.value for node in ast.walk(fn) if isinstance(node, ast.Dict)
+                for key in node.keys if isinstance(key, ast.Constant)}
+        assert "suite" not in keywords | keys, name
 
 
 def test_every_check_yields_its_map_before_counting(monkeypatch):
