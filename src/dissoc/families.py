@@ -10,25 +10,18 @@ r.. in sorted attachment order.
 from __future__ import annotations
 
 import re
-from itertools import combinations
+from itertools import chain, combinations
 
 from .canon import _dihedral_min, tree_code
-from .graphs import Graph, cycle, from_edges, path
+from .graphs import MAX_ORDER, Graph, cycle, from_edges, path
 
 
 def spider_T(p: int, q: int) -> Graph:
     """Spider tree of order p+q+1: center with p legs, q of length 2."""
     if q < 0 or p < q:
         raise ValueError(f"spider needs p >= q >= 0, got ({p}, {q})")
-    edges = []
-    label = 1
-    for _ in range(q):
-        edges += [(0, label), (label, label + 1)]
-        label += 2
-    for _ in range(p - q):
-        edges.append((0, label))
-        label += 1
-    return from_edges(p + q + 1, edges)
+    # each vertex v hangs from the center, or from v - 1 if it ends a long leg
+    return from_edges(p + q + 1, ((v - 1 if v <= 2 * q and v % 2 == 0 else 0, v) for v in range(1, p + q + 1)))
 
 
 def U_pq(p: int, q: int) -> Graph:
@@ -44,6 +37,8 @@ def U_rt(r: int, t: int, pattern: tuple[int, ...] | None = None) -> Graph:
 
     Default pattern is the consecutive positions 0..t-1.
     """
+    if r + t > MAX_ORDER:  # before the pattern, which holds t positions
+        raise ValueError(f"order must be in [1, {MAX_ORDER}], got {r + t}")
     if r < 3:
         raise ValueError("cycle part needs r >= 3")
     if not 0 <= t <= r:
@@ -55,9 +50,8 @@ def U_rt(r: int, t: int, pattern: tuple[int, ...] | None = None) -> Graph:
         raise ValueError(f"pattern must hold {t} distinct positions")
     if pattern and not all(0 <= p < r for p in pattern):
         raise ValueError("pattern position out of range")
-    edges = [(i, (i + 1) % r) for i in range(r)]
-    edges += [(pos, r + i) for i, pos in enumerate(pattern)]
-    return from_edges(r + t, edges)
+    pendants = ((pos, r + i) for i, pos in enumerate(pattern))
+    return from_edges(r + t, chain(((i, (i + 1) % r) for i in range(r)), pendants))
 
 
 def enumerate_U_rt_class(r: int, t: int) -> list[Graph]:

@@ -113,6 +113,8 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph on vertices 0..n-1 with the given edges.
 
     Duplicate edges collapse; self-loops and out-of-range endpoints raise.
+    It owns the family builders' order check: an order outside [1, MAX_ORDER]
+    raises before any edge is read, so they pass their edges lazily.
     """
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in [1, {MAX_ORDER}], got {n}")
@@ -129,16 +131,14 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def path(n: int) -> Graph:
     """The path P_n on vertices 0..n-1 labeled along the path."""
-    if n < 1:
-        raise ValueError("path needs n >= 1")
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n: int) -> Graph:
     """The cycle C_n, closing the edge (n-1, 0)."""
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def delete_vertices(g: Graph, s: int) -> tuple[Graph, dict[int, int]]:

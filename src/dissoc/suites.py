@@ -282,10 +282,9 @@ def _surgery_instances(u_graph: Graph) -> tuple[list[Violation], tuple[list[dict
     one targeted pass; g1 and g2 are built only to be named, and to
     cross-check the pass against their profiles on the first instance."""
     supports = support_vertices(u_graph)
+    # never empty: a leaf, or on a bare cycle any vertex, supports no leaf
     ws = [w for w in range(u_graph.n) if not supports >> w & 1]
-    pairs = [(w, k) for w in ws for k in range(2, SURGERY_K_MAX + 1) if u_graph.n + k <= MAX_ORDER]
-    if not pairs:
-        return [], ([], 0)
+    pairs = [(w, k) for w in ws for k in range(2, SURGERY_K_MAX + 1)]
     violations = []
     observations = []
     results = _surgery_triples(u_graph, pairs)
@@ -435,17 +434,14 @@ def _identity_suite(lo: int, hi: int, graphs: list[Graph]) -> Body:
     # each graph with its total, read from its profile
     counted = list(zip(graphs, totals))
     rng = random.Random(IDENTITY_PAIR_SEED)
-    pairs_done = 0
-    while pairs_done < IDENTITY_PAIR_COUNT and counted:
+    pairs = IDENTITY_PAIR_COUNT if counted else 0
+    for _ in range(pairs):
         g, phi_g = rng.choice(counted)
         h, phi_h = rng.choice(counted)
-        if g.n + h.n > MAX_ORDER:
-            continue
-        pairs_done += 1
         union = disjoint_union(g, h)
         joint, separate = phi(union), phi_g * phi_h
         violations += _violations(union, [("union_multiplicativity", joint, separate, joint == separate)])
-    observations = [{"union_pairs": pairs_done, "seed": IDENTITY_PAIR_SEED}]
+    observations = [{"union_pairs": pairs, "seed": IDENTITY_PAIR_SEED}]
     return {"order": f"corpus[{len(graphs)}]", "violations": violations, "observations": observations}
 
 
@@ -457,7 +453,9 @@ class Suite(NamedTuple):
     # handed that class's graphs of its orders after the orders
     corpus: str | None
     check: Callable[..., Body]
-    cap: int | None = None  # largest order the check runs at all
+    # the largest order the check runs, which only ``suite_orders`` tests,
+    # before any suite starts; ``from_edges`` refuses a graph past MAX_ORDER
+    cap: int = MAX_ORDER
 
 
 SUITES = {
@@ -467,10 +465,10 @@ SUITES = {
     "caterpillars": Suite(3, 9, False, "tree", _caterpillar_corollary),
     "cycle": Suite(4, 20, False, None, _cycle_lemma),
     "leaf-removal": Suite(5, 11, True, None, _leaf_removal_lemma, LEAF_REMOVAL_ORDER_CAP),
-    "surgery": Suite(3, 8, False, "unicyclic", _surgery_lemma),
+    "surgery": Suite(3, 8, False, "unicyclic", _surgery_lemma, MAX_ORDER - SURGERY_K_MAX),  # adds k leaves
     "pendant-path": Suite(5, 12, True, "unicyclic", _pendant_path_lemma),
     "subcases": Suite(9, 13, True, None, _case3_subcases),
-    "identities": Suite(3, 8, False, "unicyclic", _identity_suite),
+    "identities": Suite(3, 8, False, "unicyclic", _identity_suite, MAX_ORDER // 2),  # joins two graphs
 }
 
 
@@ -489,7 +487,7 @@ def suite_orders(name: str, orders: tuple[int, int] | None, corpora: CorpusStore
             f"suite {name!r} has no orders to check in {lo}..{hi} "
             f"(its domain starts at order {suite.start})"
         )
-    if suite.cap is not None and hi > suite.cap:
+    if hi > suite.cap:
         raise ValueError(f"suite {name!r} runs orders up to {suite.cap}, got {hi}")
     if suite.corpus:
         corpora.check_cap(suite.corpus, hi)

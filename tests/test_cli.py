@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -239,8 +240,12 @@ def test_verify_all_resolves_every_domain_first(monkeypatch, capsys):
         ("leaf-removal", "5..40", f"'leaf-removal' runs orders up to {suites.LEAF_REMOVAL_ORDER_CAP}, got 40"),
         # main would run 11..13 before its corpus of order 14 met the cap
         ("all", "11..14", "unicyclic corpus of order 14 is above its cap 13"),
+        # a graph past order 64 cannot be built: the named families stop there
+        ("paths", "3..65", "'paths' runs orders up to 64, got 65"),
+        ("cycle", "4..65", "'cycle' runs orders up to 64, got 65"),
+        ("subcases", "9..65", "'subcases' runs orders up to 64, got 65"),
     ],
-    ids=["leaf-removal", "all"],
+    ids=["leaf-removal", "all", "paths", "cycle", "subcases"],
 )
 def test_verify_refuses_a_cap_before_any_suite_runs(monkeypatch, capsys, suite, orders, message):
     ran = []
@@ -582,6 +587,29 @@ def test_mds_refuses_a_long_listing_subprocess():
         env=CHILD_ENV,
     )
     assert proc.returncode == 2 and proc.stdout == "" and "1916507251" in proc.stderr
+    assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize(
+    "spec", ["P(10**9)", "C(10**9)", "T(10**9,0)", "U(10**9,0)", "Urt(10**9,1)", "Urt(10**9,10**9)"]
+)
+def test_phi_refuses_a_huge_family_before_building_it_subprocess(spec):
+    # the order is refused before any edge or pattern position is built; the
+    # child's address space is capped, so building one fails fast, not by
+    # filling the machine's memory
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "dissoc", "phi", "--family", spec.replace("10**9", str(10**9))],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env=CHILD_ENV,
+        preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 2 and "order must be in [1, 64]" in proc.stderr, proc.stderr[-300:]
     assert time.perf_counter() - start < 2
 
 

@@ -62,6 +62,16 @@ def test_from_edges_rejects(n, edges):
         from_edges(n, edges)
 
 
+def test_from_edges_checks_the_order_before_reading_an_edge():
+    # the family builders pass their edges lazily and rely on this order
+    def unread():
+        raise AssertionError("an edge was read")
+        yield
+
+    with pytest.raises(ValueError, match=r"order must be in \[1, 64\], got 65"):
+        from_edges(65, unread())
+
+
 def test_graph_init_rejects_asymmetry():
     with pytest.raises(ValueError):
         Graph(2, [0b10, 0b00])

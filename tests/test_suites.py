@@ -17,6 +17,7 @@ from dissoc.suites import (
     VerificationReport,
     Violation,
     run_suite,
+    suite_orders,
 )
 
 # one store for the module: each corpus is generated once
@@ -392,6 +393,28 @@ def test_identity_suite_counts_each_graph_once(monkeypatch):
     report = _run("identities", 3, 6, jobs=1)
     assert report.passed
     assert len(calls) == report.observations[0]["union_pairs"] == IDENTITY_PAIR_COUNT
+
+
+@pytest.mark.parametrize("name, cap", [("identities", 32), ("surgery", 61)])
+def test_suite_orders_refuses_an_order_past_a_suite_cap(name, cap):
+    # identities joins two graphs and surgery adds up to 3 leaves, so each
+    # caps its orders below 64; the corpus cap here would allow them
+    corpora = CorpusStore(unicyclic_cap=64)
+    assert suite_orders(name, (cap, cap), corpora) == (cap, cap)
+    with pytest.raises(ValueError, match=f"'{name}' runs orders up to {cap}, got {cap + 1}"):
+        suite_orders(name, (cap + 1, cap + 1), corpora)
+
+
+def test_only_the_suite_table_names_max_order():
+    # each order limit is owned by its SUITES row and tested in suite_orders
+    # alone: no check body or helper tests MAX_ORDER itself
+    tree = ast.parse(inspect.getsource(suites))
+    owners = [
+        top.name if hasattr(top, "name") else ast.unparse(top.targets[0])
+        for top in tree.body
+        if any(isinstance(node, ast.Name) and node.id == "MAX_ORDER" for node in ast.walk(top))
+    ]
+    assert owners == ["Suite", "SUITES"]
 
 
 def test_main_theorem_detects_missing_minimizer():
