@@ -13,10 +13,10 @@ each peeled subtree in one pass over the peel order.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from itertools import product
+from itertools import combinations, pairwise, product
 from typing import Iterator, NamedTuple, Sequence
 
-from .graphs import Graph, _layout, _trusted, _unicyclic_cycle, from_edges, is_caterpillar
+from .graphs import MAX_ORDER, Graph, _layout, _trusted, _unicyclic_cycle, from_edges, is_caterpillar
 
 # Keys corpus cache files. Bump it whenever a generator's output (which
 # graphs, their labels or their order) changes; a package release alone
@@ -199,10 +199,11 @@ def generate_trees(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of trees of order n.
 
     Built by extending smaller trees with one leaf and deduplicating by
-    canonical code; yielded in code order.
+    canonical code; yielded in code order. An order outside [1, MAX_ORDER]
+    is refused before any table is built.
     """
-    if n < 1:
-        raise ValueError(f"tree generation needs n >= 1, got {n}")
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"order must be in [1, {MAX_ORDER}], got {n}")
     table = _tree_table(n)
     for key in sorted(table):
         yield table[key]
@@ -233,15 +234,6 @@ def _rooted_table(size: int) -> dict[str, tuple[int, ...]]:
     return table
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _assemble_unicyclic(n: int, pieces: list[tuple[int, ...]]) -> Graph:
     """The cycle 0..r-1 with the rooted tree of rows pieces[i] (root first,
     as in ``_rooted_table``) hung at position i; the other vertices are
@@ -266,10 +258,11 @@ def generate_unicyclic(n: int) -> Iterator[Graph]:
     For each cycle length r the rooted trees hanging at the r positions are
     enumerated by code and only the dihedral-canonical code tuple is built,
     so no post-hoc deduplication is needed. Yields ascending cycle length,
-    then code order.
+    then code order. An order outside [1, MAX_ORDER] is refused before any
+    table is built.
     """
-    if n < 1:
-        raise ValueError(f"unicyclic generation needs n >= 1, got {n}")
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"order must be in [1, {MAX_ORDER}], got {n}")
     if n < 3:
         return
     # rank every rooted code once: rank order is code order, so tuples of
@@ -281,8 +274,9 @@ def generate_unicyclic(n: int) -> Iterator[Graph]:
         pieces.append(_rooted_table(size)[key])
     for r in range(3, n + 1):
         batch: list[tuple[int, ...]] = []
-        for sizes in _compositions(n, r):
-            first_ranks, *others = (ranks_by_size[s] for s in sizes)
+        # each composition of n into r parts, by its cut points
+        for cuts in combinations(range(1, n), r - 1):
+            first_ranks, *others = (ranks_by_size[b - a] for a, b in pairwise((0, *cuts, n)))
             for first in first_ranks:
                 # a canonical tuple starts with its least entry
                 rest = [ranks[bisect_left(ranks, first):] for ranks in others]

@@ -19,7 +19,7 @@ from .canon import GENERATORS
 # CorpusCache is imported for its users that look it up as dissoc.cli.CorpusCache
 from .corpus import DEFAULT_TREE_CAP, DEFAULT_UNICYCLIC_CAP, CorpusCache, CorpusStore, format_corpus
 from .families import parse_family
-from .graphs import Graph, graph6_decode
+from .graphs import MAX_ORDER, Graph, graph6_decode
 from .mds import Status, enumerate_mds, phi, phi_refined
 from .suites import SUITES, run_suite, start_suite, suite_orders
 
@@ -163,8 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
         graph.add_argument("--graph6", help="graph6 string")
 
     def add_cap_args(p):
-        p.add_argument("--tree-cap", type=int, default=DEFAULT_TREE_CAP)
-        p.add_argument("--unicyclic-cap", type=int, default=DEFAULT_UNICYCLIC_CAP)
+        cap = ("largest %s order the corpus store makes (default %%(default)s); "
+               f"an order above {MAX_ORDER} is refused whatever the cap")
+        p.add_argument("--tree-cap", type=int, default=DEFAULT_TREE_CAP, help=cap % "tree and caterpillar")
+        p.add_argument("--unicyclic-cap", type=int, default=DEFAULT_UNICYCLIC_CAP, help=cap % "unicyclic")
 
     p_phi = sub.add_parser("phi", help="count maximal dissociation sets")
     add_graph_args(p_phi)

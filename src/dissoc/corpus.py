@@ -104,7 +104,8 @@ class CorpusStore:
         self.corpora: dict[tuple[str, int], list[Graph]] = {}
 
     def graphs(self, kind: str, lo: int, hi: int) -> list[Graph]:
-        """The corpora of orders lo..hi, in order of order."""
+        """The corpora of orders lo..hi, in order of order, once hi is within the cap."""
+        self.check_cap(kind, hi)
         return [g for n in range(lo, hi + 1) for g in self._corpus(kind, n)]
 
     def check_cap(self, kind: str, n: int) -> None:
@@ -113,7 +114,6 @@ class CorpusStore:
             raise ValueError(f"{kind} corpus of order {n} is above its cap {self.caps[kind]}")
 
     def _corpus(self, kind: str, n: int) -> list[Graph]:
-        self.check_cap(kind, n)
         if (kind, n) not in self.corpora:
             graphs = self.cache.load(kind, n) if self.cache else None
             if graphs is None:

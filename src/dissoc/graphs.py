@@ -270,20 +270,16 @@ def support_vertices(g: Graph) -> int:
 def is_caterpillar(g: Graph) -> bool:
     """True iff g is a tree whose non-leaf vertices induce a path.
 
-    Removing the leaves of a tree keeps it connected, so the check reduces
-    to a degree bound on the remaining vertices. Trees that shrink to
-    nothing or to a single vertex count as caterpillars.
+    The leaf peel tells a tree: it leaves no core and one root. Removing
+    the leaves of a tree keeps it connected, so the check reduces to a
+    degree bound on the remaining vertices. Trees that shrink to nothing
+    or to a single vertex count as caterpillars.
     """
-    adj = g.adj
-    edges2 = inner = 0  # twice the edge count, the non-leaf vertices
-    for v, row in enumerate(adj):
-        d = row.bit_count()
-        edges2 += d
-        if d > 1:
-            inner |= 1 << v
-    if edges2 != 2 * g.n - 2 or _component(adj, 0, g.full_mask) != g.full_mask:
+    _, parent, cores = _layout(g.adj)
+    if cores or parent.count(-1) != 1:
         return False
-    return all((adj[v] & inner).bit_count() <= 2 for v in iter_bits(inner))
+    inner = g.full_mask & ~leaves(g)
+    return all((g.adj[v] & inner).bit_count() <= 2 for v in iter_bits(inner))
 
 
 # --- graph6 serialization -------------------------------------------------

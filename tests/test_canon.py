@@ -23,6 +23,7 @@ from dissoc import (
 from dissoc import canon
 from dissoc.canon import GENERATOR_VERSION, GENERATORS, _coded_tree, _extended, _free_text, _rerooted, _tree_text
 from dissoc.corpus import DEFAULT_TREE_CAP, DEFAULT_UNICYCLIC_CAP, CorpusStore
+from dissoc.graphs import MAX_ORDER
 
 from oracles import (
     IsoClassRegistry,
@@ -295,11 +296,16 @@ def test_caterpillar_stream():
 
 
 def test_generator_caps():
-    # generators take no cap and refuse only orders below 1; the store
-    # refuses an order above its class's cap before generating anything
+    # generators take no cap and refuse any order outside [1, MAX_ORDER]
+    # before they build any tree or rooted-tree table, so the memo tables
+    # are left as they were; the store refuses an order above its class's
+    # cap before generating anything
+    trees, rooted = dict(canon._tree_levels), dict(canon._rooted_tables)
     for generate in GENERATORS.values():
-        with pytest.raises(ValueError, match="n >= 1"):
-            list(generate(0))
+        for n in (0, MAX_ORDER + 1):
+            with pytest.raises(ValueError, match=rf"order must be in \[1, {MAX_ORDER}\], got {n}"):
+                list(generate(n))
+    assert canon._tree_levels == trees and canon._rooted_tables == rooted
     caps = {"tree": DEFAULT_TREE_CAP, "caterpillar": DEFAULT_TREE_CAP, "unicyclic": DEFAULT_UNICYCLIC_CAP}
     for kind, cap in caps.items():
         with pytest.raises(ValueError, match=f"above its cap {cap}"):

@@ -613,6 +613,34 @@ def test_phi_refuses_a_huge_family_before_building_it_subprocess(spec):
     assert time.perf_counter() - start < 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        "--class tree --order 65 --tree-cap 100",
+        "--class unicyclic --order 65 --unicyclic-cap 65",
+        "--class caterpillar --order 70 --tree-cap 70",
+    ],
+)
+def test_gen_refuses_an_order_above_64_whatever_the_cap_subprocess(args):
+    # the generator refuses the order before it builds any smaller order's
+    # table; the child's address space is capped, so a run that starts
+    # building fails by memory or by the timeout, not by filling the machine
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "dissoc", "gen", *args.split()],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env=CHILD_ENV,
+        preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 2 and "order must be in [1, 64]" in proc.stderr, proc.stderr[-300:]
+    assert time.perf_counter() - start < 2
+
+
 def test_leaf_removal_refuses_a_large_order_subprocess():
     # order 40 has about 1.7e8 pendant patterns to walk: verify exits 2,
     # naming the cap, in place of running for about an hour

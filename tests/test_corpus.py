@@ -38,3 +38,10 @@ def test_store_writes_each_corpus_once_and_a_second_store_reads_it(tmp_path, mon
     assert stored == []
     with pytest.raises(AssertionError, match="generator"):
         CorpusStore().graphs("tree", 3, 3)
+
+
+def test_store_refuses_a_range_past_its_cap_before_making_any_order():
+    store = CorpusStore(unicyclic_cap=13)
+    with pytest.raises(ValueError, match="above its cap 13"):
+        store.graphs("unicyclic", 3, 14)
+    assert store.corpora == {}

@@ -25,6 +25,7 @@ from dissoc import (
 from dissoc.graphs import _layout, _unicyclic_cycle
 from oracles import classify, delete_vertices_bitwise, graph6_decode_bitwise, graph6_encode_bitwise, random_connected_graph
 import random
+from itertools import combinations
 
 
 def test_from_edges_triangle_equals_cycle3():
@@ -305,6 +306,17 @@ def test_is_caterpillar_matches_its_definition():
     graphs = [g for n in range(1, 11) for g in generate_trees(n)]
     graphs += [g for n in range(3, 9) for g in generate_unicyclic(n)]
     graphs += [disjoint_union(cycle(3), from_edges(1, [])), disjoint_union(path(3), path(2)), from_edges(2, [])]
+    # graphs whose peel leaves a core with k >= 2 (K4, a theta graph, two
+    # triangles joined by a path), and a tree beside a triangle, whose peel
+    # leaves both a core and a root
+    graphs += [
+        from_edges(4, combinations(range(4), 2)),
+        from_edges(6, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 5), (5, 1)]),
+        from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 6), (6, 3)]),
+        disjoint_union(spider_T(2, 1), cycle(3)),
+    ]
+    rng = random.Random(29)
+    graphs += [random_connected_graph(rng, rng.randint(1, 10), rng.choice([0.0, 0.05, 0.25])) for _ in range(200)]
     for g in graphs:
         spine = g.full_mask & ~leaves(g)
         expect = classify(g).kind == "tree"
